@@ -25,10 +25,14 @@
 //!
 //! * the **edge-port table** ([`Graph::edge_ports`]): for edge
 //!   `e = {u, v}` with `u < v`, the port of `e` at `u` and at `v`;
-//! * the **reverse-port table** ([`Graph::rev_port`]): for every directed
+//! * the **reverse-arc table** ([`Graph::rev_arc`]): for every directed
 //!   *arc* (a `(node, port)` pair, globally indexed by
-//!   `csr_offset(node) + port`), the port of the same edge at the other
-//!   endpoint — exactly the lookup a message delivery needs.
+//!   `csr_offset(node) + port`), the global index of the same edge's arc
+//!   at the other endpoint. It is an involution on `0..2m`, and it is
+//!   exactly the lookup a message delivery needs: the round engine's
+//!   gather pass reads a sender's outbox slot at `rev_arc(receiver arc)`
+//!   with one load instead of `csr_offset(sender) + port`. The
+//!   receiver-side port ([`Graph::rev_port`]) is derived from it.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -109,9 +113,10 @@ pub struct Graph {
     edges: Vec<(NodeId, NodeId)>,
     /// Edge-port table: `edge_ports[e] = (port at u, port at v)`.
     edge_ports: Vec<(u32, u32)>,
-    /// Reverse-port table per arc: the same edge's port at the *other*
-    /// endpoint (what a delivered message reports as its receiver port).
-    rev_ports: Vec<u32>,
+    /// Reverse-arc table: the global arc index of the same edge at the
+    /// *other* endpoint (an involution; arc indices fit in u32 because
+    /// `2m < u32::MAX`).
+    rev_arcs: Vec<u32>,
     /// Lazily-built cache for [`Graph::sorted_port_order`]; `Some(None)`
     /// once computed on an already-sorted adjacency. Excluded from
     /// equality: it is a pure function of the fields above.
@@ -124,7 +129,7 @@ impl PartialEq for Graph {
             && self.nbrs == other.nbrs
             && self.edges == other.edges
             && self.edge_ports == other.edge_ports
-            && self.rev_ports == other.rev_ports
+            && self.rev_arcs == other.rev_arcs
     }
 }
 
@@ -150,7 +155,7 @@ impl Graph {
             nbrs: Vec::new(),
             edges: Vec::new(),
             edge_ports: Vec::new(),
-            rev_ports: Vec::new(),
+            rev_arcs: Vec::new(),
             sorted_order: OnceLock::new(),
         }
     }
@@ -286,16 +291,28 @@ impl Graph {
         (pu as usize, pv as usize)
     }
 
+    /// For the arc `csr_offset(v) + port`, the global index of the same
+    /// edge's arc at the other endpoint `u` — the slot `u` writes when it
+    /// sends to `v`. `rev_arc(rev_arc(a)) == a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arc >= 2m`.
+    #[inline]
+    pub fn rev_arc(&self, arc: usize) -> usize {
+        self.rev_arcs[arc] as usize
+    }
+
     /// For the arc `csr_offset(v) + port`, the port of the same edge at
     /// the other endpoint — the receiver-side port of a message sent by
-    /// `v` over `port`.
+    /// `v` over `port`. Derived: `rev_arc(arc) - csr_offset(neighbor)`.
     ///
     /// # Panics
     ///
     /// Panics if `arc >= 2m`.
     #[inline]
     pub fn rev_port(&self, arc: usize) -> usize {
-        self.rev_ports[arc] as usize
+        self.rev_arc(arc) - self.offsets[self.nbrs[arc].0]
     }
 
     /// The endpoint of `e` that is not `v`.
@@ -351,20 +368,21 @@ impl Graph {
     }
 
     /// Heap footprint of the CSR arrays in bytes — the resident cost of
-    /// keeping this instance loaded (offsets, arcs, edge endpoints, and
-    /// both port tables; the lazily-built sort cache is excluded, like in
-    /// equality).
+    /// keeping this instance loaded (offsets, arcs, edge endpoints, the
+    /// edge-port and reverse-arc tables; the lazily-built sort cache is
+    /// excluded, like in equality).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.offsets.len() * size_of::<usize>()
             + self.nbrs.len() * size_of::<(NodeId, EdgeId)>()
             + self.edges.len() * size_of::<(NodeId, NodeId)>()
             + self.edge_ports.len() * size_of::<(u32, u32)>()
-            + self.rev_ports.len() * size_of::<u32>()
+            + self.rev_arcs.len() * size_of::<u32>()
     }
 
-    /// Borrows the five frozen CSR arrays, in declaration order — what the
-    /// `localavg-csr/v1` writer serializes (see [`crate::io`]).
+    /// Borrows the four CSR arrays the `localavg-csr/v1` writer
+    /// serializes verbatim, in declaration order (see [`crate::io`]); the
+    /// file's reverse-port section is derived through [`Graph::rev_port`].
     #[allow(clippy::type_complexity)]
     pub(crate) fn raw_parts(
         &self,
@@ -373,15 +391,8 @@ impl Graph {
         &[(NodeId, EdgeId)],
         &[(NodeId, NodeId)],
         &[(u32, u32)],
-        &[u32],
     ) {
-        (
-            &self.offsets,
-            &self.nbrs,
-            &self.edges,
-            &self.edge_ports,
-            &self.rev_ports,
-        )
+        (&self.offsets, &self.nbrs, &self.edges, &self.edge_ports)
     }
 
     /// Reassembles a graph from its raw CSR arrays. The caller (the
@@ -392,7 +403,7 @@ impl Graph {
         nbrs: Vec<(NodeId, EdgeId)>,
         edges: Vec<(NodeId, NodeId)>,
         edge_ports: Vec<(u32, u32)>,
-        rev_ports: Vec<u32>,
+        rev_arcs: Vec<u32>,
     ) -> Graph {
         debug_assert_eq!(offsets.last(), Some(&nbrs.len()));
         debug_assert_eq!(nbrs.len(), 2 * edges.len());
@@ -401,7 +412,7 @@ impl Graph {
             nbrs,
             edges,
             edge_ports,
-            rev_ports,
+            rev_arcs,
             sorted_order: OnceLock::new(),
         }
     }
@@ -624,13 +635,13 @@ impl GraphBuilder {
                 nbrs[offsets[v]..offsets[v + 1]].sort_unstable();
             }
         }
-        let (edge_ports, rev_ports) = port_tables(&offsets, &nbrs, &self.edges);
+        let (edge_ports, rev_arcs) = port_tables(&offsets, &nbrs, &self.edges);
         Graph {
             offsets,
             nbrs,
             edges: self.edges,
             edge_ports,
-            rev_ports,
+            rev_arcs,
             sorted_order: OnceLock::new(),
         }
     }
@@ -732,23 +743,22 @@ impl GraphBuilder {
                 "duplicate edge in stream at node {v}"
             );
         }
-        let (edge_ports, rev_ports) = port_tables(&offsets, &nbrs, &edges);
+        let (edge_ports, rev_arcs) = port_tables(&offsets, &nbrs, &edges);
         Ok(Graph {
             offsets,
             nbrs,
             edges,
             edge_ports,
-            rev_ports,
+            rev_arcs,
             sorted_order: OnceLock::new(),
         })
     }
 }
 
-/// Builds the edge-port and reverse-port tables from finished CSR
+/// Builds the edge-port and reverse-arc tables from finished CSR
 /// adjacency — the shared tail of [`GraphBuilder::build`] and
-/// [`GraphBuilder::stream_edges`]. Ports fit in u32: a port index is
-/// bounded by the degree, and 2m entries already cap the usable range
-/// far below `u32::MAX` at any realistic scale.
+/// [`GraphBuilder::stream_edges`]. Ports and arc indices fit in u32: both
+/// are below `2m`, which the assert keeps under `u32::MAX`.
 fn port_tables(
     offsets: &[usize],
     nbrs: &[(NodeId, EdgeId)],
@@ -772,19 +782,15 @@ fn port_tables(
             }
         }
     }
-    let mut rev_ports = vec![0u32; 2 * m];
-    for v in 0..n {
-        let base = offsets[v];
-        for (i, &(_, e)) in nbrs[base..offsets[v + 1]].iter().enumerate() {
-            let (a, _) = edges[e];
-            rev_ports[base + i] = if v == a {
-                edge_ports[e].1
-            } else {
-                edge_ports[e].0
-            };
-        }
+    // Each edge's two arcs point at each other.
+    let mut rev_arcs = vec![0u32; 2 * m];
+    for (&(u, v), &(pu, pv)) in edges.iter().zip(&edge_ports) {
+        let au = offsets[u] + pu as usize;
+        let av = offsets[v] + pv as usize;
+        rev_arcs[au] = av as u32;
+        rev_arcs[av] = au as u32;
     }
-    (edge_ports, rev_ports)
+    (edge_ports, rev_arcs)
 }
 
 /// The per-pass edge receiver of [`GraphBuilder::stream_edges`].
@@ -1004,10 +1010,14 @@ mod tests {
             assert_eq!(g.neighbors(v).len(), g.degree(v));
             for (port, &(u, e)) in g.neighbors(v).iter().enumerate() {
                 assert_eq!(g.other_endpoint(e, v), u);
-                // The reverse port points back at this arc.
-                let rev = g.rev_port(g.csr_offset(v) + port);
+                // The reverse port points back at this arc, and the
+                // reverse arc is the same slot by global index.
+                let arc = g.csr_offset(v) + port;
+                let rev = g.rev_port(arc);
                 assert_eq!(g.neighbors(u)[rev], (v, e));
                 assert_eq!(g.rev_port(g.csr_offset(u) + rev), port);
+                assert_eq!(g.rev_arc(arc), g.csr_offset(u) + rev);
+                assert_eq!(g.rev_arc(g.rev_arc(arc)), arc);
             }
         }
     }

@@ -4,8 +4,10 @@
 //! Large instances (10⁷⁺ nodes) take minutes to generate but milliseconds
 //! per query cell; persisting the frozen CSR lets `exp gen` build once and
 //! every later `exp sweep --graph-file` / `exp bench-engine --graph-file`
-//! reload in a single streaming pass. The format serializes exactly the
-//! five frozen arrays of [`Graph`] — no re-derivation on load, so a
+//! reload in a single streaming pass. The format serializes the frozen
+//! arrays of [`Graph`] — four verbatim, plus the reverse-port section,
+//! which the writer derives from the in-memory reverse-arc table and the
+//! reader turns back into it inside its port-table audit — so a
 //! written-then-read graph is **byte-identical** in memory (`Graph: Eq`
 //! holds across the round trip, port order included).
 //!
@@ -229,7 +231,7 @@ fn write_graph_inner<W: Write>(w: W, g: &Graph) -> io::Result<(u64, u64)> {
             format!("graph has {} nodes; localavg-csr/v1 ids are u32", g.n()),
         ));
     }
-    let (offsets, nbrs, edges, edge_ports, rev_ports) = g.raw_parts();
+    let (offsets, nbrs, edges, edge_ports) = g.raw_parts();
     let mut hw = HashWriter::new(w);
     hw.emit(&MAGIC)?;
     let mut header = [0u8; 24];
@@ -253,8 +255,10 @@ fn write_graph_inner<W: Write>(w: W, g: &Graph) -> io::Result<(u64, u64)> {
         hw.stage_bytes(&pu.to_le_bytes())?;
         hw.stage_bytes(&pv.to_le_bytes())?;
     }
-    for &r in rev_ports {
-        hw.stage_bytes(&r.to_le_bytes())?;
+    // The in-memory table holds reverse *arcs*; the format keeps the
+    // reverse *ports* it has always stored.
+    for arc in 0..nbrs.len() {
+        hw.stage_bytes(&(g.rev_port(arc) as u32).to_le_bytes())?;
     }
     hw.flush_stage()?;
     // Footer: the checksum itself is not hashed.
@@ -420,7 +424,9 @@ pub fn read_graph_with_hash<R: Read>(r: R) -> Result<(Graph, u64), ReadError> {
     let arcs32 = hr.read_u32s(2 * (2 * m), "arcs")?;
     let edges32 = hr.read_u32s(2 * m, "edges")?;
     let ports32 = hr.read_u32s(2 * m, "edge ports")?;
-    let rev_ports = hr.read_u32s(2 * m, "rev ports")?;
+    // Read as reverse ports; converted in place into the reverse-arc
+    // table by the port-table audit below.
+    let mut rev_arcs = hr.read_u32s(2 * m, "rev ports")?;
     let computed = hr.hash;
     // The footer is outside the checksum.
     let mut footer = [0u8; 8];
@@ -495,7 +501,11 @@ pub fn read_graph_with_hash<R: Read>(r: R) -> Result<(Graph, u64), ReadError> {
         }
     }
     // Port tables: each edge's two ports point back at it, and each
-    // arc's reverse port is the edge's port at the other endpoint.
+    // arc's reverse port is the edge's port at the other endpoint. The
+    // two arcs `au`, `av` are distinct for distinct edges (the arc check
+    // pins their contents to `e`), so this loop visits every one of the
+    // 2m arcs exactly once and can rewrite its reverse port into the
+    // reverse arc in place.
     for (e, &(u, v)) in edges.iter().enumerate() {
         let (pu, pv) = edge_ports[e];
         let (pu, pv) = (pu as usize, pv as usize);
@@ -504,14 +514,15 @@ pub fn read_graph_with_hash<R: Read>(r: R) -> Result<(Graph, u64), ReadError> {
         if pu >= du || pv >= dv {
             return Err(corrupt(format!("edge {e} port out of degree range")));
         }
-        if nbrs[offsets[u] + pu] != (v, e) || nbrs[offsets[v] + pv] != (u, e) {
+        let (au, av) = (offsets[u] + pu, offsets[v] + pv);
+        if nbrs[au] != (v, e) || nbrs[av] != (u, e) {
             return Err(corrupt(format!("edge {e} ports disagree with arcs")));
         }
-        if rev_ports[offsets[u] + pu] != edge_ports[e].1
-            || rev_ports[offsets[v] + pv] != edge_ports[e].0
-        {
+        if rev_arcs[au] != edge_ports[e].1 || rev_arcs[av] != edge_ports[e].0 {
             return Err(corrupt(format!("edge {e} reverse ports inconsistent")));
         }
+        rev_arcs[au] = av as u32;
+        rev_arcs[av] = au as u32;
     }
     // Simple-graph audit: no node lists the same neighbor twice.
     let mut scratch: Vec<NodeId> = Vec::new();
@@ -525,7 +536,7 @@ pub fn read_graph_with_hash<R: Read>(r: R) -> Result<(Graph, u64), ReadError> {
     }
 
     Ok((
-        Graph::from_raw_parts(offsets, nbrs, edges, edge_ports, rev_ports),
+        Graph::from_raw_parts(offsets, nbrs, edges, edge_ports, rev_arcs),
         stored,
     ))
 }
@@ -850,6 +861,18 @@ mod tests {
         bytes[edges_at..edges_at + 4].copy_from_slice(&3u32.to_le_bytes());
         fix_checksum(&mut bytes);
         assert!(matches!(read_graph(&bytes[..]), Err(ReadError::Corrupt(_))));
+
+        // A reverse port naming the wrong port at the other endpoint
+        // (arc 0 is node 0 → node 1, whose port for edge 0 is 0, not 1).
+        let rev_at = edges_at + 2 * 3 * 8;
+        let mut bytes = roundtrip_bytes(&g);
+        assert_eq!(bytes[rev_at..rev_at + 4], 0u32.to_le_bytes());
+        bytes[rev_at..rev_at + 4].copy_from_slice(&1u32.to_le_bytes());
+        fix_checksum(&mut bytes);
+        match read_graph(&bytes[..]) {
+            Err(ReadError::Corrupt(msg)) => assert!(msg.contains("reverse ports"), "{msg}"),
+            other => panic!("expected corrupt reverse ports, got {other:?}"),
+        }
     }
 
     #[test]
@@ -891,6 +914,31 @@ mod tests {
         // Different graphs (even same n, m ± structure) hash apart.
         assert_ne!(content_hash(&gen::path(5)), content_hash(&gen::cycle(5)));
         assert_ne!(content_hash(&gen::path(5)), content_hash(&gen::path(6)));
+    }
+
+    #[test]
+    fn content_hash_and_length_are_pinned() {
+        // The container's bytes are a contract: `file/<hash>` cell keys
+        // (goldens, the serve cache) name instances by this hash, so any
+        // change to the in-memory representation must leave it intact.
+        let pl = gen::registry()
+            .get("powerlaw/2.1")
+            .expect("registered")
+            .build(4096, 0)
+            .expect("powerlaw instance");
+        let small = Graph::from_edges(6, &[(3, 1), (1, 4), (0, 1), (3, 4), (5, 0), (2, 5), (1, 2)])
+            .unwrap();
+        assert!(small.sorted_port_order().is_some(), "adjacency unsorted");
+        for (g, len, hash) in [
+            (&pl, 598_936, 0x892a_7845_657f_5ce0_u64),
+            (&small, 376, 0xfd1d_f89a_2e9a_eab8),
+        ] {
+            let bytes = roundtrip_bytes(g);
+            assert_eq!(bytes.len(), len, "n={}", g.n());
+            assert_eq!(content_hash(g), hash, "n={}", g.n());
+            let (h, footer) = read_graph_with_hash(&bytes[..]).unwrap();
+            assert_eq!((&h, footer), (g, hash), "n={}", g.n());
+        }
     }
 
     #[test]

@@ -24,9 +24,12 @@
 //! 3. **gather** — sweep the nodes still live *after* this round's halts:
 //!    each receiver pulls its neighbors' slot messages (in ascending
 //!    neighbor id order, via [`Graph::sorted_port_order`]) into its own
-//!    region of the inbox arena. Delta routing falls out for free: a
-//!    halted region of the graph is skipped by the bitset sweep, and
-//!    arcs whose sender went quiet hold `None` and cost one branch.
+//!    region of the inbox arena. The sender's slot is one load away
+//!    ([`Graph::rev_arc`] of the receiver's arc), and on rounds where no
+//!    sender spilled — almost all of them — the spill vectors are not
+//!    probed at all. Delta routing falls out for free: a halted region
+//!    of the graph is skipped by the bitset sweep, and arcs whose sender
+//!    went quiet hold `None` and cost one branch.
 //!
 //! The passes are the *same code* on both executors — the sequential
 //! loop is the 1-chunk special case — so executor choice, thread count,
@@ -40,6 +43,7 @@ use crate::bitset::Bitset;
 use crate::message::{Envelope, MessageSize};
 use crate::pool::WorkerPool;
 use crate::process::{Ctx, Event, EventBuf, Knowledge, Process};
+use crate::shadow::Table;
 use crate::transcript::{Round, Transcript, TranscriptPolicy, UNCOMMITTED};
 pub use crate::workspace::Workspace;
 use localavg_graph::rng::Rng;
@@ -370,6 +374,10 @@ struct RunState<P: Process> {
     /// [`TranscriptPolicy::None`]).
     record_halt_rounds: bool,
     transcript: Transcript<P::NodeOutput, P::EdgeOutput>,
+    /// Debug-build owner tags checking the per-chunk aliasing contract
+    /// (see [`RoundShared`]).
+    #[cfg(debug_assertions)]
+    shadow: crate::shadow::Shadow,
 }
 
 /// Accumulators one audit-pass chunk reports back to the driver.
@@ -409,6 +417,8 @@ impl<P: Process> RunState<P> {
             audit: true,
             record_halt_rounds: true,
             transcript: Transcript::empty(P::OUTPUT_KIND, 0, 0),
+            #[cfg(debug_assertions)]
+            shadow: Default::default(),
         }
     }
 
@@ -474,6 +484,8 @@ impl<P: Process> RunState<P> {
         self.inbox_over.resize_with(n, Vec::new);
         self.audit = policy.records_audit();
         self.record_halt_rounds = policy.records_halts();
+        #[cfg(debug_assertions)]
+        self.shadow.reset(g.degree_sum(), n);
         self.transcript = Transcript::empty(P::OUTPUT_KIND, n, g.m());
         if self.audit {
             // Volume columns exist exactly when the audit does; the audit
@@ -599,7 +611,7 @@ impl<P: Process> RunState<P> {
         self.live == 0
     }
 
-    /// Bundles this round's shared state for the chunk passes (see
+    /// Bundles this round's shared state for one chunk pass (see
     /// [`RoundShared`]).
     #[allow(clippy::too_many_arguments)]
     fn round_shared<'a>(
@@ -612,6 +624,8 @@ impl<P: Process> RunState<P> {
         max_degree: usize,
         chunk: usize,
     ) -> RoundShared<'a, P> {
+        #[cfg(debug_assertions)]
+        self.shadow.begin_pass();
         RoundShared {
             g,
             cfg,
@@ -622,6 +636,10 @@ impl<P: Process> RunState<P> {
             n: g.n(),
             chunk,
             audit: self.audit,
+            // The audit pass records every spilling sender, and the
+            // driver drains them after gather — so this is exactly "some
+            // sender spilled this round" when the gather pass runs.
+            spilled: self.spill_nodes.iter().any(|c| !c.is_empty()),
             processes: self.processes.as_mut_ptr(),
             rngs: self.rngs.as_mut_ptr(),
             halted: self.halted.as_mut_ptr(),
@@ -641,6 +659,8 @@ impl<P: Process> RunState<P> {
             vol_bits_sent: self.transcript.node_bits_sent.as_mut_ptr(),
             vol_msgs_recv: self.transcript.node_messages_recv.as_mut_ptr(),
             vol_bits_recv: self.transcript.node_bits_recv.as_mut_ptr(),
+            #[cfg(debug_assertions)]
+            shadow: &self.shadow,
         }
     }
 }
@@ -662,13 +682,19 @@ impl<P: Process> RunState<P> {
 ///   are written only for indices owned by the running chunk;
 /// * the **step** and **audit** passes touch `out_slots` only inside the
 ///   chunk's own arc ranges; the **gather** pass writes only the *other*
-///   direction of each arc — receiver `v` takes from the slot of the arc
-///   `u → v`, an index unique to `v` — and reads `out_spill[u]` (shared,
-///   immutably: spills are cleared later, by the driver);
+///   direction of each arc — receiver `v` takes from the slot
+///   `rev_arc(v's arc)` of the arc `u → v`, an index unique to `v` — and,
+///   on spill rounds only, reads `out_spill[u]` (shared, immutably:
+///   spills are cleared later, by the driver);
 /// * `halted_bits` is read-only during every pass (halts recorded by the
 ///   driver between passes), and `halted` (bools) is written only by a
 ///   node's own activation, read for *other* nodes only in the audit
 ///   pass, which runs strictly after the step pass.
+///
+/// Debug builds check the first two points mechanically: every pass
+/// claims each `out_slots` index, inbox index and per-node index it
+/// writes through [`RoundShared::claim`], and the shadow checker panics
+/// on an index claimed by two chunks in one pass.
 struct RoundShared<'a, P: Process> {
     g: &'a Graph,
     cfg: &'a SimConfig,
@@ -682,6 +708,9 @@ struct RoundShared<'a, P: Process> {
     /// Nodes per chunk; chunk `ci` owns `[ci * chunk, min(n, (ci+1) * chunk))`.
     chunk: usize,
     audit: bool,
+    /// Whether any sender spilled this round; when false the gather pass
+    /// skips the `out_spill` probe entirely.
+    spilled: bool,
     processes: *mut Option<P>,
     rngs: *mut Rng,
     halted: *mut bool,
@@ -706,6 +735,8 @@ struct RoundShared<'a, P: Process> {
     vol_bits_sent: *mut u64,
     vol_msgs_recv: *mut u64,
     vol_bits_recv: *mut u64,
+    #[cfg(debug_assertions)]
+    shadow: *const crate::shadow::Shadow,
 }
 
 // SAFETY: see the struct-level safety contract — all aliasing is
@@ -720,6 +751,22 @@ impl<P: Process> RoundShared<'_, P> {
     fn range(&self, ci: usize) -> (usize, usize) {
         let lo = ci * self.chunk;
         (lo.min(self.n), (lo + self.chunk).min(self.n))
+    }
+
+    /// Records that chunk `ci` writes indices `at` of `table` in this
+    /// pass. Debug builds panic if another chunk wrote one of them in the
+    /// same pass; release builds compile the call out.
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    fn claim(&self, table: Table, at: std::ops::Range<usize>, ci: usize) {
+        // SAFETY: the shadow lives in the `RunState` this pass borrows
+        // and is only read (atomically) while the pass runs.
+        #[cfg(debug_assertions)]
+        for i in at {
+            unsafe { (*self.shadow).claim(table, i, ci) };
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = (table, at, ci);
     }
 }
 
@@ -740,6 +787,8 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
         (*sh.halted_bits).for_each_zero_in(lo, hi, |v| {
             let deg = sh.g.degree(v);
             let arc = sh.g.csr_offset(v);
+            sh.claim(Table::Node, v..v + 1, ci);
+            sh.claim(Table::OutSlot, arc..arc + deg, ci);
             let k = *sh.inbox_len.add(v) as usize;
             let inbox: &[Envelope<P::Message>] = if k == 0 {
                 &[]
@@ -803,6 +852,8 @@ fn audit_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
             *sh.sent.add(u) = 0;
             let nbrs = sh.g.neighbors(u);
             let arc = sh.g.csr_offset(u);
+            sh.claim(Table::Node, u..u + 1, ci);
+            sh.claim(Table::OutSlot, arc..arc + nbrs.len(), ci);
             for (port, &(dst, _)) in nbrs.iter().enumerate() {
                 let slot = &mut *sh.out_slots.add(arc + port);
                 if let Some(msg) = slot {
@@ -851,62 +902,61 @@ fn gather_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
     let (lo, hi) = sh.range(ci);
     // SAFETY: receiver `v` writes only its own inbox region /
     // `inbox_len` / `inbox_over`, and takes each sender's slot through
-    // the arc `u → v` — an index no other receiver touches; sender spill
-    // vectors are read-only here.
+    // the arc `u → v` (`rev_arc` of its own arc) — an index no other
+    // receiver touches; sender spill vectors are read-only here.
     unsafe {
         (*sh.halted_bits).for_each_zero_in(lo, hi, |v| {
             let deg = sh.g.degree(v);
             let varc = sh.g.csr_offset(v);
             let nbrs = sh.g.neighbors(v);
+            sh.claim(Table::Node, v..v + 1, ci);
             let over = &mut *sh.inbox_over.add(v);
             debug_assert!(over.is_empty());
             let mut k = 0usize;
+            let mut deliver = |env: Envelope<P::Message>| {
+                if sh.audit {
+                    *sh.vol_msgs_recv.add(v) += 1;
+                    *sh.vol_bits_recv.add(v) += env.msg.size_bits() as u64;
+                }
+                if k < deg {
+                    sh.claim(Table::Inbox, varc + k..varc + k + 1, ci);
+                    *sh.inbox.add(varc + k) = env;
+                } else {
+                    over.push(env);
+                }
+                k += 1;
+            };
             for i in 0..deg {
                 let p = match sh.order {
                     Some(order) => order[varc + i] as usize,
                     None => i,
                 };
                 let u = nbrs[p].0;
-                // Port of the shared edge at the sender: names both the
-                // sender-side outbox slot and the spill entries to match.
-                let up = sh.g.rev_port(varc + p);
-                let uarc = sh.g.csr_offset(u) + up;
+                // The sender-side outbox slot of the shared edge.
+                let uarc = sh.g.rev_arc(varc + p);
+                sh.claim(Table::OutSlot, uarc..uarc + 1, ci);
                 if let Some(msg) = (*sh.out_slots.add(uarc)).take() {
-                    if sh.audit {
-                        *sh.vol_msgs_recv.add(v) += 1;
-                        *sh.vol_bits_recv.add(v) += msg.size_bits() as u64;
-                    }
-                    let env = Envelope {
+                    deliver(Envelope {
                         src: u,
                         port: p,
                         msg,
-                    };
-                    if k < deg {
-                        *sh.inbox.add(varc + k) = env;
-                    } else {
-                        over.push(env);
-                    }
-                    k += 1;
+                    });
+                }
+                if !sh.spilled {
+                    continue;
                 }
                 let spill = &*sh.out_spill.add(u);
                 if !spill.is_empty() {
+                    // Spill entries name the sender-side port.
+                    let up = (uarc - sh.g.csr_offset(u)) as u32;
                     for (sport, msg) in spill {
-                        if *sport as usize == up {
-                            if sh.audit {
-                                *sh.vol_msgs_recv.add(v) += 1;
-                                *sh.vol_bits_recv.add(v) += msg.size_bits() as u64;
-                            }
-                            let env = Envelope {
+                        if *sport == up {
+                            let msg = msg.clone();
+                            deliver(Envelope {
                                 src: u,
                                 port: p,
-                                msg: msg.clone(),
-                            };
-                            if k < deg {
-                                *sh.inbox.add(varc + k) = env;
-                            } else {
-                                over.push(env);
-                            }
-                            k += 1;
+                                msg,
+                            });
                         }
                     }
                 }
@@ -1172,6 +1222,8 @@ fn run_with_threads<P: Process>(
             state.ensure_inbox_arena(g);
         }
         {
+            // Built after the audit pass filled `spill_nodes`, so
+            // `sh.spilled` reflects this round's sends.
             let sh = state.round_shared(g, cfg, params, order, round, max_degree, chunk);
             dispatch(pool, workers, chunks, &|ci| gather_chunk::<P>(&sh, ci));
         }
@@ -1725,6 +1777,141 @@ mod tests {
                     t, baseline,
                     "transcript drift at chunk={chunk} threads={threads}"
                 );
+            }
+        }
+    }
+
+    /// Halt round of node `v` in the spill test: nodes leave in waves.
+    fn chatter_halt(v: NodeId) -> Round {
+        2 + (v % 4) as Round
+    }
+
+    /// How many messages `u` sends to neighbor `v` in round `r` of the
+    /// spill test: at most one on even rounds (no spills, so gather takes
+    /// the spill-free path), one to three on odd rounds (the second and
+    /// third send on a port spill).
+    fn chatter_count(u: NodeId, v: NodeId, r: Round) -> usize {
+        if r.is_multiple_of(2) {
+            usize::from(!(u + v + r).is_multiple_of(3))
+        } else {
+            1 + (7 * u + 3 * v + r) % 3
+        }
+    }
+
+    fn chatter_msg(u: NodeId, r: Round, seq: usize) -> u64 {
+        (u as u64) << 32 | (r as u64) << 16 | seq as u64
+    }
+
+    /// Sends `chatter_count` messages to every neighbor every round, up
+    /// to and including its halt round, and checks each inbox against
+    /// the plan: ascending sender, then that sender's messages in send
+    /// order (slot first, then spills). Outputs (messages received,
+    /// largest inbox minus degree).
+    struct Chatter {
+        received: u64,
+        max_excess: i64,
+    }
+
+    impl Chatter {
+        fn send_all(ctx: &mut Ctx<'_, Self>) {
+            let (u, r) = (ctx.id(), ctx.round());
+            for port in ctx.ports() {
+                let v = ctx.neighbor_id(port);
+                for seq in 0..chatter_count(u, v, r) {
+                    ctx.send(port, chatter_msg(u, r, seq));
+                }
+            }
+        }
+    }
+
+    impl Process for Chatter {
+        type Message = u64;
+        type NodeOutput = (u64, i64);
+        type EdgeOutput = ();
+        type Params = ();
+        const OUTPUT_KIND: OutputKind = OutputKind::NodeLabels;
+
+        fn init(_: &(), ctx: &mut Ctx<'_, Self>) -> Self {
+            Self::send_all(ctx);
+            Chatter {
+                received: 0,
+                max_excess: i64::MIN,
+            }
+        }
+
+        fn round(&mut self, ctx: &mut Ctx<'_, Self>, inbox: &[Envelope<u64>]) {
+            let (v, r) = (ctx.id(), ctx.round());
+            let mut senders: Vec<(NodeId, usize)> =
+                ctx.ports().map(|p| (ctx.neighbor_id(p), p)).collect();
+            senders.sort_unstable();
+            let expect: Vec<(NodeId, usize, u64)> = senders
+                .into_iter()
+                .filter(|&(u, _)| chatter_halt(u) >= r - 1)
+                .flat_map(|(u, p)| {
+                    (0..chatter_count(u, v, r - 1)).map(move |s| (u, p, chatter_msg(u, r - 1, s)))
+                })
+                .collect();
+            let got: Vec<_> = inbox.iter().map(|e| (e.src, e.port, e.msg)).collect();
+            assert_eq!(got, expect, "inbox of node {v} in round {r}");
+            self.received += inbox.len() as u64;
+            self.max_excess = self
+                .max_excess
+                .max(inbox.len() as i64 - ctx.degree() as i64);
+            Self::send_all(ctx);
+            if r == chatter_halt(v) {
+                ctx.commit_node((self.received, self.max_excess));
+                ctx.halt();
+            }
+        }
+    }
+
+    #[test]
+    fn spills_deliver_in_order_on_every_chunk_geometry() {
+        let mut rng = Rng::seed_from(3);
+        let regular = gen::random_regular(30, 4, &mut rng).expect("4-regular graph");
+        assert!(regular.sorted_port_order().is_some(), "unsorted adjacency");
+        for g in [gen::grid(5, 6), regular] {
+            // The plan covers the three spill cases: a spill-free round
+            // next to spilling ones, an inbox past its degree, and a
+            // spill toward a receiver that halts in the round it is sent.
+            let spill_to_halting = g.edges().any(|(_, a, b)| {
+                [(a, b), (b, a)].into_iter().any(|(u, v)| {
+                    let r = chatter_halt(v);
+                    chatter_halt(u) >= r && chatter_count(u, v, r) >= 2
+                })
+            });
+            assert!(spill_to_halting);
+            let sent: usize = g
+                .nodes()
+                .flat_map(|u| {
+                    let g = &g;
+                    (0..=chatter_halt(u))
+                        .flat_map(move |r| g.neighbor_ids(u).map(move |v| chatter_count(u, v, r)))
+                })
+                .sum();
+
+            let baseline = RunSpec::new(1).run::<Chatter>(&g, &());
+            assert_eq!(baseline.rounds, 5);
+            assert_eq!(baseline.messages_sent, sent);
+            let outputs: Vec<(u64, i64)> = baseline.node_output.iter().flatten().copied().collect();
+            assert_eq!(outputs.len(), g.n());
+            assert!(
+                outputs.iter().any(|&(_, excess)| excess > 0),
+                "no inbox overflowed"
+            );
+            let received: Vec<u64> = outputs.iter().map(|&(k, _)| k).collect();
+            assert_eq!(baseline.node_messages_recv, received);
+            for chunk in [1, 3, g.n()] {
+                for threads in [1, 2] {
+                    let t = RunSpec::new(1)
+                        .with_exec(Exec::Parallel { threads })
+                        .with_chunk_nodes(Some(chunk))
+                        .run::<Chatter>(&g, &());
+                    assert_eq!(
+                        t, baseline,
+                        "transcript drift at chunk={chunk} threads={threads}"
+                    );
+                }
             }
         }
     }

@@ -59,7 +59,8 @@
 // Unsafe is denied crate-wide and allowed back in only where the
 // parallel executor needs it: the worker pool's lifetime-erased job
 // pointer (`pool`) and the engine's per-chunk round passes, each with
-// a written aliasing contract.
+// a written aliasing contract (checked mechanically in debug builds by
+// `shadow`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -68,6 +69,7 @@ pub mod engine;
 pub mod message;
 pub mod pool;
 pub mod process;
+mod shadow;
 pub mod transcript;
 pub mod workspace;
 

@@ -8,6 +8,40 @@ use localavg::core::matching;
 use localavg::graph::rng::Rng;
 use localavg::graph::{analysis, gen, lift, transform, Graph, GraphBuilder};
 
+/// The reverse-arc table is an involution that pairs each arc with the
+/// same edge's arc at the other endpoint, and the derived reverse ports
+/// agree with the edge-port table.
+fn assert_reverse_arcs(g: &Graph, label: &str) {
+    for v in g.nodes() {
+        for a in g.arc_range(v) {
+            let r = g.rev_arc(a);
+            assert_eq!(
+                g.rev_arc(r),
+                a,
+                "{label}: rev_arc not an involution at arc {a}"
+            );
+            assert_eq!(
+                g.arcs()[r].0,
+                v,
+                "{label}: rev_arc({a}) not owned by node {v}"
+            );
+        }
+    }
+    for (e, u, v) in g.edges() {
+        let (pu, pv) = g.edge_ports(e);
+        assert_eq!(
+            g.rev_port(g.csr_offset(u) + pu),
+            pv,
+            "{label}: edge {e} at u"
+        );
+        assert_eq!(
+            g.rev_port(g.csr_offset(v) + pv),
+            pu,
+            "{label}: edge {e} at v"
+        );
+    }
+}
+
 /// Deterministic stream of random G(n, p) cases with n < `max_n`.
 fn cases(count: usize, max_n: usize, salt: u64) -> Vec<(Graph, u64)> {
     let mut rng = Rng::seed_from(0xCA5E5 ^ salt);
@@ -169,6 +203,7 @@ fn csr_neighbors_equal_insertion_order_adjacency() {
                 );
             }
         }
+        assert_reverse_arcs(&g, &format!("case {case}"));
     }
 }
 
@@ -263,6 +298,7 @@ fn sort_adjacency_preserves_edges_and_port_tables() {
                 assert_eq!(gs.neighbors(u)[rev], (v, e), "case {case}");
             }
         }
+        assert_reverse_arcs(&gs, &format!("sorted case {case}"));
     }
 }
 
@@ -378,6 +414,8 @@ fn csr_v1_round_trips_every_registry_family() {
         let (h, footer) = io::read_graph_with_hash(&bytes[..])
             .unwrap_or_else(|e| panic!("{} rejected on read: {e}", family.name()));
         assert_eq!(h, g, "{}: round trip changed the graph", family.name());
+        assert_reverse_arcs(&g, family.name());
+        assert_reverse_arcs(&h, &format!("{} (read back)", family.name()));
         assert_eq!(
             footer,
             io::content_hash(&g),
