@@ -138,7 +138,7 @@ pub struct CellRow<'a> {
     /// Total rounds until global termination.
     pub rounds: usize,
     /// Peak CONGEST message size, in bits; `None` (rendered as JSON
-    /// `null`) when the transcript policy skipped the audit pass.
+    /// `null`) when the transcript policy skipped the CONGEST audit.
     pub peak_message_bits: Option<usize>,
 }
 

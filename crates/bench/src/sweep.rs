@@ -421,7 +421,7 @@ pub struct CellResult {
     /// Total rounds until global termination (classic worst case).
     pub rounds: usize,
     /// Peak CONGEST message size observed, in bits — `None` when the
-    /// run's transcript policy skipped the audit pass entirely (the
+    /// run's transcript policy skipped the CONGEST audit entirely (the
     /// sweep always audits; lean policies surface here through `exp
     /// serve` and replay paths).
     pub peak_message_bits: Option<usize>,

@@ -30,7 +30,7 @@
 //!   `csr_offset(node) + port`), the global index of the same edge's arc
 //!   at the other endpoint. It is an involution on `0..2m`, and it is
 //!   exactly the lookup a message delivery needs: the round engine's
-//!   gather pass reads a sender's outbox slot at `rev_arc(receiver arc)`
+//!   inbox pull reads a sender's outbox slot at `rev_arc(receiver arc)`
 //!   with one load instead of `csr_offset(sender) + port`. The
 //!   receiver-side port ([`Graph::rev_port`]) is derived from it.
 
@@ -423,7 +423,7 @@ impl Graph {
     /// needed).
     ///
     /// When present, entry `csr_offset(v) + i` is the port of `v`'s
-    /// `i`-th smallest neighbor. The round engine's gather pass walks a
+    /// `i`-th smallest neighbor. The round engine's inbox pull walks a
     /// receiver's senders in this order so inboxes come out sorted by
     /// sender id — the ordering the `Process` contract promises —
     /// regardless of the builder's insertion-order port numbering.

@@ -9,30 +9,36 @@
 //!
 //! # Round anatomy
 //!
-//! Every round is three chunked passes over the node array, each a
-//! word-parallel sweep of the halted bitset so cost tracks the **live
+//! Every round is **one** chunked pass over the node array: a
+//! word-parallel sweep of the halted bitset, so cost tracks the **live
 //! frontier** (the paper's Definition 1 is exactly the observation that
-//! most nodes halt long before the worst-case round):
+//! most nodes halt long before the worst-case round). The outbox is
+//! double-buffered: round `r` sends into buffer `r & 1` while reading the
+//! other. Activating a live node `v` in round `r` means
 //!
-//! 1. **step** — activate every live node (`init` at round 0, `round`
-//!    after); sends land in per-arc outbox slots, commits in per-chunk
-//!    event buffers, halts in per-chunk halt buffers.
-//! 2. **audit** — sweep the nodes that were live *at the start* of the
-//!    round (the only possible senders): count messages for the CONGEST
-//!    audit, clear slots addressed to receivers that halted this round,
-//!    and zero the per-node `sent` counters.
-//! 3. **gather** — sweep the nodes still live *after* this round's halts:
-//!    each receiver pulls its neighbors' slot messages (in ascending
-//!    neighbor id order, via [`Graph::sorted_port_order`]) into its own
-//!    region of the inbox arena. The sender's slot is one load away
-//!    ([`Graph::rev_arc`] of the receiver's arc), and on rounds where no
-//!    sender spilled — almost all of them — the spill vectors are not
-//!    probed at all. Delta routing falls out for free: a halted region
-//!    of the graph is skipped by the bitset sweep, and arcs whose sender
-//!    went quiet hold `None` and cost one branch.
+//! 1. **pull** — `v` takes its inbox out of the previous round's buffer
+//!    into the chunk's scratch vector: it walks its ports in ascending
+//!    neighbor id order ([`Graph::sorted_port_order`]) and `take()`s each
+//!    sender's slot, one load away at [`Graph::rev_arc`] of `v`'s own
+//!    arc. On rounds after a spill it also clones that sender's spills on
+//!    the arc; otherwise — almost always — the spill vectors are not
+//!    probed at all;
+//! 2. **clear** — `v` empties its own arc range of the current buffer
+//!    (what is left there was addressed to halted receivers);
+//! 3. **step** — `init` at round 0, `round` after; sends land in that
+//!    range, commits in per-chunk event buffers, halts in per-chunk halt
+//!    buffers;
+//! 4. **audit** — `v` counts its own sends for the CONGEST audit.
 //!
-//! The passes are the *same code* on both executors — the sequential
-//! loop is the 1-chunk special case — so executor choice, thread count,
+//! Between rounds the driver applies commit events, records halts, and
+//! clears the spill vectors its receivers just pulled. Delta routing falls
+//! out for free: a halted region of the graph is skipped by the bitset
+//! sweep, and arcs whose sender went quiet hold `None` and cost one
+//! branch. Messages to halted receivers are never pulled; a live sender
+//! clears them two rounds later, and the next run's reset drops the rest.
+//!
+//! The pass is the *same code* on both executors — the sequential loop
+//! is the 1-chunk special case — so executor choice, thread count,
 //! and chunk geometry are pure performance knobs that cannot perturb the
 //! transcript. Parallel runs distribute chunks over a persistent
 //! [`WorkerPool`] (spawned once per run, or once
@@ -315,35 +321,31 @@ impl Exec {
 /// from the graph's CSR layout — no per-node heap vectors, no per-round
 /// allocation in the steady state:
 ///
-/// * `out_slots` — one message slot per directed arc, addressed by
-///   `csr_offset(v) + port` (plus a per-node spill vector for the rare
-///   second message on one port in a round);
-/// * `inbox` — one contiguous envelope arena; node `v`'s region is its
-///   own CSR arc range (`csr_offset(v) .. csr_offset(v) + degree`,
-///   `inbox_len[v]` of it filled), so the gather pass needs no counting
-///   or prefix-sum repartition — regions are fixed for the whole run and
-///   only live receivers are touched;
-/// * `halted_bits` / `committed` — columnar bitsets mirroring the
-///   per-node flags, letting every pass skip 64 halted nodes per word
-///   compare.
+/// * `out_slots` — a **double-buffered** outbox: two message slots per
+///   directed arc, buffer `b`'s slot of arc `csr_offset(v) + port` at
+///   index `b · Σdeg + arc`. Round `r` sends into buffer `r & 1`, and the
+///   receivers of round `r + 1` pull from it while sending into the other
+///   one. `out_spill` (index `b · n + v`) doubles the same way, for the
+///   rare second message on one port in a round;
+/// * there is no inbox arena: each activation assembles its inbox in the
+///   chunk's `scratch` vector and hands it straight to the process;
+/// * `halted_bits` / `committed` — columnar bitsets, letting the pass
+///   skip 64 halted nodes per word compare.
 struct RunState<P: Process> {
     processes: Vec<Option<P>>,
     rngs: Vec<Rng>,
-    /// Per-node halt flag (written by the node's own activation).
-    halted: Vec<bool>,
-    /// Columnar mirror of `halted`, updated when halts are recorded.
+    /// Halted nodes, updated by the driver when halts are recorded.
     halted_bits: Bitset,
     /// Columnar "node committed its own output" state.
     committed: Bitset,
     /// Nodes that have not halted yet.
     live: usize,
-    /// Outbox arena: slot per arc (`csr_offset(v) + port`).
+    /// Double-buffered outbox: buffer `b`'s slot of arc `a` is at
+    /// `b · Σdeg + a`.
     out_slots: Vec<Option<P::Message>>,
-    /// Per-node overflow for repeated sends on one port (almost always
-    /// empty; capacity is retained across rounds).
+    /// Double-buffered per-node overflow for repeated sends on one port
+    /// (`b · n + v`; almost always empty, capacity retained across rounds).
     out_spill: Vec<Vec<(u32, P::Message)>>,
-    /// Per-node count of messages written this round.
-    sent: Vec<u32>,
     /// Commit events, one buffer per executor chunk; entries are pushed in
     /// ascending node order within a chunk, so draining chunks in order
     /// replays events in global node order.
@@ -351,23 +353,15 @@ struct RunState<P: Process> {
     /// Nodes that halted this round, one buffer per executor chunk.
     fresh_halts: Vec<Vec<NodeId>>,
     /// Nodes whose outbox spilled this round, one buffer per executor
-    /// chunk; the driver clears exactly these spill vectors after gather.
+    /// chunk.
     spill_nodes: Vec<Vec<NodeId>>,
-    /// Per-chunk assembly buffer for the rare inbox that overflows its
-    /// arc-range region (spills can deliver more messages than `degree`).
+    /// Nodes that spilled in the previous round: the driver clears their
+    /// spill vectors once this round's receivers have pulled them.
+    pending_spills: Vec<NodeId>,
+    /// Per-chunk inbox scratch: an activation pulls its inbox here.
     scratch: Vec<Vec<Envelope<P::Message>>>,
-    /// Per-chunk audit accumulators reported by the audit pass.
+    /// Per-chunk CONGEST audit accumulators.
     audit_parts: Vec<AuditPart>,
-    /// Inbox arena: node `v`'s messages for the current round are the
-    /// first `inbox_len[v]` entries of its arc range, sorted by sender
-    /// id. Grown once (to `degree_sum`) on the first round that delivers
-    /// anything.
-    inbox: Vec<Envelope<P::Message>>,
-    /// Per-node count of messages delivered this round.
-    inbox_len: Vec<u32>,
-    /// Per-node overflow beyond the arc-range region (spill deliveries
-    /// past `degree` messages; almost always empty).
-    inbox_over: Vec<Vec<Envelope<P::Message>>>,
     /// Whether the CONGEST audit is recorded (policy [`TranscriptPolicy::Full`]).
     audit: bool,
     /// Whether per-node halt rounds are recorded (policies other than
@@ -380,17 +374,14 @@ struct RunState<P: Process> {
     shadow: crate::shadow::Shadow,
 }
 
-/// Accumulators one audit-pass chunk reports back to the driver.
+/// CONGEST audit accumulators of one chunk's sends in one round (zero
+/// unless the policy records the audit).
 #[derive(Debug, Clone, Copy, Default)]
 struct AuditPart {
-    /// Messages sent by this chunk's nodes (CONGEST audit; 0 unless the
-    /// policy records the audit).
+    /// Messages sent by this chunk's nodes.
     messages: usize,
-    /// Largest message, in bits (0 unless the audit is recorded).
+    /// Largest message, in bits.
     max_bits: usize,
-    /// Messages addressed to *live* receivers — the driver grows the
-    /// inbox arena iff any chunk reports a pending delivery.
-    deliveries: usize,
 }
 
 impl<P: Process> RunState<P> {
@@ -399,21 +390,17 @@ impl<P: Process> RunState<P> {
         RunState {
             processes: Vec::new(),
             rngs: Vec::new(),
-            halted: Vec::new(),
             halted_bits: Bitset::new(0),
             committed: Bitset::new(0),
             live: 0,
             out_slots: Vec::new(),
             out_spill: Vec::new(),
-            sent: Vec::new(),
             events: Vec::new(),
             fresh_halts: Vec::new(),
             spill_nodes: Vec::new(),
+            pending_spills: Vec::new(),
             scratch: Vec::new(),
             audit_parts: Vec::new(),
-            inbox: Vec::new(),
-            inbox_len: Vec::new(),
-            inbox_over: Vec::new(),
             audit: true,
             record_halt_rounds: true,
             transcript: Transcript::empty(P::OUTPUT_KIND, 0, 0),
@@ -434,25 +421,24 @@ impl<P: Process> RunState<P> {
         self.processes.resize_with(n, || None);
         self.rngs.clear();
         self.rngs.extend((0..n).map(|v| master.fork(v as u64)));
-        self.halted.clear();
-        self.halted.resize(n, false);
         self.halted_bits.clear_and_resize(n);
         self.committed.clear_and_resize(n);
         self.live = n;
-        // Outbox slots are all `None` at the end of a *completed* run
-        // (audit + gather consume every pending message), but a run
-        // aborted by a caught panic (e.g. a max_rounds probe) can leave
-        // messages behind — refill unconditionally so stale sends can
-        // never leak into the next run. This is an O(Σdeg) overwrite of
-        // warm memory, the same order as the rest of the reset.
+        // Both outbox buffers are refilled unconditionally. A completed
+        // run leaves behind the messages addressed to halted receivers
+        // (nobody pulls them), and a run aborted by a caught panic (e.g.
+        // a max_rounds probe) can leave anything in either buffer; a
+        // sender that halts early in the next run never clears its range
+        // again, so a stale slot would be delivered. This is an O(Σdeg)
+        // overwrite of warm memory, the same order as the rest of the
+        // reset.
         self.out_slots.clear();
-        self.out_slots.resize_with(g.degree_sum(), || None);
+        self.out_slots.resize_with(2 * g.degree_sum(), || None);
         for spill in &mut self.out_spill {
             spill.clear();
         }
-        self.out_spill.resize_with(n, Vec::new);
-        self.sent.clear();
-        self.sent.resize(n, 0);
+        self.out_spill.resize_with(2 * n, Vec::new);
+        self.pending_spills.clear();
         for buf in &mut self.events {
             buf.clear();
         }
@@ -471,25 +457,14 @@ impl<P: Process> RunState<P> {
         self.scratch.resize_with(chunks, Vec::new);
         self.audit_parts.clear();
         self.audit_parts.resize(chunks, AuditPart::default());
-        // The inbox arena keeps its previous length as a high-water mark;
-        // stale envelopes are never read because `inbox_len` is zeroed
-        // here and only the gather pass raises it — after rewriting the
-        // region. An aborted run can leave overflow entries behind, so
-        // those are cleared explicitly.
-        self.inbox_len.clear();
-        self.inbox_len.resize(n, 0);
-        for over in &mut self.inbox_over {
-            over.clear();
-        }
-        self.inbox_over.resize_with(n, Vec::new);
         self.audit = policy.records_audit();
         self.record_halt_rounds = policy.records_halts();
         #[cfg(debug_assertions)]
-        self.shadow.reset(g.degree_sum(), n);
+        self.shadow.reset(2 * g.degree_sum(), n);
         self.transcript = Transcript::empty(P::OUTPUT_KIND, n, g.m());
         if self.audit {
-            // Volume columns exist exactly when the audit does; the audit
-            // and gather passes accumulate into them in place.
+            // Volume columns exist exactly when the audit does; senders
+            // and receivers accumulate into them in place.
             self.transcript.node_messages_sent = vec![0; n];
             self.transcript.node_bits_sent = vec![0; n];
             self.transcript.node_messages_recv = vec![0; n];
@@ -529,53 +504,15 @@ impl<P: Process> RunState<P> {
         }
     }
 
-    /// Sums the audit pass's per-chunk accumulators:
-    /// `(messages, max_bits, live deliveries)`.
-    fn collect_audit(&self) -> (usize, usize, usize) {
+    /// Sums the per-chunk audit accumulators: `(messages, max_bits)`.
+    fn collect_audit(&self) -> (usize, usize) {
         let mut messages = 0;
         let mut max_bits = 0;
-        let mut deliveries = 0;
         for part in &self.audit_parts {
             messages += part.messages;
             max_bits = max_bits.max(part.max_bits);
-            deliveries += part.deliveries;
         }
-        (messages, max_bits, deliveries)
-    }
-
-    /// Grows the inbox arena to its final size (`Σdeg`) before the first
-    /// gather that delivers anything. The filler is a clone of a pending
-    /// message; a slot is only ever read after the gather pass wrote it
-    /// (`inbox_len` gates every read).
-    fn ensure_inbox_arena(&mut self, g: &Graph) {
-        let cap = g.degree_sum();
-        if self.inbox.len() >= cap {
-            return;
-        }
-        let filler = self
-            .pending_message_filler()
-            .expect("a live delivery implies a pending message");
-        self.inbox.resize(
-            cap,
-            Envelope {
-                src: 0,
-                port: 0,
-                msg: filler,
-            },
-        );
-    }
-
-    /// A clone of any message still pending in the outbox (arena filler).
-    fn pending_message_filler(&self) -> Option<P::Message> {
-        if let Some(msg) = self.out_slots.iter().flatten().next() {
-            return Some(msg.clone());
-        }
-        for spill in &self.out_spill {
-            if let Some((_, msg)) = spill.first() {
-                return Some(msg.clone());
-            }
-        }
-        None
+        (messages, max_bits)
     }
 
     /// Records this round's halts (chunk order = node order) into the
@@ -594,16 +531,19 @@ impl<P: Process> RunState<P> {
         }
     }
 
-    /// Clears exactly the spill vectors that filled this round (the spill
-    /// nodes were recorded by the audit pass; messages toward live
-    /// receivers were already cloned out by the gather pass).
-    fn drain_spills(&mut self) {
-        let spill_nodes = &mut self.spill_nodes;
-        let out_spill = &mut self.out_spill;
-        for chunk in spill_nodes {
-            for u in chunk.drain(..) {
-                out_spill[u].clear();
-            }
+    /// Clears the spill vectors filled in round `round - 1` (this round's
+    /// receivers have just pulled them; those addressed to halted
+    /// receivers are dropped) and queues this round's spilling senders
+    /// for the same treatment after the next round.
+    fn drain_spills(&mut self, round: Round) {
+        let prev = (round + 1) & 1;
+        let n = self.processes.len();
+        for &u in &self.pending_spills {
+            self.out_spill[prev * n + u].clear();
+        }
+        self.pending_spills.clear();
+        for chunk in &mut self.spill_nodes {
+            self.pending_spills.append(chunk);
         }
     }
 
@@ -611,7 +551,7 @@ impl<P: Process> RunState<P> {
         self.live == 0
     }
 
-    /// Bundles this round's shared state for one chunk pass (see
+    /// Bundles this round's shared state for the chunk pass (see
     /// [`RoundShared`]).
     #[allow(clippy::too_many_arguments)]
     fn round_shared<'a>(
@@ -634,27 +574,21 @@ impl<P: Process> RunState<P> {
             round,
             max_degree,
             n: g.n(),
+            arcs: g.degree_sum(),
+            cur: round & 1,
             chunk,
             audit: self.audit,
-            // The audit pass records every spilling sender, and the
-            // driver drains them after gather — so this is exactly "some
-            // sender spilled this round" when the gather pass runs.
-            spilled: self.spill_nodes.iter().any(|c| !c.is_empty()),
+            spilled: !self.pending_spills.is_empty(),
             processes: self.processes.as_mut_ptr(),
             rngs: self.rngs.as_mut_ptr(),
-            halted: self.halted.as_mut_ptr(),
             halted_bits: &self.halted_bits,
             out_slots: self.out_slots.as_mut_ptr(),
             out_spill: self.out_spill.as_mut_ptr(),
-            sent: self.sent.as_mut_ptr(),
             events: self.events.as_mut_ptr(),
             fresh_halts: self.fresh_halts.as_mut_ptr(),
             spill_nodes: self.spill_nodes.as_mut_ptr(),
             scratch: self.scratch.as_mut_ptr(),
             audit_parts: self.audit_parts.as_mut_ptr(),
-            inbox: self.inbox.as_mut_ptr(),
-            inbox_len: self.inbox_len.as_mut_ptr(),
-            inbox_over: self.inbox_over.as_mut_ptr(),
             vol_msgs_sent: self.transcript.node_messages_sent.as_mut_ptr(),
             vol_bits_sent: self.transcript.node_bits_sent.as_mut_ptr(),
             vol_msgs_recv: self.transcript.node_messages_recv.as_mut_ptr(),
@@ -665,8 +599,8 @@ impl<P: Process> RunState<P> {
     }
 }
 
-/// One round-pass's view of the run state, shared across chunk workers by
-/// raw pointer.
+/// One round's view of the run state, shared across chunk workers by raw
+/// pointer.
 ///
 /// # Safety
 ///
@@ -674,27 +608,24 @@ impl<P: Process> RunState<P> {
 /// pass (the driver blocks in [`dispatch`] until every chunk finished).
 /// Data races are excluded structurally, chunk by chunk:
 ///
-/// * per-**node** columns (`processes`, `rngs`, `halted`, `out_spill`,
-///   `sent`, `inbox_len`, `inbox_over`, the sender-side volume columns in
-///   the audit pass and the receiver-side ones in the gather pass) and
-///   per-**chunk** buffers
-///   (`events`, `fresh_halts`, `spill_nodes`, `scratch`, `audit_parts`)
-///   are written only for indices owned by the running chunk;
-/// * the **step** and **audit** passes touch `out_slots` only inside the
-///   chunk's own arc ranges; the **gather** pass writes only the *other*
-///   direction of each arc — receiver `v` takes from the slot
-///   `rev_arc(v's arc)` of the arc `u → v`, an index unique to `v` — and,
-///   on spill rounds only, reads `out_spill[u]` (shared, immutably:
-///   spills are cleared later, by the driver);
-/// * `halted_bits` is read-only during every pass (halts recorded by the
-///   driver between passes), and `halted` (bools) is written only by a
-///   node's own activation, read for *other* nodes only in the audit
-///   pass, which runs strictly after the step pass.
+/// * per-**node** columns (`processes`, `rngs`, this round's `out_spill`
+///   buffer, the volume columns) and per-**chunk** buffers (`events`,
+///   `fresh_halts`, `spill_nodes`, `scratch`, `audit_parts`) are written
+///   only for indices owned by the running chunk;
+/// * in this round's `out_slots` buffer, a node writes only its own arc
+///   range (cleared, then filled by its sends); in the previous round's
+///   buffer, receiver `v` takes only the slot `rev_arc(v's arc)` of each
+///   arc `u → v` — an index unique to `v` — and no sender writes that
+///   buffer this round;
+/// * the previous round's `out_spill` buffer is only read (cloned from)
+///   during the pass; the driver clears it afterwards;
+/// * `halted_bits` is read-only during the pass (halts are recorded by
+///   the driver between rounds).
 ///
-/// Debug builds check the first two points mechanically: every pass
-/// claims each `out_slots` index, inbox index and per-node index it
-/// writes through [`RoundShared::claim`], and the shadow checker panics
-/// on an index claimed by two chunks in one pass.
+/// Debug builds check the first two points mechanically: every node
+/// claims each `out_slots` index (`buffer · Σdeg + arc`) and per-node
+/// index it writes through [`RoundShared::claim`], and the shadow checker
+/// panics on an index claimed by two chunks in one round.
 struct RoundShared<'a, P: Process> {
     g: &'a Graph,
     cfg: &'a SimConfig,
@@ -705,32 +636,31 @@ struct RoundShared<'a, P: Process> {
     round: Round,
     max_degree: usize,
     n: usize,
+    /// Σdeg: the length of one outbox buffer.
+    arcs: usize,
+    /// The outbox buffer this round sends into (`round & 1`); the other
+    /// one holds the previous round's messages.
+    cur: usize,
     /// Nodes per chunk; chunk `ci` owns `[ci * chunk, min(n, (ci+1) * chunk))`.
     chunk: usize,
     audit: bool,
-    /// Whether any sender spilled this round; when false the gather pass
-    /// skips the `out_spill` probe entirely.
+    /// Whether any sender spilled last round; when false the pull skips
+    /// the `out_spill` probe entirely.
     spilled: bool,
     processes: *mut Option<P>,
     rngs: *mut Rng,
-    halted: *mut bool,
     halted_bits: *const Bitset,
     out_slots: *mut Option<P::Message>,
     out_spill: *mut Vec<(u32, P::Message)>,
-    sent: *mut u32,
     events: *mut EventBuf<P>,
     fresh_halts: *mut Vec<NodeId>,
     spill_nodes: *mut Vec<NodeId>,
     scratch: *mut Vec<Envelope<P::Message>>,
     audit_parts: *mut AuditPart,
-    inbox: *mut Envelope<P::Message>,
-    inbox_len: *mut u32,
-    inbox_over: *mut Vec<Envelope<P::Message>>,
     /// Per-node message-volume columns of the transcript (length `n` when
-    /// `audit`, empty otherwise — dereferenced only under `audit`). The
-    /// *sent* columns are written for sender `u` only by `u`'s owning
-    /// chunk in the audit pass; the *recv* columns for receiver `v` only
-    /// by `v`'s owning chunk in the gather pass.
+    /// `audit`, empty otherwise — dereferenced only under `audit`). Both
+    /// the *sent* and the *recv* entry of node `v` are written only by
+    /// `v`'s own activation.
     vol_msgs_sent: *mut u64,
     vol_bits_sent: *mut u64,
     vol_msgs_recv: *mut u64,
@@ -753,9 +683,15 @@ impl<P: Process> RoundShared<'_, P> {
         (lo.min(self.n), (lo + self.chunk).min(self.n))
     }
 
+    /// Index of arc `arc`'s slot in outbox buffer `buf`.
+    #[inline]
+    fn slot(&self, buf: usize, arc: usize) -> usize {
+        buf * self.arcs + arc
+    }
+
     /// Records that chunk `ci` writes indices `at` of `table` in this
-    /// pass. Debug builds panic if another chunk wrote one of them in the
-    /// same pass; release builds compile the call out.
+    /// round. Debug builds panic if another chunk wrote one of them in
+    /// the same round; release builds compile the call out.
     #[inline(always)]
     #[allow(unsafe_code)]
     fn claim(&self, table: Table, at: std::ops::Range<usize>, ci: usize) {
@@ -768,200 +704,152 @@ impl<P: Process> RoundShared<'_, P> {
         #[cfg(not(debug_assertions))]
         let _ = (table, at, ci);
     }
+
+    /// Pulls node `v`'s inbox — the previous round's messages on its arcs
+    /// — into `inbox`, in ascending sender id order: each sender's slot,
+    /// then (after a round with spills) its spills on the same arc in
+    /// send order, the ordering the `Process` contract promises. Taking
+    /// the slot empties it, so a sender that halts and never clears its
+    /// range again cannot deliver one message twice. Accumulates the
+    /// receive volume.
+    ///
+    /// # Safety
+    ///
+    /// Only chunk `ci`, the owner of `v`, may call this, at most once per
+    /// round (the [`RoundShared`] contract).
+    #[allow(unsafe_code)]
+    unsafe fn pull(&self, v: NodeId, ci: usize, inbox: &mut Vec<Envelope<P::Message>>) {
+        let prev = self.cur ^ 1;
+        let varc = self.g.csr_offset(v);
+        let nbrs = self.g.neighbors(v);
+        for i in 0..nbrs.len() {
+            let p = match self.order {
+                Some(order) => order[varc + i] as usize,
+                None => i,
+            };
+            let u = nbrs[p].0;
+            // The sender-side slot of the shared edge, one load away.
+            let uarc = self.g.rev_arc(varc + p);
+            let at = self.slot(prev, uarc);
+            self.claim(Table::OutSlot, at..at + 1, ci);
+            // SAFETY: slot `at` is addressed to `v` alone (contract,
+            // second point).
+            if let Some(msg) = unsafe { (*self.out_slots.add(at)).take() } {
+                inbox.push(Envelope {
+                    src: u,
+                    port: p,
+                    msg,
+                });
+            }
+            if !self.spilled {
+                continue;
+            }
+            // SAFETY: the previous buffer's spills are read-only here.
+            let spill = unsafe { &*self.out_spill.add(prev * self.n + u) };
+            if !spill.is_empty() {
+                // Spill entries name the sender-side port.
+                let up = (uarc - self.g.csr_offset(u)) as u32;
+                inbox.extend(
+                    spill
+                        .iter()
+                        .filter(|(sport, _)| *sport == up)
+                        .map(|(_, msg)| Envelope {
+                            src: u,
+                            port: p,
+                            msg: msg.clone(),
+                        }),
+                );
+            }
+        }
+        if self.audit && !inbox.is_empty() {
+            // SAFETY: `v`'s volume entries belong to `v`'s chunk.
+            unsafe {
+                *self.vol_msgs_recv.add(v) += inbox.len() as u64;
+                *self.vol_bits_recv.add(v) +=
+                    inbox.iter().map(|e| e.msg.size_bits() as u64).sum::<u64>();
+            }
+        }
+    }
 }
 
-/// **Step pass**: activates every live node of chunk `ci` (`init` at
-/// round 0), reading its inbox region and writing sends / commit events /
-/// halt flags. See [`RoundShared`] for the aliasing contract.
+/// **The round pass**: activates every live node of chunk `ci` (`init`
+/// at round 0) — pull, clear, step, audit, as the module docs lay out.
+/// Clearing before the step is what lets `Ctx::send` read an occupied
+/// slot as a second message on its port, never as a stale one. See
+/// [`RoundShared`] for the aliasing contract.
 #[allow(unsafe_code)]
 fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
     let (lo, hi) = sh.range(ci);
-    // SAFETY: chunk `ci` owns nodes `lo..hi` and per-chunk buffer `ci`;
-    // the inbox arena is read-only during the step, and every slice stays
-    // inside the arena bounds (`inbox_len[v] > 0` implies the arena was
-    // grown to Σdeg before the gather that filled it).
+    // SAFETY: chunk `ci` owns nodes `lo..hi` — their per-node entries
+    // and their arc ranges of this round's buffer — and per-chunk buffer
+    // `ci`; `pull` touches the previous buffer only as the contract
+    // allows.
     unsafe {
         let events = &mut *sh.events.add(ci);
         let fresh = &mut *sh.fresh_halts.add(ci);
-        let scratch = &mut *sh.scratch.add(ci);
-        (*sh.halted_bits).for_each_zero_in(lo, hi, |v| {
-            let deg = sh.g.degree(v);
-            let arc = sh.g.csr_offset(v);
-            sh.claim(Table::Node, v..v + 1, ci);
-            sh.claim(Table::OutSlot, arc..arc + deg, ci);
-            let k = *sh.inbox_len.add(v) as usize;
-            let inbox: &[Envelope<P::Message>] = if k == 0 {
-                &[]
-            } else {
-                let over = &mut *sh.inbox_over.add(v);
-                if over.is_empty() {
-                    std::slice::from_raw_parts(sh.inbox.add(arc), k)
-                } else {
-                    // Overflowed region (> deg deliveries via spills):
-                    // assemble the full inbox in the chunk scratch.
-                    scratch.clear();
-                    scratch.extend_from_slice(std::slice::from_raw_parts(sh.inbox.add(arc), deg));
-                    scratch.append(over);
-                    &scratch[..]
-                }
-            };
-            activate::<P>(
-                sh.g,
-                sh.cfg,
-                sh.params,
-                v,
-                sh.round,
-                sh.max_degree,
-                &mut *sh.processes.add(v),
-                &mut *sh.rngs.add(v),
-                &mut *sh.halted.add(v),
-                std::slice::from_raw_parts_mut(sh.out_slots.add(arc), deg),
-                &mut *sh.out_spill.add(v),
-                &mut *sh.sent.add(v),
-                events,
-                inbox,
-            );
-            *sh.inbox_len.add(v) = 0;
-            if *sh.halted.add(v) {
-                fresh.push(v);
-            }
-        });
-    }
-}
-
-/// **Audit pass**: sweeps the chunk's round-start live nodes (the only
-/// possible senders), accumulating the CONGEST audit, clearing slots
-/// addressed to receivers that halted this round, recording spilling
-/// senders, and zeroing `sent`. Runs on the *pre-halt* bitset (a node
-/// that halted this round still sent this round). See [`RoundShared`]
-/// for the aliasing contract.
-#[allow(unsafe_code)]
-fn audit_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
-    let (lo, hi) = sh.range(ci);
-    // SAFETY: chunk `ci` owns senders `lo..hi`, their arc ranges of
-    // `out_slots`, and per-chunk buffers `ci`; `halted` flags of other
-    // nodes are only *read*, and no activation is running.
-    unsafe {
+        let spills = &mut *sh.spill_nodes.add(ci);
+        let inbox = &mut *sh.scratch.add(ci);
         let part = &mut *sh.audit_parts.add(ci);
         *part = AuditPart::default();
-        let spills = &mut *sh.spill_nodes.add(ci);
-        (*sh.halted_bits).for_each_zero_in(lo, hi, |u| {
-            if *sh.sent.add(u) == 0 {
-                return;
-            }
-            *sh.sent.add(u) = 0;
-            let nbrs = sh.g.neighbors(u);
-            let arc = sh.g.csr_offset(u);
-            sh.claim(Table::Node, u..u + 1, ci);
-            sh.claim(Table::OutSlot, arc..arc + nbrs.len(), ci);
-            for (port, &(dst, _)) in nbrs.iter().enumerate() {
-                let slot = &mut *sh.out_slots.add(arc + port);
-                if let Some(msg) = slot {
-                    if sh.audit {
-                        let bits = msg.size_bits();
-                        part.max_bits = part.max_bits.max(bits);
-                        part.messages += 1;
-                        *sh.vol_msgs_sent.add(u) += 1;
-                        *sh.vol_bits_sent.add(u) += bits as u64;
-                    }
-                    if *sh.halted.add(dst) {
-                        *slot = None; // terminated nodes no longer receive
-                    } else {
-                        part.deliveries += 1;
-                    }
-                }
-            }
-            let spill = &*sh.out_spill.add(u);
-            if !spill.is_empty() {
-                spills.push(u);
-                for (port, msg) in spill {
-                    if sh.audit {
-                        let bits = msg.size_bits();
-                        part.max_bits = part.max_bits.max(bits);
-                        part.messages += 1;
-                        *sh.vol_msgs_sent.add(u) += 1;
-                        *sh.vol_bits_sent.add(u) += bits as u64;
-                    }
-                    if !*sh.halted.add(nbrs[*port as usize].0) {
-                        part.deliveries += 1;
-                    }
-                }
-            }
-        });
-    }
-}
-
-/// **Gather pass**: every receiver still live after this round's halts
-/// pulls its neighbors' pending messages into its own inbox region, in
-/// ascending sender id order (slot first, then that sender's spills in
-/// send order — the inbox ordering the `Process` contract promises).
-/// Runs on the *post-halt* bitset. See [`RoundShared`] for the aliasing
-/// contract.
-#[allow(unsafe_code)]
-fn gather_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
-    let (lo, hi) = sh.range(ci);
-    // SAFETY: receiver `v` writes only its own inbox region /
-    // `inbox_len` / `inbox_over`, and takes each sender's slot through
-    // the arc `u → v` (`rev_arc` of its own arc) — an index no other
-    // receiver touches; sender spill vectors are read-only here.
-    unsafe {
         (*sh.halted_bits).for_each_zero_in(lo, hi, |v| {
-            let deg = sh.g.degree(v);
-            let varc = sh.g.csr_offset(v);
-            let nbrs = sh.g.neighbors(v);
             sh.claim(Table::Node, v..v + 1, ci);
-            let over = &mut *sh.inbox_over.add(v);
-            debug_assert!(over.is_empty());
-            let mut k = 0usize;
-            let mut deliver = |env: Envelope<P::Message>| {
-                if sh.audit {
-                    *sh.vol_msgs_recv.add(v) += 1;
-                    *sh.vol_bits_recv.add(v) += env.msg.size_bits() as u64;
-                }
-                if k < deg {
-                    sh.claim(Table::Inbox, varc + k..varc + k + 1, ci);
-                    *sh.inbox.add(varc + k) = env;
-                } else {
-                    over.push(env);
-                }
-                k += 1;
+            inbox.clear();
+            if sh.round > 0 {
+                sh.pull(v, ci, inbox);
+            }
+            let deg = sh.g.degree(v);
+            let at = sh.slot(sh.cur, sh.g.csr_offset(v));
+            sh.claim(Table::OutSlot, at..at + deg, ci);
+            let out = std::slice::from_raw_parts_mut(sh.out_slots.add(at), deg);
+            for slot in out.iter_mut() {
+                *slot = None;
+            }
+            let spill = &mut *sh.out_spill.add(sh.cur * sh.n + v);
+            debug_assert!(spill.is_empty(), "spill of node {v} not drained");
+            let mut sent = 0;
+            let mut halted = false;
+            let mut ctx = Ctx {
+                id: v,
+                round: sh.round,
+                graph: sh.g,
+                knowledge: sh.cfg.knowledge,
+                max_degree: sh.max_degree,
+                rng: &mut *sh.rngs.add(v),
+                out_slots: out,
+                out_spill: spill,
+                sent: &mut sent,
+                events,
+                halted: &mut halted,
             };
-            for i in 0..deg {
-                let p = match sh.order {
-                    Some(order) => order[varc + i] as usize,
-                    None => i,
-                };
-                let u = nbrs[p].0;
-                // The sender-side outbox slot of the shared edge.
-                let uarc = sh.g.rev_arc(varc + p);
-                sh.claim(Table::OutSlot, uarc..uarc + 1, ci);
-                if let Some(msg) = (*sh.out_slots.add(uarc)).take() {
-                    deliver(Envelope {
-                        src: u,
-                        port: p,
-                        msg,
-                    });
-                }
-                if !sh.spilled {
-                    continue;
-                }
-                let spill = &*sh.out_spill.add(u);
+            let proc_slot = &mut *sh.processes.add(v);
+            if sh.round == 0 {
+                *proc_slot = Some(P::init(sh.params, &mut ctx));
+            } else {
+                proc_slot
+                    .as_mut()
+                    .expect("process exists after init")
+                    .round(&mut ctx, inbox);
+            }
+            if *ctx.sent > 0 {
+                let (out, spill) = (&*ctx.out_slots, &*ctx.out_spill);
                 if !spill.is_empty() {
-                    // Spill entries name the sender-side port.
-                    let up = (uarc - sh.g.csr_offset(u)) as u32;
-                    for (sport, msg) in spill {
-                        if *sport == up {
-                            let msg = msg.clone();
-                            deliver(Envelope {
-                                src: u,
-                                port: p,
-                                msg,
-                            });
-                        }
+                    spills.push(v);
+                }
+                if sh.audit {
+                    // Every send counts, including those toward receivers
+                    // that have halted and will never pull them.
+                    for msg in out.iter().flatten().chain(spill.iter().map(|(_, m)| m)) {
+                        let bits = msg.size_bits();
+                        part.max_bits = part.max_bits.max(bits);
+                        part.messages += 1;
+                        *sh.vol_msgs_sent.add(v) += 1;
+                        *sh.vol_bits_sent.add(v) += bits as u64;
                     }
                 }
             }
-            *sh.inbox_len.add(v) = k as u32;
+            if *ctx.halted {
+                fresh.push(v);
+            }
         });
     }
 }
@@ -977,47 +865,6 @@ fn dispatch(pool: Option<&WorkerPool>, limit: usize, chunks: usize, f: &(dyn Fn(
                 f(ci);
             }
         }
-    }
-}
-
-/// Activates one node for one round (or init when `round == 0`).
-#[allow(clippy::too_many_arguments)]
-fn activate<P: Process>(
-    g: &Graph,
-    cfg: &SimConfig,
-    params: &P::Params,
-    v: NodeId,
-    round: Round,
-    max_degree: usize,
-    proc_slot: &mut Option<P>,
-    rng: &mut Rng,
-    halted: &mut bool,
-    out_slots: &mut [Option<P::Message>],
-    out_spill: &mut Vec<(u32, P::Message)>,
-    sent: &mut u32,
-    events: &mut EventBuf<P>,
-    inbox: &[Envelope<P::Message>],
-) {
-    let mut ctx = Ctx {
-        id: v,
-        round,
-        graph: g,
-        knowledge: cfg.knowledge,
-        max_degree,
-        rng,
-        out_slots,
-        out_spill,
-        sent,
-        events,
-        halted,
-    };
-    if round == 0 {
-        *proc_slot = Some(P::init(params, &mut ctx));
-    } else {
-        proc_slot
-            .as_mut()
-            .expect("process exists after init")
-            .round(&mut ctx, inbox);
     }
 }
 
@@ -1191,7 +1038,7 @@ fn run_with_threads<P: Process>(
     };
     state.reset(g, cfg.seed, chunks, cfg.transcript);
     let max_degree = g.max_degree();
-    // Receiver-side gather walks senders in ascending id order; for
+    // An inbox pull walks senders in ascending id order; for
     // insertion-ordered adjacencies that is a cached permutation.
     let order = g.sorted_port_order();
 
@@ -1202,11 +1049,7 @@ fn run_with_threads<P: Process>(
             dispatch(pool, workers, chunks, &|ci| step_chunk::<P>(&sh, ci));
         }
         state.apply_events(round);
-        {
-            let sh = state.round_shared(g, cfg, params, order, round, max_degree, chunk);
-            dispatch(pool, workers, chunks, &|ci| audit_chunk::<P>(&sh, ci));
-        }
-        let (messages, round_max_bits, deliveries) = state.collect_audit();
+        let (messages, round_max_bits) = state.collect_audit();
         state.record_halts(round);
         if state.audit {
             state.transcript.messages_sent += messages;
@@ -1215,19 +1058,10 @@ fn run_with_threads<P: Process>(
         if state.record_halt_rounds {
             state.transcript.live_after_round.push(state.live);
         }
+        state.drain_spills(round);
         if state.all_halted() {
             break;
         }
-        if deliveries > 0 {
-            state.ensure_inbox_arena(g);
-        }
-        {
-            // Built after the audit pass filled `spill_nodes`, so
-            // `sh.spilled` reflects this round's sends.
-            let sh = state.round_shared(g, cfg, params, order, round, max_degree, chunk);
-            dispatch(pool, workers, chunks, &|ci| gather_chunk::<P>(&sh, ci));
-        }
-        state.drain_spills();
         round += 1;
         assert!(
             round <= cfg.max_rounds,
@@ -1636,18 +1470,23 @@ mod tests {
 
     #[test]
     fn workspace_reuse_after_an_aborted_run_is_clean() {
-        // A run that panics mid-round leaves messages pending in the
-        // outbox arena. Reusing the workspace afterwards — for the same
-        // process type, hence the same arena slot — must behave exactly
-        // like a fresh run: stale sends must not be delivered (they
-        // would spill behind the next run's own sends).
-        use std::sync::atomic::{AtomicBool, Ordering};
-        static POISON: AtomicBool = AtomicBool::new(false);
+        // A run that panics mid-round leaves messages behind in *both*
+        // outbox buffers: this round's sends of the nodes activated
+        // before the panic, and last round's sends to the nodes after it,
+        // which never pulled them. Reusing the workspace afterwards — for
+        // the same process type, hence the same arena slot — must behave
+        // exactly like a fresh run: stale sends must not be delivered. In
+        // the clean runs every third node halts in round 0, so it never
+        // clears its range of buffer 1 again; only the reset can.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// The round in which node 5 panics; 0 runs clean.
+        static POISON: AtomicUsize = AtomicUsize::new(0);
 
-        /// Broadcasts in rounds 0 and 1; while `POISON` is set, node 5
-        /// panics in round 1 *after* lower-id nodes already wrote their
-        /// round-1 sends into the shared outbox arena.
-        struct MidRoundPanic;
+        /// Broadcasts its round number plus one in rounds 0 to 2 and
+        /// commits the sum of everything it received in round 3.
+        struct MidRoundPanic {
+            sum: u64,
+        }
         impl Process for MidRoundPanic {
             type Message = u64;
             type NodeOutput = u64;
@@ -1656,17 +1495,23 @@ mod tests {
             const OUTPUT_KIND: OutputKind = OutputKind::NodeLabels;
             fn init(_: &(), ctx: &mut Ctx<'_, Self>) -> Self {
                 ctx.broadcast(1);
-                MidRoundPanic
+                if POISON.load(Ordering::Relaxed) == 0 && ctx.id().is_multiple_of(3) {
+                    ctx.commit_node(0);
+                    ctx.halt();
+                }
+                MidRoundPanic { sum: 0 }
             }
             fn round(&mut self, ctx: &mut Ctx<'_, Self>, inbox: &[Envelope<u64>]) {
-                if ctx.round() == 1 {
-                    ctx.broadcast(2);
+                self.sum += inbox.iter().map(|e| e.msg).sum::<u64>();
+                let r = ctx.round();
+                if r < 3 {
+                    ctx.broadcast(r as u64 + 1);
                     assert!(
-                        !(POISON.load(Ordering::Relaxed) && ctx.id() == 5),
+                        !(POISON.load(Ordering::Relaxed) == r && ctx.id() == 5),
                         "poisoned node"
                     );
                 } else {
-                    ctx.commit_node(inbox.iter().map(|e| e.msg).sum());
+                    ctx.commit_node(self.sum);
                     ctx.halt();
                 }
             }
@@ -1675,19 +1520,25 @@ mod tests {
         let g = gen::grid(6, 6); // node 5 exists; sequential id order
         let mut ws = Workspace::new();
         let spec = RunSpec::new(4);
-        POISON.store(true, Ordering::Relaxed);
-        let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = spec.run_in::<MidRoundPanic>(&g, &(), &mut ws);
-        }));
-        assert!(aborted.is_err(), "the poisoned run must panic");
-        POISON.store(false, Ordering::Relaxed);
-        // Same process type through the abandoned arena: the pending
-        // round-1 broadcasts of nodes 0..5 must be gone.
-        let reused = spec.run_in::<MidRoundPanic>(&g, &(), &mut ws);
-        let fresh = spec.run::<MidRoundPanic>(&g, &());
-        assert_eq!(reused.node_output, fresh.node_output);
-        assert_eq!(reused.messages_sent, fresh.messages_sent);
-        assert_eq!(reused.max_message_bits, fresh.max_message_bits);
+        // An odd and an even round: the abort leaves the fresher sends in
+        // buffer 1 and buffer 0 respectively.
+        for poison in [1, 2] {
+            POISON.store(poison, Ordering::Relaxed);
+            let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = spec.run_in::<MidRoundPanic>(&g, &(), &mut ws);
+            }));
+            assert!(
+                aborted.is_err(),
+                "the run poisoned in round {poison} must panic"
+            );
+            POISON.store(0, Ordering::Relaxed);
+            let reused = spec.run_in::<MidRoundPanic>(&g, &(), &mut ws);
+            let fresh = spec.run::<MidRoundPanic>(&g, &());
+            assert_eq!(
+                reused, fresh,
+                "stale sends after an abort in round {poison}"
+            );
+        }
     }
 
     #[test]
@@ -1787,9 +1638,9 @@ mod tests {
     }
 
     /// How many messages `u` sends to neighbor `v` in round `r` of the
-    /// spill test: at most one on even rounds (no spills, so gather takes
-    /// the spill-free path), one to three on odd rounds (the second and
-    /// third send on a port spill).
+    /// spill test: at most one on even rounds (no spills, so the next
+    /// round's pulls take the spill-free path), one to three on odd rounds
+    /// (the second and third send on a port spill).
     fn chatter_count(u: NodeId, v: NodeId, r: Round) -> usize {
         if r.is_multiple_of(2) {
             usize::from(!(u + v + r).is_multiple_of(3))
@@ -1907,6 +1758,130 @@ mod tests {
                         .with_exec(Exec::Parallel { threads })
                         .with_chunk_nodes(Some(chunk))
                         .run::<Chatter>(&g, &());
+                    assert_eq!(
+                        t, baseline,
+                        "transcript drift at chunk={chunk} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Halt round of node `v` in the farewell test: a third of the nodes
+    /// halts in round 0, a third in round 1, and the rest stays live
+    /// until round 5, three rounds past the last farewell it receives.
+    fn farewell_halt(v: NodeId) -> Round {
+        [0, 1, 5][v % 3]
+    }
+
+    /// Copies of its farewell that quitter `u` sends to neighbor `v`:
+    /// two (the second spills) from the quitters with ids 0 or 1 mod 4
+    /// toward nodes that stay live, one otherwise.
+    fn farewell_copies(u: NodeId, v: NodeId) -> usize {
+        if u % 4 < 2 && farewell_halt(v) == 5 {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// Quitters broadcast a farewell in their halt round and halt; the
+    /// others never send. Every inbox is checked against the plan, so a
+    /// halted sender's messages must arrive exactly once — in the round
+    /// after its halt, and never again while the receiver keeps pulling
+    /// the same outbox buffer every other round. Outputs the number of
+    /// messages received.
+    struct Farewell {
+        received: u64,
+    }
+
+    impl Farewell {
+        fn step(&mut self, ctx: &mut Ctx<'_, Self>) {
+            let u = ctx.id();
+            let halt = farewell_halt(u);
+            if ctx.round() < halt {
+                return;
+            }
+            if halt < 5 {
+                for port in ctx.ports() {
+                    for seq in 0..farewell_copies(u, ctx.neighbor_id(port)) {
+                        ctx.send(port, (u as u64) << 8 | seq as u64);
+                    }
+                }
+            }
+            ctx.commit_node(self.received);
+            ctx.halt();
+        }
+    }
+
+    impl Process for Farewell {
+        type Message = u64;
+        type NodeOutput = u64;
+        type EdgeOutput = ();
+        type Params = ();
+        const OUTPUT_KIND: OutputKind = OutputKind::NodeLabels;
+
+        fn init(_: &(), ctx: &mut Ctx<'_, Self>) -> Self {
+            let mut node = Farewell { received: 0 };
+            node.step(ctx);
+            node
+        }
+
+        fn round(&mut self, ctx: &mut Ctx<'_, Self>, inbox: &[Envelope<u64>]) {
+            let (v, r) = (ctx.id(), ctx.round());
+            let mut senders: Vec<(NodeId, usize)> =
+                ctx.ports().map(|p| (ctx.neighbor_id(p), p)).collect();
+            senders.sort_unstable();
+            let expect: Vec<(NodeId, usize, u64)> = senders
+                .into_iter()
+                .filter(|&(u, _)| farewell_halt(u) == r - 1)
+                .flat_map(|(u, p)| {
+                    (0..farewell_copies(u, v)).map(move |seq| (u, p, (u as u64) << 8 | seq as u64))
+                })
+                .collect();
+            let got: Vec<_> = inbox.iter().map(|e| (e.src, e.port, e.msg)).collect();
+            assert_eq!(got, expect, "inbox of node {v} in round {r}");
+            self.received += inbox.len() as u64;
+            self.step(ctx);
+        }
+    }
+
+    #[test]
+    fn halted_senders_deliver_their_last_messages_exactly_once() {
+        let mut rng = Rng::seed_from(5);
+        let regular = gen::random_regular(30, 4, &mut rng).expect("4-regular graph");
+        assert!(regular.sorted_port_order().is_some(), "unsorted adjacency");
+        for g in [gen::grid(5, 6), regular] {
+            // Both waves of quitters spill toward a node that stays live.
+            for wave in [0, 1] {
+                assert!(
+                    g.nodes().any(|u| farewell_halt(u) == wave
+                        && g.neighbor_ids(u).any(|v| farewell_copies(u, v) == 2)),
+                    "no spill in wave {wave}"
+                );
+            }
+            // A receiver live in the round after the farewell gets every
+            // copy once.
+            let expected: Vec<u64> = g
+                .nodes()
+                .map(|v| {
+                    g.neighbor_ids(v)
+                        .filter(|&u| farewell_halt(u) < farewell_halt(v))
+                        .map(|u| farewell_copies(u, v) as u64)
+                        .sum()
+                })
+                .collect();
+            let baseline = RunSpec::new(1).run::<Farewell>(&g, &());
+            assert_eq!(baseline.rounds, 5);
+            assert_eq!(baseline.node_messages_recv, expected);
+            let outputs: Vec<u64> = baseline.node_output.iter().flatten().copied().collect();
+            assert_eq!(outputs, expected);
+            for chunk in [1, 3, g.n()] {
+                for threads in [1, 2] {
+                    let t = RunSpec::new(1)
+                        .with_exec(Exec::Parallel { threads })
+                        .with_chunk_nodes(Some(chunk))
+                        .run::<Farewell>(&g, &());
                     assert_eq!(
                         t, baseline,
                         "transcript drift at chunk={chunk} threads={threads}"

@@ -13,7 +13,7 @@
 //! # Epoch protocol and liveness
 //!
 //! One *epoch* = one chunked pass over the node array (the engine runs
-//! three per round: step, audit, gather). [`WorkerPool::run`] publishes a
+//! one per round). [`WorkerPool::run`] publishes a
 //! job (a borrowed closure plus a task count), bumps the epoch, and wakes
 //! every worker; workers race on a shared atomic cursor for chunk
 //! indices, run the closure on each, then report back. The barrier is

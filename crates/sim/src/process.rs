@@ -79,10 +79,12 @@ pub(crate) type EventBuf<P> = Vec<(
 /// All interaction with the engine — sending, committing, halting, and
 /// reading local knowledge — goes through this type.
 ///
-/// Sends land in the engine's flat per-run outbox arena: the node owns
-/// one message slot per port (its slice of the CSR arc array, addressed
-/// by `csr_offset(v) + port`), plus a rarely-used spill vector for the
-/// occasional second message on the same port in one round.
+/// Sends land in the current round's half of the engine's double-buffered
+/// outbox: the node owns one message slot per port (its slice of the CSR
+/// arc array, addressed by `csr_offset(v) + port`), emptied just before
+/// the activation, plus a rarely-used spill vector for the occasional
+/// second message on the same port in one round. Receivers pull them
+/// next round.
 pub struct Ctx<'a, P: Process> {
     pub(crate) id: NodeId,
     pub(crate) round: Round,
@@ -90,13 +92,15 @@ pub struct Ctx<'a, P: Process> {
     pub(crate) knowledge: Knowledge,
     pub(crate) max_degree: usize,
     pub(crate) rng: &'a mut Rng,
-    /// This node's arc slots of the run-wide outbox arena (length = degree).
+    /// This node's arc slots of the current outbox buffer (length = degree).
     pub(crate) out_slots: &'a mut [Option<P::Message>],
     /// Overflow for a repeated send on an already-occupied port.
     pub(crate) out_spill: &'a mut Vec<(u32, P::Message)>,
-    /// Messages written this round (lets routing skip silent nodes).
+    /// Messages written this activation (lets the audit skip silent nodes).
     pub(crate) sent: &'a mut u32,
     pub(crate) events: &'a mut EventBuf<P>,
+    /// Set by [`Ctx::halt`]; the engine records the halt after the
+    /// activation.
     pub(crate) halted: &'a mut bool,
 }
 

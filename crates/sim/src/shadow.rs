@@ -1,10 +1,10 @@
 //! Debug-build shadow-ownership checker for the round engine's per-chunk
 //! aliasing contract.
 //!
-//! The engine's round passes write the run arenas through raw pointers
+//! The engine's round pass writes the run arenas through raw pointers
 //! from many chunks at once. That is sound only because every index a
-//! pass writes is owned by exactly one chunk (the contract documented on
-//! the engine's `RoundShared`). In debug builds each pass records, per
+//! round writes is owned by exactly one chunk (the contract documented on
+//! the engine's `RoundShared`). In debug builds each round records, per
 //! written index, which chunk wrote it, and panics on the first index
 //! written by two chunks — a mechanical check standing in for Miri. The
 //! scheduler-adversarial tests (many chunk geometries × thread counts)
@@ -14,12 +14,12 @@
 /// Which engine arena an index belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Table {
-    /// The per-arc outbox slots (`csr_offset(v) + port`).
+    /// The double-buffered per-arc outbox slots, indexed
+    /// `buffer · Σdeg + arc`: an inbox pull claims the previous buffer's
+    /// slot it takes, a sender claims its own range of the current one.
     OutSlot,
-    /// The per-arc inbox arena.
-    Inbox,
-    /// Every per-node column (process state, rng, flags, counters,
-    /// spill and overflow vectors, volume columns).
+    /// Every per-node column (process state, rng, spill vectors, volume
+    /// columns).
     Node,
 }
 
@@ -37,19 +37,15 @@ mod checker {
     #[derive(Default)]
     pub(crate) struct Shadow {
         out_slots: Vec<AtomicU64>,
-        inbox: Vec<AtomicU64>,
         nodes: Vec<AtomicU64>,
         pass: u64,
     }
 
     impl Shadow {
-        /// Sizes the tables for `arcs` arcs and `n` nodes, all unowned.
-        pub(crate) fn reset(&mut self, arcs: usize, n: usize) {
-            for (table, len) in [
-                (&mut self.out_slots, arcs),
-                (&mut self.inbox, arcs),
-                (&mut self.nodes, n),
-            ] {
+        /// Sizes the tables for `slots` outbox slots (both buffers) and
+        /// `n` nodes, all unowned.
+        pub(crate) fn reset(&mut self, slots: usize, n: usize) {
+            for (table, len) in [(&mut self.out_slots, slots), (&mut self.nodes, n)] {
                 table.clear();
                 table.resize_with(len, || AtomicU64::new(0));
             }
@@ -70,7 +66,6 @@ mod checker {
         pub(crate) fn claim(&self, table: Table, index: usize, chunk: usize) {
             let slots = match table {
                 Table::OutSlot => &self.out_slots,
-                Table::Inbox => &self.inbox,
                 Table::Node => &self.nodes,
             };
             let tag = self.pass << 32 | (chunk as u64 + 1);
@@ -100,18 +95,33 @@ mod checker {
             s.claim(Table::OutSlot, 3, 1);
             s.claim(Table::OutSlot, 3, 1);
             // The tables are independent: the same index elsewhere is free.
-            s.claim(Table::Inbox, 3, 0);
+            s.claim(Table::Node, 1, 0);
             s.claim(Table::Node, 1, 0);
         }
 
         #[test]
-        #[should_panic(expected = "aliasing violation: Inbox index 2 written by chunks 0 and 5")]
-        fn two_chunks_on_one_index_panic() {
+        fn a_pull_and_the_senders_range_live_in_different_buffers() {
+            // Two arcs per buffer: a sender in chunk 0 claims its range
+            // `0..2` of buffer 0 while a receiver in chunk 1 takes arc 1
+            // of buffer 1 (index `1 · 2 + 1`).
             let mut s = Shadow::default();
             s.reset(4, 2);
             s.begin_pass();
-            s.claim(Table::Inbox, 2, 0);
-            s.claim(Table::Inbox, 2, 5);
+            s.claim(Table::OutSlot, 0, 0);
+            s.claim(Table::OutSlot, 1, 0);
+            s.claim(Table::OutSlot, 3, 1);
+        }
+
+        #[test]
+        #[should_panic(expected = "aliasing violation: OutSlot index 1 written by chunks 0 and 5")]
+        fn two_chunks_on_one_index_panic() {
+            // A pull from the sender's own (current) buffer collides with
+            // the sender's claim on its range.
+            let mut s = Shadow::default();
+            s.reset(4, 2);
+            s.begin_pass();
+            s.claim(Table::OutSlot, 1, 0);
+            s.claim(Table::OutSlot, 1, 5);
         }
 
         #[test]

@@ -1,8 +1,8 @@
 //! Reusable engine arenas, keyed to a graph's CSR shape.
 //!
 //! Creating a fresh set of run arenas for an n = 10⁵ instance means tens
-//! of megabytes of allocation *per run* — outbox slots per directed arc,
-//! the inbox arena, per-node process/RNG/flag columns. Drivers that run
+//! of megabytes of allocation *per run* — two outbox slots per directed
+//! arc (the double buffer), per-node process/RNG/spill columns. Drivers that run
 //! the same algorithm on the same instance thousands of times (the sweep
 //! engine's cells, `exp bench-engine`'s repetitions) pay that bill every
 //! time for no benefit.
