@@ -278,7 +278,7 @@ fn corrupt(g: &Graph, sol: &Solution, seed: u64) -> Option<Solution> {
             // Point every edge of one node inward: a guaranteed sink.
             let v = g.nodes().max_by_key(|&v| g.degree(v))?;
             let mut bad = orientation.clone();
-            for &(_, e) in g.neighbors(v) {
+            for (_, e) in g.neighbors(v) {
                 let (u, w) = g.endpoints(e);
                 bad[e] = if v == w {
                     Orientation::Forward // u -> v

@@ -220,6 +220,46 @@ fn protocol_errors_are_reported_per_cell_and_do_not_poison_the_batch() {
 }
 
 #[test]
+fn an_oversized_node_count_is_an_error_line_not_a_dead_daemon() {
+    // A path on 10¹² nodes cannot have u32 node ids: the cell must come
+    // back as a per-cell error line (not a 16 TB allocation that aborts
+    // the process), and the same connection must keep answering.
+    use std::io::{BufRead, BufReader, Write};
+    let (handle, addr) = start_server(2022);
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut read_line = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("daemon answers");
+        line.trim_end().to_string()
+    };
+    writeln!(
+        writer,
+        r#"{{"op":"submit","cells":[{{"algorithm":"mis/luby","generator":"path","n":1000000000000}}]}}"#
+    )
+    .expect("send submit");
+    let error = read_line();
+    assert!(error.starts_with("{\"error\""), "got: {error}");
+    assert!(error.contains("\"index\": 0"), "got: {error}");
+    assert!(error.contains("u32"), "got: {error}");
+    let done = read_line();
+    assert!(done.contains("\"done\": true"), "got: {done}");
+    assert!(done.contains("\"errors\": 1"), "got: {done}");
+    writeln!(writer, r#"{{"op":"ping"}}"#).expect("send ping");
+    assert_eq!(
+        read_line(),
+        serve::protocol::pong_line(),
+        "daemon stopped answering"
+    );
+    Client::connect(addr)
+        .expect("a fresh connection")
+        .ping()
+        .expect("pong");
+    shutdown(handle, addr);
+}
+
+#[test]
 fn ping_and_stats_work_on_a_fresh_daemon() {
     let (handle, addr) = start_server(7);
     let mut client = Client::connect(addr).expect("connect");

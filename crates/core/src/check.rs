@@ -139,11 +139,7 @@ fn matching_ok(g: &Graph, in_matching: &[bool]) -> Result<(), String> {
     expect_len("matching indicator", g.m(), in_matching.len())?;
     let mut matched = vec![false; g.n()];
     for v in g.nodes() {
-        let mine = g
-            .neighbors(v)
-            .iter()
-            .filter(|&&(_, e)| in_matching[e])
-            .count();
+        let mine = g.neighbors(v).filter(|&(_, e)| in_matching[e]).count();
         if mine > 1 {
             return Err(format!("node {v} has {mine} matched incident edges"));
         }
@@ -167,8 +163,7 @@ fn orientation_ok(g: &Graph, orientation: &[Orientation]) -> Result<(), String> 
         }
         let out = g
             .neighbors(v)
-            .iter()
-            .filter(|&&(_, e)| orientation[e].tail(g, e) == v)
+            .filter(|&(_, e)| orientation[e].tail(g, e) == v)
             .count();
         if out == 0 {
             return Err(format!("node {v} is a sink"));
@@ -520,7 +515,7 @@ pub fn completion_times(g: &Graph, t: &Transcript<(), ()>) -> Result<OracleTimes
     let mut node = Vec::with_capacity(g.n());
     for v in g.nodes() {
         let mut tv = node_own(v)?;
-        for &(_, e) in g.neighbors(v) {
+        for (_, e) in g.neighbors(v) {
             tv = tv.max(edge_own(e)?);
         }
         node.push(tv);

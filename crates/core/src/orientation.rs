@@ -106,8 +106,7 @@ impl Ledger {
         for v in g.nodes() {
             let last = g
                 .neighbors(v)
-                .iter()
-                .map(|&(_, e)| self.clock[e])
+                .map(|(_, e)| self.clock[e])
                 .max()
                 .unwrap_or(0);
             t.node_halt_round[v] = last;
@@ -419,8 +418,7 @@ pub fn randomized_exec(g: &Graph, seed: u64, exec: Exec) -> OrientationRun {
 fn finish_structurally(g: &Graph, ledger: &mut Ledger, base: usize) {
     let out_deg = |g: &Graph, ledger: &Ledger, v: NodeId| {
         g.neighbors(v)
-            .iter()
-            .filter(|&&(_, e)| ledger.orient[e].map(|o| o.tail(g, e) == v) == Some(true))
+            .filter(|&(_, e)| ledger.orient[e].map(|o| o.tail(g, e) == v) == Some(true))
             .count()
     };
     let mut satisfied: Vec<bool> = g
@@ -445,9 +443,8 @@ fn finish_structurally(g: &Graph, ledger: &mut Ledger, base: usize) {
             }
             let free = g
                 .neighbors(v)
-                .iter()
-                .find(|&&(u, e)| !ledger.is_set(e) && satisfied[u]);
-            if let Some(&(_, e)) = free {
+                .find(|&(u, e)| !ledger.is_set(e) && satisfied[u]);
+            if let Some((_, e)) = free {
                 ledger.set(e, Orientation::away_from(g, e, v), clock);
                 satisfied[v] = true;
                 ledger.decide_node(v, clock);
@@ -496,7 +493,7 @@ fn orient_toward_cycles(g: &Graph, keep: &[bool], ledger: &mut Ledger, base: usi
         visited[start] = true;
         while let Some(v) = queue.pop_front() {
             comp.push(v);
-            for &(u, e) in g.neighbors(v) {
+            for (u, e) in g.neighbors(v) {
                 if keep[u] && !ledger.is_set(e) && !visited[u] {
                     visited[u] = true;
                     queue.push_back(u);
@@ -511,7 +508,7 @@ fn orient_toward_cycles(g: &Graph, keep: &[bool], ledger: &mut Ledger, base: usi
         let mut q = VecDeque::from([root]);
         let mut cycle_edge: Option<(NodeId, NodeId, EdgeId)> = None;
         'bfs: while let Some(v) = q.pop_front() {
-            for &(u, e) in g.neighbors(v) {
+            for (u, e) in g.neighbors(v) {
                 if !keep[u] || ledger.is_set(e) {
                     continue;
                 }
@@ -579,7 +576,7 @@ fn orient_toward_cycles(g: &Graph, keep: &[bool], ledger: &mut Ledger, base: usi
         let mut dist: HashMap<NodeId, usize> = cycle.iter().map(|&v| (v, 0)).collect();
         let mut q2: VecDeque<NodeId> = cycle.iter().copied().collect();
         while let Some(v) = q2.pop_front() {
-            for &(u, e) in g.neighbors(v) {
+            for (u, e) in g.neighbors(v) {
                 if !keep[u] || ledger.is_set(e) || dist.contains_key(&u) {
                     continue;
                 }
@@ -745,7 +742,7 @@ pub fn deterministic_with(
     let mut picks: Vec<Vec<EdgeId>> = g
         .nodes()
         .map(|v| {
-            let mut es: Vec<EdgeId> = g.neighbors(v).iter().map(|&(_, e)| e).collect();
+            let mut es: Vec<EdgeId> = g.neighbors(v).map(|(_, e)| e).collect();
             es.sort_unstable();
             es.truncate(3);
             es
@@ -760,7 +757,7 @@ pub fn deterministic_with(
             let (x, y) = g.endpoints(e);
             let other = if x == v { y } else { x };
             let mutual_pick = {
-                let mut os: Vec<EdgeId> = g.neighbors(other).iter().map(|&(_, ee)| ee).collect();
+                let mut os: Vec<EdgeId> = g.neighbors(other).map(|(_, ee)| ee).collect();
                 os.sort_unstable();
                 os.truncate(3);
                 os.contains(&e)

@@ -29,7 +29,7 @@ pub fn bfs_distances(g: &Graph, source: NodeId, radius: usize) -> Vec<usize> {
         if dist[v] >= radius {
             continue;
         }
-        for &(u, _) in g.neighbors(v) {
+        for (u, _) in g.neighbors(v) {
             if dist[u] == UNREACHED {
                 dist[u] = dist[v] + 1;
                 queue.push_back(u);
@@ -50,7 +50,7 @@ pub fn components(g: &Graph) -> (Vec<usize>, usize) {
         comp[s] = next;
         let mut queue = VecDeque::from([s]);
         while let Some(v) = queue.pop_front() {
-            for &(u, _) in g.neighbors(v) {
+            for (u, _) in g.neighbors(v) {
                 if comp[u] == UNREACHED {
                     comp[u] = next;
                     queue.push_back(u);
@@ -115,7 +115,7 @@ pub fn shortest_cycle_through(g: &Graph, v: NodeId, cap: usize) -> Option<usize>
         if 2 * dist[x] >= best || 2 * dist[x] >= limit {
             continue;
         }
-        for &(y, e) in g.neighbors(x) {
+        for (y, e) in g.neighbors(x) {
             if e == parent_edge[x] {
                 continue;
             }
@@ -235,7 +235,7 @@ pub fn greedy_independent_set(g: &Graph) -> Vec<NodeId> {
     for v in order {
         if !blocked[v] {
             set.push(v);
-            for &(u, _) in g.neighbors(v) {
+            for (u, _) in g.neighbors(v) {
                 blocked[u] = true;
             }
         }
@@ -378,7 +378,7 @@ pub fn is_ruling_set(g: &Graph, in_set: &[bool], alpha: usize, beta: usize) -> b
         }
     }
     while let Some(v) = queue.pop_front() {
-        for &(u, _) in g.neighbors(v) {
+        for (u, _) in g.neighbors(v) {
             if dist[u] == UNREACHED {
                 dist[u] = dist[v] + 1;
                 queue.push_back(u);

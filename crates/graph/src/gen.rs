@@ -10,7 +10,7 @@
 //! All randomized generators take the workspace [`Rng`] so results are
 //! reproducible from a master seed.
 
-use crate::graph::{Graph, GraphBuilder, GraphError, NodeId};
+use crate::graph::{Graph, GraphBuilder, GraphError, NodeId, MAX_NODES};
 use crate::rng::Rng;
 
 /// Path `P_n` on `n` nodes (`n-1` edges).
@@ -701,9 +701,17 @@ impl NamedGenerator {
     ///
     /// # Errors
     ///
-    /// Propagates [`GraphError::InvalidParameters`] from the underlying
-    /// generator for degenerate targets (e.g. regular sampling failures).
+    /// [`GraphError::InvalidParameters`] when `n` exceeds [`MAX_NODES`]
+    /// (node ids are `u32`), checked before the family's build function
+    /// runs; otherwise propagates the underlying generator's error for
+    /// degenerate targets (e.g. regular sampling failures).
     pub fn build(&self, n: usize, seed: u64) -> Result<Graph, GraphError> {
+        if n > MAX_NODES {
+            return Err(GraphError::InvalidParameters(format!(
+                "{}: n = {n} exceeds the {MAX_NODES}-node limit (node ids are u32)",
+                self.name
+            )));
+        }
         (self.build_fn)(n, seed)
     }
 }
@@ -1345,6 +1353,25 @@ mod tests {
         let mut rng = Rng::seed_from(7);
         let dense = random_geometric(100, 0.3, &mut rng);
         assert!(dense.m() > sparse.m());
+    }
+
+    #[test]
+    fn registry_rejects_node_counts_past_u32_before_building() {
+        // A 10¹² path would otherwise try to allocate 16 TB and abort the
+        // process; every family answers with a typed error instead.
+        for family in registry().iter() {
+            for n in [MAX_NODES + 1, 1_000_000_000_000] {
+                match family.build(n, 0) {
+                    Err(GraphError::InvalidParameters(msg)) => {
+                        assert!(msg.contains("u32"), "{}: {msg}", family.name());
+                    }
+                    other => panic!(
+                        "{} n={n}: expected a typed error, got {other:?}",
+                        family.name()
+                    ),
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! matter for a faithful simulation:
 //!
 //! * **Ports.** A node of degree `d` addresses its neighbors through ports
-//!   `0..d`; [`Graph::neighbors`] returns neighbors in port order, and the
+//!   `0..d`; [`Graph::neighbors`] yields neighbors in port order, and the
 //!   port order is a stable function of edge insertion order, so the
 //!   simulator's behaviour is deterministic.
 //! * **Edge identifiers.** The paper's edge-averaged complexity
@@ -20,8 +20,18 @@
 //! adjacency lives in compressed-sparse-row (CSR) form — one flat
 //! `(neighbor, edge)` array indexed by per-node offsets — so the
 //! simulator's hot loops walk contiguous memory instead of chasing one
-//! heap allocation per node. Two flat side tables are precomputed at
-//! build time for the round engine's message routing:
+//! heap allocation per node.
+//!
+//! The arrays are the `localavg-csr/v1` layout ([`crate::io`]): arcs,
+//! edge endpoints and the edge-port table are `(u32, u32)` pairs, and
+//! only the per-node offsets are word-sized. [`NodeId`] and [`EdgeId`]
+//! stay `usize` in the API — accessors widen on read — and
+//! [`MAX_NODES`] bounds `n` so every id fits. A resident graph costs
+//! `8(n + 1) + 40m` bytes ([`Graph::memory_bytes`]), exactly its file
+//! minus the 40 bytes of magic, header and footer.
+//!
+//! Two flat side tables are precomputed at build time for the round
+//! engine's message routing:
 //!
 //! * the **edge-port table** ([`Graph::edge_ports`]): for edge
 //!   `e = {u, v}` with `u < v`, the port of `e` at `u` and at `v`;
@@ -43,6 +53,30 @@ pub type NodeId = usize;
 
 /// Index of an undirected edge; edges are `0..m` in insertion order.
 pub type EdgeId = usize;
+
+/// The largest node count a [`Graph`] holds: node ids are stored as
+/// `u32` (the `localavg-csr/v1` width), so `n <= u32::MAX`.
+pub const MAX_NODES: usize = u32::MAX as usize;
+
+/// Widens a stored `u32` pair to the public id types.
+#[inline]
+fn wide((a, b): (u32, u32)) -> (usize, usize) {
+    (a as usize, b as usize)
+}
+
+/// Panics unless a graph with `n` nodes and `m` edges fits the `u32`
+/// tables: node ids below `n <= MAX_NODES`, arc indices below
+/// `2m < u32::MAX`. Every narrowing cast in this module relies on it.
+fn assert_u32_sized(n: usize, m: usize) {
+    assert!(
+        n <= MAX_NODES,
+        "graph has {n} nodes; node ids are u32 (at most {MAX_NODES} nodes)"
+    );
+    assert!(
+        m < u32::MAX as usize / 2,
+        "graph has {m} edges; arc indices are u32"
+    );
+}
 
 /// Errors produced when constructing graphs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,7 +117,8 @@ impl std::error::Error for GraphError {}
 ///
 /// Construction goes through [`GraphBuilder`] (incremental) or
 /// [`Graph::from_edges`] (one shot); see the [module docs](self) for the
-/// layout. All read accessors are cheap slice/offset arithmetic.
+/// layout. All read accessors are cheap slice/offset arithmetic; ids are
+/// stored as `u32` and widened to [`NodeId`]/[`EdgeId`] on read.
 ///
 /// # Example
 ///
@@ -108,9 +143,9 @@ pub struct Graph {
     /// CSR offsets: node `v`'s ports occupy `nbrs[offsets[v]..offsets[v+1]]`.
     offsets: Vec<usize>,
     /// Flat adjacency: `(neighbor, edge id)` per arc, in port order.
-    nbrs: Vec<(NodeId, EdgeId)>,
+    nbrs: Vec<(u32, u32)>,
     /// Edge-endpoint table: `edges[e] = (u, v)` with `u < v`.
-    edges: Vec<(NodeId, NodeId)>,
+    edges: Vec<(u32, u32)>,
     /// Edge-port table: `edge_ports[e] = (port at u, port at v)`.
     edge_ports: Vec<(u32, u32)>,
     /// Reverse-arc table: the global arc index of the same edge at the
@@ -149,7 +184,12 @@ impl Default for Graph {
 
 impl Graph {
     /// Creates a graph with `n` nodes and no edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > MAX_NODES`.
     pub fn empty(n: usize) -> Self {
+        assert_u32_sized(n, 0);
         Graph {
             offsets: vec![0; n + 1],
             nbrs: Vec::new(),
@@ -201,7 +241,7 @@ impl Graph {
     }
 
     /// The CSR offset of node `v`: its ports are the arcs
-    /// `csr_offset(v) .. csr_offset(v) + degree(v)` of [`Graph::arcs`].
+    /// `csr_offset(v) .. csr_offset(v) + degree(v)` (see [`Graph::arc`]).
     ///
     /// # Panics
     ///
@@ -221,11 +261,16 @@ impl Graph {
         self.offsets[v]..self.offsets[v + 1]
     }
 
-    /// The whole flat `(neighbor, edge id)` arc array (`2m` entries, node
-    /// by node in port order).
+    /// The `(neighbor, edge id)` of global arc `a` — port
+    /// `a - csr_offset(v)` of the node `v` whose [`Graph::arc_range`]
+    /// holds `a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a >= 2m`.
     #[inline]
-    pub fn arcs(&self) -> &[(NodeId, EdgeId)] {
-        &self.nbrs
+    pub fn arc(&self, a: usize) -> (NodeId, EdgeId) {
+        wide(self.nbrs[a])
     }
 
     /// Degree of node `v`.
@@ -253,20 +298,35 @@ impl Graph {
         self.degrees().min().unwrap_or(0)
     }
 
-    /// Neighbors of `v` as `(neighbor, edge id)` pairs, in port order — a
-    /// contiguous slice of the CSR arc array.
+    /// Neighbors of `v` as `(neighbor, edge id)` pairs, in port order —
+    /// a walk over a contiguous range of the CSR arc array. The iterator
+    /// knows its length (the degree), runs backwards, and is cheap to
+    /// clone; `neighbors(v).nth(p) == Some(neighbor(v, p))`.
     ///
     /// # Panics
     ///
     /// Panics if `v >= n`.
     #[inline]
-    pub fn neighbors(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.nbrs[self.offsets[v]..self.offsets[v + 1]]
+    pub fn neighbors(
+        &self,
+        v: NodeId,
+    ) -> impl ExactSizeIterator<Item = (NodeId, EdgeId)> + DoubleEndedIterator + Clone + '_ {
+        self.nbrs[self.arc_range(v)].iter().copied().map(wide)
+    }
+
+    /// The `(neighbor, edge id)` behind port `port` of node `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= n` or `port >= degree(v)`.
+    #[inline]
+    pub fn neighbor(&self, v: NodeId, port: usize) -> (NodeId, EdgeId) {
+        wide(self.nbrs[self.arc_range(v)][port])
     }
 
     /// Iterator over just the neighbor ids of `v`, in port order.
     pub fn neighbor_ids(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.neighbors(v).iter().map(|&(u, _)| u)
+        self.neighbors(v).map(|(u, _)| u)
     }
 
     /// Endpoints `(u, v)` of edge `e`, with `u < v`.
@@ -276,7 +336,7 @@ impl Graph {
     /// Panics if `e >= m`.
     #[inline]
     pub fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
-        self.edges[e]
+        wide(self.edges[e])
     }
 
     /// The ports of edge `e` at its two endpoints, in
@@ -312,7 +372,7 @@ impl Graph {
     /// Panics if `arc >= 2m`.
     #[inline]
     pub fn rev_port(&self, arc: usize) -> usize {
-        self.rev_arc(arc) - self.offsets[self.nbrs[arc].0]
+        self.rev_arc(arc) - self.offsets[self.nbrs[arc].0 as usize]
     }
 
     /// The endpoint of `e` that is not `v`.
@@ -322,7 +382,7 @@ impl Graph {
     /// Panics if `v` is not an endpoint of `e`.
     #[inline]
     pub fn other_endpoint(&self, e: EdgeId, v: NodeId) -> NodeId {
-        let (a, b) = self.edges[e];
+        let (a, b) = self.endpoints(e);
         if v == a {
             b
         } else {
@@ -333,7 +393,10 @@ impl Graph {
 
     /// Iterator over `(edge id, u, v)` for all edges.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, NodeId, NodeId)> + '_ {
-        self.edges.iter().enumerate().map(|(e, &(u, v))| (e, u, v))
+        self.edges
+            .iter()
+            .enumerate()
+            .map(|(e, &(u, v))| (e, u as usize, v as usize))
     }
 
     /// Returns the id of edge `{u, v}` if present (O(min degree) scan).
@@ -347,9 +410,8 @@ impl Graph {
             (v, u)
         };
         self.neighbors(scan)
-            .iter()
-            .find(|&&(w, _)| w == target)
-            .map(|&(_, e)| e)
+            .find(|&(w, _)| w == target)
+            .map(|(_, e)| e)
     }
 
     /// Whether edge `{u, v}` is present.
@@ -370,12 +432,14 @@ impl Graph {
     /// Heap footprint of the CSR arrays in bytes — the resident cost of
     /// keeping this instance loaded (offsets, arcs, edge endpoints, the
     /// edge-port and reverse-arc tables; the lazily-built sort cache is
-    /// excluded, like in equality).
+    /// excluded, like in equality). On a 64-bit target this is
+    /// `8(n + 1) + 40m`: the graph's `localavg-csr/v1` file size minus
+    /// its 40 bytes of magic, header and footer.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.offsets.len() * size_of::<usize>()
-            + self.nbrs.len() * size_of::<(NodeId, EdgeId)>()
-            + self.edges.len() * size_of::<(NodeId, NodeId)>()
+            + self.nbrs.len() * size_of::<(u32, u32)>()
+            + self.edges.len() * size_of::<(u32, u32)>()
             + self.edge_ports.len() * size_of::<(u32, u32)>()
             + self.rev_arcs.len() * size_of::<u32>()
     }
@@ -384,14 +448,7 @@ impl Graph {
     /// serializes verbatim, in declaration order (see [`crate::io`]); the
     /// file's reverse-port section is derived through [`Graph::rev_port`].
     #[allow(clippy::type_complexity)]
-    pub(crate) fn raw_parts(
-        &self,
-    ) -> (
-        &[usize],
-        &[(NodeId, EdgeId)],
-        &[(NodeId, NodeId)],
-        &[(u32, u32)],
-    ) {
+    pub(crate) fn raw_parts(&self) -> (&[usize], &[(u32, u32)], &[(u32, u32)], &[(u32, u32)]) {
         (&self.offsets, &self.nbrs, &self.edges, &self.edge_ports)
     }
 
@@ -400,8 +457,8 @@ impl Graph {
     /// invariants the accessors rely on; see `crate::io::read_graph`.
     pub(crate) fn from_raw_parts(
         offsets: Vec<usize>,
-        nbrs: Vec<(NodeId, EdgeId)>,
-        edges: Vec<(NodeId, NodeId)>,
+        nbrs: Vec<(u32, u32)>,
+        edges: Vec<(u32, u32)>,
         edge_ports: Vec<(u32, u32)>,
         rev_arcs: Vec<u32>,
     ) -> Graph {
@@ -434,15 +491,18 @@ impl Graph {
     pub fn sorted_port_order(&self) -> Option<&[u32]> {
         self.sorted_order
             .get_or_init(|| {
-                let sorted =
-                    (0..self.n()).all(|v| self.neighbors(v).windows(2).all(|w| w[0].0 < w[1].0));
+                let sorted = (0..self.n()).all(|v| {
+                    self.nbrs[self.arc_range(v)]
+                        .windows(2)
+                        .all(|w| w[0].0 < w[1].0)
+                });
                 if sorted {
                     return None;
                 }
                 let mut order = vec![0u32; self.nbrs.len()];
                 for v in 0..self.n() {
                     let base = self.offsets[v];
-                    let nbrs = self.neighbors(v);
+                    let nbrs = &self.nbrs[self.arc_range(v)];
                     let slot = &mut order[base..base + nbrs.len()];
                     for (i, p) in slot.iter_mut().enumerate() {
                         *p = i as u32;
@@ -480,28 +540,33 @@ impl Graph {
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     n: usize,
-    /// Normalized `(u, v)` with `u < v`, in insertion order (= edge id).
-    edges: Vec<(NodeId, NodeId)>,
+    /// Normalized `(u, v)` with `u < v`, in insertion order (= edge id) —
+    /// moved into the frozen graph as its edge-endpoint table.
+    edges: Vec<(u32, u32)>,
     /// Duplicate-detection set, materialized lazily on the first
     /// [`GraphBuilder::try_add`] so plain [`GraphBuilder::add_edge`]
     /// construction pays no hashing.
-    seen: Option<HashSet<(NodeId, NodeId)>>,
+    seen: Option<HashSet<(u32, u32)>>,
     sorted_ports: bool,
 }
 
 impl GraphBuilder {
     /// Creates a builder for a graph with `n` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > MAX_NODES`.
     pub fn new(n: usize) -> Self {
-        GraphBuilder {
-            n,
-            edges: Vec::new(),
-            seen: None,
-            sorted_ports: false,
-        }
+        Self::with_edge_capacity(n, 0)
     }
 
     /// Creates a builder with preallocated room for `m` edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > MAX_NODES`.
     pub fn with_edge_capacity(n: usize, m: usize) -> Self {
+        assert_u32_sized(n, 0);
         GraphBuilder {
             n,
             edges: Vec::with_capacity(m),
@@ -520,7 +585,9 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    fn normalize(&self, u: NodeId, v: NodeId) -> Result<(NodeId, NodeId), GraphError> {
+    /// Validates `{u, v}` and returns it as the stored `(min, max)` pair;
+    /// the cast is lossless because `u, v < n <= MAX_NODES`.
+    fn normalize(&self, u: NodeId, v: NodeId) -> Result<(u32, u32), GraphError> {
         if u >= self.n {
             return Err(GraphError::NodeOutOfRange { node: u, n: self.n });
         }
@@ -530,7 +597,7 @@ impl GraphBuilder {
         if u == v {
             return Err(GraphError::SelfLoop(u));
         }
-        Ok(if u < v { (u, v) } else { (v, u) })
+        Ok((u.min(v) as u32, u.max(v) as u32))
     }
 
     /// Adds an undirected edge and returns its id.
@@ -593,7 +660,9 @@ impl GraphBuilder {
 
     /// Whether `{u, v}` has already been added.
     pub fn contains(&self, u: NodeId, v: NodeId) -> bool {
-        let key = if u < v { (u, v) } else { (v, u) };
+        let Ok(key) = self.normalize(u, v) else {
+            return false;
+        };
         match &self.seen {
             Some(seen) => seen.contains(&key),
             None => self.edges.contains(&key),
@@ -608,27 +677,35 @@ impl GraphBuilder {
         self.sorted_ports = true;
     }
 
-    /// Freezes the builder into the CSR [`Graph`].
+    /// Freezes the builder into the CSR [`Graph`]; the edge list moves
+    /// into the graph as its edge-endpoint table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph exceeds the `u32` tables: `n > MAX_NODES` or
+    /// `2m >= u32::MAX`.
     pub fn build(self) -> Graph {
         let n = self.n;
         let m = self.edges.len();
+        assert_u32_sized(n, m);
         let mut offsets = vec![0usize; n + 1];
         for &(u, v) in &self.edges {
-            offsets[u + 1] += 1;
-            offsets[v + 1] += 1;
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
         // Fill pass in edge-id order: each node's ports end up in the
         // insertion order of its incident edges.
-        let mut nbrs = vec![(0 as NodeId, 0 as EdgeId); 2 * m];
+        let mut nbrs = vec![(0u32, 0u32); 2 * m];
         let mut cursor: Vec<usize> = offsets[..n].to_vec();
         for (e, &(u, v)) in self.edges.iter().enumerate() {
-            nbrs[cursor[u]] = (v, e);
-            cursor[u] += 1;
-            nbrs[cursor[v]] = (u, e);
-            cursor[v] += 1;
+            let e = e as u32;
+            nbrs[cursor[u as usize]] = (v, e);
+            cursor[u as usize] += 1;
+            nbrs[cursor[v as usize]] = (u, e);
+            cursor[v as usize] += 1;
         }
         if self.sorted_ports {
             for v in 0..n {
@@ -669,6 +746,11 @@ impl GraphBuilder {
     /// endpoint, self-loop), or [`GraphError::InvalidParameters`] when
     /// the two passes disagree.
     ///
+    /// # Panics
+    ///
+    /// Panics if the graph exceeds the `u32` tables: `n > MAX_NODES`
+    /// (checked before the first pass) or `2m >= u32::MAX`.
+    ///
     /// # Example
     ///
     /// ```
@@ -686,6 +768,7 @@ impl GraphBuilder {
     where
         F: FnMut(&mut EdgeSink<'_>),
     {
+        assert_u32_sized(n, 0);
         // Pass 1: count each endpoint's degree into offsets[v + 1].
         let mut offsets = vec![0usize; n + 1];
         let mut m = 0usize;
@@ -701,16 +784,13 @@ impl GraphBuilder {
         if let Some(e) = error {
             return Err(e);
         }
-        assert!(
-            m < u32::MAX as usize / 2,
-            "graph too large for u32 port tables"
-        );
+        assert_u32_sized(n, m);
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
         // Pass 2: fill the CSR arrays in edge-id (= stream) order.
-        let mut nbrs = vec![(0 as NodeId, 0 as EdgeId); 2 * m];
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(m);
+        let mut nbrs = vec![(0u32, 0u32); 2 * m];
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
         let mut cursor: Vec<usize> = offsets[..n].to_vec();
         emit(&mut EdgeSink {
             n,
@@ -733,7 +813,7 @@ impl GraphBuilder {
         }
         #[cfg(debug_assertions)]
         for v in 0..n {
-            let mut ids: Vec<NodeId> = nbrs[offsets[v]..offsets[v + 1]]
+            let mut ids: Vec<u32> = nbrs[offsets[v]..offsets[v + 1]]
                 .iter()
                 .map(|&(u, _)| u)
                 .collect();
@@ -758,35 +838,31 @@ impl GraphBuilder {
 /// Builds the edge-port and reverse-arc tables from finished CSR
 /// adjacency — the shared tail of [`GraphBuilder::build`] and
 /// [`GraphBuilder::stream_edges`]. Ports and arc indices fit in u32: both
-/// are below `2m`, which the assert keeps under `u32::MAX`.
+/// are below `2m`, which the callers' size check keeps under `u32::MAX`.
 fn port_tables(
     offsets: &[usize],
-    nbrs: &[(NodeId, EdgeId)],
-    edges: &[(NodeId, NodeId)],
+    nbrs: &[(u32, u32)],
+    edges: &[(u32, u32)],
 ) -> (Vec<(u32, u32)>, Vec<u32>) {
     let n = offsets.len() - 1;
     let m = edges.len();
-    assert!(
-        m < u32::MAX as usize / 2,
-        "graph too large for u32 port tables"
-    );
     let mut edge_ports = vec![(u32::MAX, u32::MAX); m];
     for v in 0..n {
         let base = offsets[v];
         for (port, &(_, e)) in nbrs[base..offsets[v + 1]].iter().enumerate() {
-            let (a, _) = edges[e];
-            if v == a {
-                edge_ports[e].0 = port as u32;
+            let (a, _) = edges[e as usize];
+            if v == a as usize {
+                edge_ports[e as usize].0 = port as u32;
             } else {
-                edge_ports[e].1 = port as u32;
+                edge_ports[e as usize].1 = port as u32;
             }
         }
     }
     // Each edge's two arcs point at each other.
     let mut rev_arcs = vec![0u32; 2 * m];
     for (&(u, v), &(pu, pv)) in edges.iter().zip(&edge_ports) {
-        let au = offsets[u] + pu as usize;
-        let av = offsets[v] + pv as usize;
+        let au = offsets[u as usize] + pu as usize;
+        let av = offsets[v as usize] + pv as usize;
         rev_arcs[au] = av as u32;
         rev_arcs[av] = au as u32;
     }
@@ -815,8 +891,8 @@ enum SinkMode<'a> {
     Fill {
         offsets: &'a [usize],
         cursor: &'a mut [usize],
-        nbrs: &'a mut [(NodeId, EdgeId)],
-        edges: &'a mut Vec<(NodeId, NodeId)>,
+        nbrs: &'a mut [(u32, u32)],
+        edges: &'a mut Vec<(u32, u32)>,
     },
 }
 
@@ -865,11 +941,13 @@ impl EdgeSink<'_> {
                     ));
                     return;
                 }
-                let e = edges.len();
-                edges.push(if u < v { (u, v) } else { (v, u) });
-                nbrs[cursor[u]] = (v, e);
+                // Lossless: `u, v < n <= MAX_NODES` and `e < m`, which
+                // pass 1 checked against the u32 bound.
+                let e = edges.len() as u32;
+                edges.push((u.min(v) as u32, u.max(v) as u32));
+                nbrs[cursor[u]] = (v as u32, e);
                 cursor[u] += 1;
-                nbrs[cursor[v]] = (u, e);
+                nbrs[cursor[v]] = (u as u32, e);
                 cursor[v] += 1;
             }
         }
@@ -1003,18 +1081,24 @@ mod tests {
         assert_eq!(g.csr_offset(0), 0);
         assert_eq!(g.csr_offset(1), 1);
         assert_eq!(g.arc_range(1), 1..4);
-        assert_eq!(g.arcs().len(), 2 * g.m());
-        assert_eq!(&g.arcs()[g.arc_range(1)], g.neighbors(1));
+        assert_eq!(g.csr_offset(g.n()), 2 * g.m());
+        assert!(g.arc_range(1).map(|a| g.arc(a)).eq(g.neighbors(1)));
         // Arc-level agreement with the per-node view, for every node.
         for v in g.nodes() {
             assert_eq!(g.neighbors(v).len(), g.degree(v));
-            for (port, &(u, e)) in g.neighbors(v).iter().enumerate() {
+            assert!(g
+                .neighbors(v)
+                .rev()
+                .eq(g.neighbors(v).collect::<Vec<_>>().into_iter().rev()));
+            for (port, (u, e)) in g.neighbors(v).enumerate() {
                 assert_eq!(g.other_endpoint(e, v), u);
+                assert_eq!(g.neighbor(v, port), (u, e));
                 // The reverse port points back at this arc, and the
                 // reverse arc is the same slot by global index.
                 let arc = g.csr_offset(v) + port;
+                assert_eq!(g.arc(arc), (u, e));
                 let rev = g.rev_port(arc);
-                assert_eq!(g.neighbors(u)[rev], (v, e));
+                assert_eq!(g.neighbor(u, rev), (v, e));
                 assert_eq!(g.rev_port(g.csr_offset(u) + rev), port);
                 assert_eq!(g.rev_arc(arc), g.csr_offset(u) + rev);
                 assert_eq!(g.rev_arc(g.rev_arc(arc)), arc);
@@ -1032,8 +1116,8 @@ mod tests {
         let g = b.build();
         for (e, u, v) in g.edges() {
             let (pu, pv) = g.edge_ports(e);
-            assert_eq!(g.neighbors(u)[pu], (v, e));
-            assert_eq!(g.neighbors(v)[pv], (u, e));
+            assert_eq!(g.neighbor(u, pu), (v, e));
+            assert_eq!(g.neighbor(v, pv), (u, e));
         }
     }
 
@@ -1050,7 +1134,7 @@ mod tests {
         for v in g.nodes() {
             let base = g.csr_offset(v);
             let ids: Vec<NodeId> = (0..g.degree(v))
-                .map(|i| g.neighbors(v)[order[base + i] as usize].0)
+                .map(|i| g.neighbor(v, order[base + i] as usize).0)
                 .collect();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "node {v}: {ids:?}");
         }
@@ -1078,6 +1162,37 @@ mod tests {
         assert_eq!(a, b);
         let c = a.clone();
         assert_eq!(c, a);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn neighbor_rejects_a_port_past_the_degree() {
+        // Port 1 of node 0 would be node 1's first arc without the check.
+        let g = path3();
+        let _ = g.neighbor(0, 1);
+    }
+
+    fn path3() -> Graph {
+        Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap()
+    }
+
+    #[test]
+    fn memory_is_eight_bytes_per_node_and_forty_per_edge() {
+        let g = path3();
+        assert_eq!(g.memory_bytes(), 8 * (g.n() + 1) + 40 * g.m());
+        assert_eq!(Graph::empty(0).memory_bytes(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "node ids are u32")]
+    fn builder_rejects_node_counts_past_u32() {
+        let _ = GraphBuilder::new(MAX_NODES + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "node ids are u32")]
+    fn stream_edges_rejects_node_counts_past_u32() {
+        let _ = GraphBuilder::stream_edges(MAX_NODES + 1, |_| {});
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! Large instances (10⁷⁺ nodes) take minutes to generate but milliseconds
 //! per query cell; persisting the frozen CSR lets `exp gen` build once and
 //! every later `exp sweep --graph-file` / `exp bench-engine --graph-file`
-//! reload in a single streaming pass. The format serializes the frozen
-//! arrays of [`Graph`] — four verbatim, plus the reverse-port section,
-//! which the writer derives from the in-memory reverse-arc table and the
-//! reader turns back into it inside its port-table audit — so a
-//! written-then-read graph is **byte-identical** in memory (`Graph: Eq`
-//! holds across the round trip, port order included).
+//! reload in a single streaming pass. The format *is* the in-memory
+//! layout of [`Graph`]: the offsets, arcs, edges and edge-ports sections
+//! are its four frozen arrays verbatim (the `(u32, u32)` pairs are read
+//! straight into place, only range-checked), and the reverse-port
+//! section is derived from the in-memory reverse-arc table by the
+//! writer and turned back into it inside the reader's port-table audit.
+//! A written-then-read graph is therefore **byte-identical** in memory
+//! (`Graph: Eq` holds across the round trip, port order included), and
+//! a resident graph's [`Graph::memory_bytes`] is exactly its file size
+//! minus the 40 bytes of magic, header and footer.
 //!
 //! # Layout (all integers little-endian)
 //!
@@ -24,12 +28,13 @@
 //! | rev ports | 4·2m | per arc: the edge's port at the other endpoint, `u32` |
 //! | checksum | 8 | 64-bit block hash of every preceding byte |
 //!
-//! Node and edge ids fit in `u32` by the same invariant the in-memory
-//! port tables rely on (`m < u32::MAX / 2`, checked at build time); CSR
-//! offsets range up to `2m` and are stored as `u64`. Every section length
-//! is a multiple of 8 bytes, so the checksum is defined over aligned
-//! 8-byte blocks: `h ← (rotl(h, 5) ^ block) · 0x517cc1b727220a95` from
-//! seed `0x6c61766763737231` (`"lavgcsr1"`).
+//! Node and edge ids are `u32` in memory too: a [`Graph`] holds at most
+//! [`MAX_NODES`] nodes and `m < u32::MAX / 2` edges, both checked at
+//! build time; CSR offsets range up to `2m` and are stored as `u64`
+//! (word-sized in memory). Every section length is a multiple of 8
+//! bytes, so the checksum is defined over aligned 8-byte blocks:
+//! `h ← (rotl(h, 5) ^ block) · 0x517cc1b727220a95` from seed
+//! `0x6c61766763737231` (`"lavgcsr1"`).
 //!
 //! # Reading is validating
 //!
@@ -43,7 +48,7 @@
 //! duplicate neighbors). Everything is std-only safe code: no mmap, no
 //! `unsafe`, honoring the workspace `forbid(unsafe_code)` discipline.
 
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{Graph, MAX_NODES};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -216,21 +221,14 @@ impl<W: Write> HashWriter<W> {
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from `w`. Returns `InvalidInput` if `n` does
-/// not fit the format's u32 node ids (the in-memory builder already
-/// rejects the corresponding edge-count overflow).
+/// Propagates I/O errors from `w`. Every [`Graph`] fits the format: its
+/// ids are already the file's `u32`s.
 pub fn write_graph<W: Write>(w: W, g: &Graph) -> io::Result<u64> {
     write_graph_inner(w, g).map(|(written, _)| written)
 }
 
 /// [`write_graph`] plus the checksum it stored in the footer.
 fn write_graph_inner<W: Write>(w: W, g: &Graph) -> io::Result<(u64, u64)> {
-    if g.n() > u32::MAX as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("graph has {} nodes; localavg-csr/v1 ids are u32", g.n()),
-        ));
-    }
     let (offsets, nbrs, edges, edge_ports) = g.raw_parts();
     let mut hw = HashWriter::new(w);
     hw.emit(&MAGIC)?;
@@ -243,17 +241,12 @@ fn write_graph_inner<W: Write>(w: W, g: &Graph) -> io::Result<(u64, u64)> {
     for &x in offsets {
         hw.stage_bytes(&(x as u64).to_le_bytes())?;
     }
-    for &(nb, e) in nbrs {
-        hw.stage_bytes(&(nb as u32).to_le_bytes())?;
-        hw.stage_bytes(&(e as u32).to_le_bytes())?;
-    }
-    for &(u, v) in edges {
-        hw.stage_bytes(&(u as u32).to_le_bytes())?;
-        hw.stage_bytes(&(v as u32).to_le_bytes())?;
-    }
-    for &(pu, pv) in edge_ports {
-        hw.stage_bytes(&pu.to_le_bytes())?;
-        hw.stage_bytes(&pv.to_le_bytes())?;
+    // The arcs, edges and edge-ports sections are the in-memory pairs;
+    // `a` in the low half makes the u64's little-endian bytes `a, b`.
+    for section in [nbrs, edges, edge_ports] {
+        for &(a, b) in section {
+            hw.stage_bytes(&(u64::from(b) << 32 | u64::from(a)).to_le_bytes())?;
+        }
     }
     // The in-memory table holds reverse *arcs*; the format keeps the
     // reverse *ports* it has always stored.
@@ -274,14 +267,8 @@ fn write_graph_inner<W: Write>(w: W, g: &Graph) -> io::Result<(u64, u64)> {
 /// the canonical identity of a file-backed instance — cell keys built
 /// from a `--graph-file` use `file/<hash>` as their family component,
 /// keeping goldens and the serve cache content-addressed.
-///
-/// # Panics
-///
-/// Panics if `g` is not representable in the format (more than `u32::MAX`
-/// nodes) — such a graph has no `localavg-csr/v1` identity.
 pub fn content_hash(g: &Graph) -> u64 {
-    let (_, digest) =
-        write_graph_inner(io::sink(), g).expect("graph exceeds localavg-csr/v1 limits");
+    let (_, digest) = write_graph_inner(io::sink(), g).expect("writing to io::sink cannot fail");
     digest
 }
 
@@ -328,41 +315,40 @@ impl<R: Read> HashReader<R> {
         Ok(())
     }
 
-    /// Reads `count` u64 values in bounded chunks — a corrupt header
-    /// asking for 2⁶⁰ values fails with [`ReadError::Truncated`] after
-    /// one chunk instead of attempting the allocation up front.
-    fn read_u64s(&mut self, count: usize, section: &'static str) -> Result<Vec<u64>, ReadError> {
-        let mut out: Vec<u64> = Vec::new();
+    /// Reads `count` little-endian values of `W` bytes each, decoded by
+    /// `decode`, in bounded chunks — a corrupt header asking for 2⁶⁰
+    /// values fails with [`ReadError::Truncated`] after one chunk
+    /// instead of attempting the allocation up front. `count · W` is a
+    /// multiple of 8 for every section of the format.
+    fn read_array<T, const W: usize>(
+        &mut self,
+        count: usize,
+        section: &'static str,
+        decode: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, ReadError> {
+        let mut out: Vec<T> = Vec::new();
         let mut remaining = count;
         while remaining > 0 {
-            let take = remaining.min(CHUNK_BYTES / 8);
-            self.fill(take * 8, section)?;
+            let take = remaining.min(CHUNK_BYTES / W);
+            self.fill(take * W, section)?;
             out.reserve(take);
-            for b in self.buf.chunks_exact(8) {
-                out.push(u64::from_le_bytes(b.try_into().expect("8-byte chunk")));
-            }
+            out.extend(
+                self.buf
+                    .chunks_exact(W)
+                    .map(|b| decode(b.try_into().expect("W-byte chunk"))),
+            );
             remaining -= take;
         }
         Ok(out)
     }
+}
 
-    /// Reads `count` u32 values (count always even in this format) in
-    /// bounded chunks.
-    fn read_u32s(&mut self, count: usize, section: &'static str) -> Result<Vec<u32>, ReadError> {
-        debug_assert!(count.is_multiple_of(2));
-        let mut out: Vec<u32> = Vec::new();
-        let mut remaining = count;
-        while remaining > 0 {
-            let take = remaining.min(CHUNK_BYTES / 4);
-            self.fill(take * 4, section)?;
-            out.reserve(take);
-            for b in self.buf.chunks_exact(4) {
-                out.push(u32::from_le_bytes(b.try_into().expect("4-byte chunk")));
-            }
-            remaining -= take;
-        }
-        Ok(out)
-    }
+/// Decodes one `(u32, u32)` pair of the arcs, edges or edge-ports
+/// section — the writer's little-endian u64 with the first value in its
+/// low half.
+fn u32_pair(b: [u8; 8]) -> (u32, u32) {
+    let w = u64::from_le_bytes(b);
+    (w as u32, (w >> 32) as u32)
 }
 
 fn corrupt(msg: impl Into<String>) -> ReadError {
@@ -405,7 +391,7 @@ pub fn read_graph_with_hash<R: Read>(r: R) -> Result<(Graph, u64), ReadError> {
     }
     let n64 = u64::from_le_bytes(hr.buf[8..16].try_into().expect("n"));
     let m64 = u64::from_le_bytes(hr.buf[16..24].try_into().expect("m"));
-    if n64 > u32::MAX as u64 {
+    if n64 > MAX_NODES as u64 {
         return Err(ReadError::HeaderOutOfRange {
             field: "n",
             value: n64,
@@ -420,13 +406,13 @@ pub fn read_graph_with_hash<R: Read>(r: R) -> Result<(Graph, u64), ReadError> {
     let n = n64 as usize;
     let m = m64 as usize;
 
-    let offsets64 = hr.read_u64s(n + 1, "offsets")?;
-    let arcs32 = hr.read_u32s(2 * (2 * m), "arcs")?;
-    let edges32 = hr.read_u32s(2 * m, "edges")?;
-    let ports32 = hr.read_u32s(2 * m, "edge ports")?;
+    let offsets64 = hr.read_array(n + 1, "offsets", u64::from_le_bytes)?;
+    let nbrs = hr.read_array(2 * m, "arcs", u32_pair)?;
+    let edges = hr.read_array(m, "edges", u32_pair)?;
+    let edge_ports = hr.read_array(m, "edge ports", u32_pair)?;
     // Read as reverse ports; converted in place into the reverse-arc
     // table by the port-table audit below.
-    let mut rev_arcs = hr.read_u32s(2 * m, "rev ports")?;
+    let mut rev_arcs = hr.read_array(2 * m, "rev ports", u32::from_le_bytes)?;
     let computed = hr.hash;
     // The footer is outside the checksum.
     let mut footer = [0u8; 8];
@@ -464,38 +450,25 @@ pub fn read_graph_with_hash<R: Read>(r: R) -> Result<(Graph, u64), ReadError> {
         )));
     }
     let offsets: Vec<usize> = offsets64.into_iter().map(|x| x as usize).collect();
-    let mut nbrs: Vec<(NodeId, EdgeId)> = Vec::with_capacity(2 * m);
-    for pair in arcs32.chunks_exact(2) {
-        let (nb, e) = (pair[0] as usize, pair[1] as usize);
-        if nb >= n || e >= m {
-            return Err(corrupt(format!("arc ({nb}, {e}) out of range")));
-        }
-        nbrs.push((nb, e));
+    // Range checks on the pairs in place; `n <= MAX_NODES` and
+    // `m < u32::MAX / 2`, so the bounds below are exact in u32.
+    let (n32, m32) = (n as u32, m as u32);
+    if let Some((nb, e)) = nbrs.iter().find(|&&(nb, e)| nb >= n32 || e >= m32) {
+        return Err(corrupt(format!("arc ({nb}, {e}) out of range")));
     }
-    drop(arcs32);
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(m);
-    for pair in edges32.chunks_exact(2) {
-        let (u, v) = (pair[0] as usize, pair[1] as usize);
-        if u >= v || v >= n {
-            return Err(corrupt(format!("edge ({u}, {v}) not normalized in-range")));
-        }
-        edges.push((u, v));
+    if let Some((u, v)) = edges.iter().find(|&&(u, v)| u >= v || v >= n32) {
+        return Err(corrupt(format!("edge ({u}, {v}) not normalized in-range")));
     }
-    drop(edges32);
-    let mut edge_ports: Vec<(u32, u32)> = Vec::with_capacity(m);
-    for pair in ports32.chunks_exact(2) {
-        edge_ports.push((pair[0], pair[1]));
-    }
-    drop(ports32);
 
     // Arc ↔ edge agreement: every arc names an edge it belongs to.
     for v in 0..n {
+        let v32 = v as u32;
         for &(u, e) in &nbrs[offsets[v]..offsets[v + 1]] {
-            let expect = if v < u { (v, u) } else { (u, v) };
-            if edges[e] != expect {
+            let expect = (v32.min(u), v32.max(u));
+            let found = edges[e as usize];
+            if found != expect {
                 return Err(corrupt(format!(
-                    "arc at node {v} names edge {e} = {:?}, expected {expect:?}",
-                    edges[e]
+                    "arc at node {v} names edge {e} = {found:?}, expected {expect:?}"
                 )));
             }
         }
@@ -508,14 +481,12 @@ pub fn read_graph_with_hash<R: Read>(r: R) -> Result<(Graph, u64), ReadError> {
     // reverse arc in place.
     for (e, &(u, v)) in edges.iter().enumerate() {
         let (pu, pv) = edge_ports[e];
-        let (pu, pv) = (pu as usize, pv as usize);
-        let du = offsets[u + 1] - offsets[u];
-        let dv = offsets[v + 1] - offsets[v];
-        if pu >= du || pv >= dv {
+        let (u_at, v_at) = (u as usize, v as usize);
+        let (au, av) = (offsets[u_at] + pu as usize, offsets[v_at] + pv as usize);
+        if au >= offsets[u_at + 1] || av >= offsets[v_at + 1] {
             return Err(corrupt(format!("edge {e} port out of degree range")));
         }
-        let (au, av) = (offsets[u] + pu, offsets[v] + pv);
-        if nbrs[au] != (v, e) || nbrs[av] != (u, e) {
+        if nbrs[au] != (v, e as u32) || nbrs[av] != (u, e as u32) {
             return Err(corrupt(format!("edge {e} ports disagree with arcs")));
         }
         if rev_arcs[au] != edge_ports[e].1 || rev_arcs[av] != edge_ports[e].0 {
@@ -525,7 +496,7 @@ pub fn read_graph_with_hash<R: Read>(r: R) -> Result<(Graph, u64), ReadError> {
         rev_arcs[av] = au as u32;
     }
     // Simple-graph audit: no node lists the same neighbor twice.
-    let mut scratch: Vec<NodeId> = Vec::new();
+    let mut scratch: Vec<u32> = Vec::new();
     for v in 0..n {
         scratch.clear();
         scratch.extend(nbrs[offsets[v]..offsets[v + 1]].iter().map(|&(u, _)| u));
@@ -757,7 +728,7 @@ mod tests {
             assert_eq!(&h, g);
             // Port order survives (Eq covers it, but make it explicit).
             for v in h.nodes() {
-                assert_eq!(h.neighbors(v), g.neighbors(v));
+                assert!(h.neighbors(v).eq(g.neighbors(v)));
             }
         }
     }

@@ -55,4 +55,4 @@ pub mod rng;
 pub mod suggest;
 pub mod transform;
 
-pub use graph::{EdgeId, Graph, GraphBuilder, GraphError, NodeId};
+pub use graph::{EdgeId, Graph, GraphBuilder, GraphError, NodeId, MAX_NODES};

@@ -29,10 +29,9 @@ use crate::graph::{EdgeId, Graph, GraphBuilder, NodeId};
 pub fn line_graph(g: &Graph) -> Graph {
     let mut lg = GraphBuilder::new(g.m());
     for v in g.nodes() {
-        let inc = g.neighbors(v);
-        for i in 0..inc.len() {
-            for j in (i + 1)..inc.len() {
-                let (e1, e2) = (inc[i].1, inc[j].1);
+        let mut inc = g.neighbors(v);
+        while let Some((_, e1)) = inc.next() {
+            for (_, e2) in inc.clone() {
                 // Each pair of incident edges shares exactly one endpoint
                 // (simple graph), so this pair is visited exactly once.
                 lg.add_edge(e1, e2).expect("line graph edge");

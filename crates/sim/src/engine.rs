@@ -721,20 +721,25 @@ impl<P: Process> RoundShared<'_, P> {
     unsafe fn pull(&self, v: NodeId, ci: usize, inbox: &mut Vec<Envelope<P::Message>>) {
         let prev = self.cur ^ 1;
         let varc = self.g.csr_offset(v);
-        let nbrs = self.g.neighbors(v);
-        for i in 0..nbrs.len() {
+        for i in 0..self.g.degree(v) {
             let p = match self.order {
                 Some(order) => order[varc + i] as usize,
                 None => i,
             };
-            let u = nbrs[p].0;
             // The sender-side slot of the shared edge, one load away.
             let uarc = self.g.rev_arc(varc + p);
             let at = self.slot(prev, uarc);
             self.claim(Table::OutSlot, at..at + 1, ci);
             // SAFETY: slot `at` is addressed to `v` alone (contract,
             // second point).
-            if let Some(msg) = unsafe { (*self.out_slots.add(at)).take() } {
+            let slot = unsafe { (*self.out_slots.add(at)).take() };
+            if slot.is_none() && !self.spilled {
+                continue;
+            }
+            // The sender's id is read only for an arc that can carry a
+            // message: a silent arc costs two loads, not three.
+            let (u, _) = self.g.arc(varc + p);
+            if let Some(msg) = slot {
                 inbox.push(Envelope {
                     src: u,
                     port: p,

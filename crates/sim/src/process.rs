@@ -146,7 +146,7 @@ impl<'a, P: Process> Ctx<'a, P> {
             self.knowledge.neighbor_ids,
             "neighbor ids are not part of the configured initial knowledge"
         );
-        self.graph.neighbors(self.id)[port].0
+        self.graph.neighbor(self.id, port).0
     }
 
     /// The degree of the neighbor behind `port`.
@@ -159,13 +159,13 @@ impl<'a, P: Process> Ctx<'a, P> {
             self.knowledge.neighbor_degrees,
             "neighbor degrees are not part of the configured initial knowledge"
         );
-        let (u, _) = self.graph.neighbors(self.id)[port];
+        let (u, _) = self.graph.neighbor(self.id, port);
         self.graph.degree(u)
     }
 
     /// The edge id of the edge behind `port` (useful for edge outputs).
     pub fn edge_id(&self, port: usize) -> EdgeId {
-        self.graph.neighbors(self.id)[port].1
+        self.graph.neighbor(self.id, port).1
     }
 
     /// This node's private random stream (footnote 1 of the paper: a pure

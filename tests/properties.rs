@@ -8,12 +8,20 @@ use localavg::core::matching;
 use localavg::graph::rng::Rng;
 use localavg::graph::{analysis, gen, lift, transform, Graph, GraphBuilder};
 
-/// The reverse-arc table is an involution that pairs each arc with the
-/// same edge's arc at the other endpoint, and the derived reverse ports
-/// agree with the edge-port table.
-fn assert_reverse_arcs(g: &Graph, label: &str) {
+/// The four views of one arc agree — `neighbor(v, p)`,
+/// `arc(csr_offset(v) + p)` and `neighbors(v).nth(p)` name the same
+/// `(neighbor, edge)` — and the reverse-arc table is an involution that
+/// pairs each arc with the same edge's arc at the other endpoint, with
+/// derived reverse ports that agree with the edge-port table.
+fn assert_arc_views_agree(g: &Graph, label: &str) {
     for v in g.nodes() {
-        for a in g.arc_range(v) {
+        let row = g.neighbors(v);
+        assert_eq!(row.len(), g.degree(v), "{label}: node {v} row length");
+        for (p, (u, e)) in row.enumerate() {
+            let a = g.csr_offset(v) + p;
+            assert_eq!(g.neighbor(v, p), (u, e), "{label}: neighbor({v}, {p})");
+            assert_eq!(g.arc(a), (u, e), "{label}: arc({a})");
+            assert_eq!(g.neighbors(v).nth(p), Some((u, e)), "{label}: nth({p})");
             let r = g.rev_arc(a);
             assert_eq!(
                 g.rev_arc(r),
@@ -21,14 +29,20 @@ fn assert_reverse_arcs(g: &Graph, label: &str) {
                 "{label}: rev_arc not an involution at arc {a}"
             );
             assert_eq!(
-                g.arcs()[r].0,
-                v,
-                "{label}: rev_arc({a}) not owned by node {v}"
+                g.arc(r),
+                (v, e),
+                "{label}: rev_arc({a}) is not edge {e}'s arc at node {u}"
+            );
+            assert!(
+                g.arc_range(u).contains(&r),
+                "{label}: rev_arc({a}) not owned by node {u}"
             );
         }
     }
     for (e, u, v) in g.edges() {
         let (pu, pv) = g.edge_ports(e);
+        assert_eq!(g.neighbor(u, pu), (v, e), "{label}: edge-port of {e} at u");
+        assert_eq!(g.neighbor(v, pv), (u, e), "{label}: edge-port of {e} at v");
         assert_eq!(
             g.rev_port(g.csr_offset(u) + pu),
             pv,
@@ -183,27 +197,22 @@ fn csr_neighbors_equal_insertion_order_adjacency() {
         assert_eq!(g.n(), n);
         for v in g.nodes() {
             assert_eq!(
-                g.neighbors(v),
-                &reference[v][..],
+                g.neighbors(v).collect::<Vec<_>>(),
+                reference[v],
                 "case {case}: node {v} row diverges from insertion order"
             );
         }
-        for (e, u, v) in g.edges() {
-            let (pu, pv) = g.edge_ports(e);
-            assert_eq!(g.neighbors(u)[pu], (v, e), "case {case}: edge-port at u");
-            assert_eq!(g.neighbors(v)[pv], (u, e), "case {case}: edge-port at v");
-        }
         for v in g.nodes() {
-            for (port, &(u, e)) in g.neighbors(v).iter().enumerate() {
+            for (port, (u, e)) in g.neighbors(v).enumerate() {
                 let rev = g.rev_port(g.csr_offset(v) + port);
                 assert_eq!(
-                    g.neighbors(u)[rev],
+                    g.neighbor(u, rev),
                     (v, e),
                     "case {case}: reverse port round-trip"
                 );
             }
         }
-        assert_reverse_arcs(&g, &format!("case {case}"));
+        assert_arc_views_agree(&g, &format!("case {case}"));
     }
 }
 
@@ -278,8 +287,8 @@ fn sort_adjacency_preserves_edges_and_port_tables() {
             "case {case}"
         );
         for v in gs.nodes() {
-            let row: Vec<(usize, usize)> = gs.neighbors(v).to_vec();
-            let mut resorted = gp.neighbors(v).to_vec();
+            let row: Vec<(usize, usize)> = gs.neighbors(v).collect();
+            let mut resorted: Vec<(usize, usize)> = gp.neighbors(v).collect();
             resorted.sort_unstable();
             assert_eq!(
                 row, resorted,
@@ -287,18 +296,13 @@ fn sort_adjacency_preserves_edges_and_port_tables() {
             );
         }
         // Port tables must describe the *sorted* rows.
-        for (e, u, v) in gs.edges() {
-            let (pu, pv) = gs.edge_ports(e);
-            assert_eq!(gs.neighbors(u)[pu], (v, e), "case {case}");
-            assert_eq!(gs.neighbors(v)[pv], (u, e), "case {case}");
-        }
         for v in gs.nodes() {
-            for (port, &(u, e)) in gs.neighbors(v).iter().enumerate() {
+            for (port, (u, e)) in gs.neighbors(v).enumerate() {
                 let rev = gs.rev_port(gs.csr_offset(v) + port);
-                assert_eq!(gs.neighbors(u)[rev], (v, e), "case {case}");
+                assert_eq!(gs.neighbor(u, rev), (v, e), "case {case}");
             }
         }
-        assert_reverse_arcs(&gs, &format!("sorted case {case}"));
+        assert_arc_views_agree(&gs, &format!("sorted case {case}"));
     }
 }
 
@@ -394,7 +398,9 @@ fn csr_v1_round_trips_every_registry_family() {
     // read round trip bit-identically, the verified footer equals the
     // in-memory content hash, and re-serializing the read-back graph
     // reproduces the original bytes (the format has one canonical
-    // encoding per graph).
+    // encoding per graph). The resident graph is the file's layout: its
+    // memory footprint is the file minus 40 bytes of magic, header and
+    // footer.
     use localavg::graph::io;
     for family in localavg_bench::generators::registry().iter() {
         let n = 64;
@@ -411,11 +417,17 @@ fn csr_v1_round_trips_every_registry_family() {
             "{}: size formula",
             family.name()
         );
+        assert_eq!(
+            g.memory_bytes() as u64 + 40,
+            written,
+            "{}: in-memory layout differs from the file",
+            family.name()
+        );
         let (h, footer) = io::read_graph_with_hash(&bytes[..])
             .unwrap_or_else(|e| panic!("{} rejected on read: {e}", family.name()));
         assert_eq!(h, g, "{}: round trip changed the graph", family.name());
-        assert_reverse_arcs(&g, family.name());
-        assert_reverse_arcs(&h, &format!("{} (read back)", family.name()));
+        assert_arc_views_agree(&g, family.name());
+        assert_arc_views_agree(&h, &format!("{} (read back)", family.name()));
         assert_eq!(
             footer,
             io::content_hash(&g),
