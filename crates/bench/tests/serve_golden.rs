@@ -11,7 +11,9 @@
 //! * two clients submitting overlapping batches concurrently both
 //!   receive complete, identical result sets while shared cells
 //!   execute only once (single-flight coalescing);
-//! * `shutdown` stops the daemon cleanly and `run` returns.
+//! * `shutdown` stops the daemon cleanly and `run` returns;
+//! * a reused connection answers at loopback speed, not at the pace of
+//!   Nagle's algorithm waiting on a delayed ACK.
 
 use localavg_bench::cell::CellKey;
 use localavg_bench::serve::{self, Client, ServeConfig};
@@ -269,5 +271,34 @@ fn ping_and_stats_work_on_a_fresh_daemon() {
     assert_eq!(stats.served, 0);
     assert_eq!(stats.entries, 0);
     assert_eq!(stats.threads, 2);
+    shutdown(handle, addr);
+}
+
+#[test]
+fn a_reused_connection_is_not_held_back_by_delayed_acks() {
+    // A fresh connection is in the kernel's quick-ACK phase, which hides
+    // a line split across two writes; only requests on one connection
+    // reused past that phase show the ~2 × 40 ms Nagle/delayed-ACK
+    // stall. 100 round trips take milliseconds without it, ~9 s with it.
+    let (handle, addr) = start_server(2022);
+    let cell = golden_cells().swap_remove(0);
+    let mut client = Client::connect(addr).expect("connect");
+    let warm = client.submit(std::slice::from_ref(&cell)).expect("warm");
+    assert_eq!(warm.errors, 0);
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        client.ping().expect("pong");
+    }
+    for _ in 0..50 {
+        let cached = client.submit(std::slice::from_ref(&cell)).expect("cached");
+        assert_eq!(cached.lines, warm.lines, "a cached answer drifted");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "100 round trips on one connection took {elapsed:?}"
+    );
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.executed, 1, "the 50 resubmissions are cache hits");
     shutdown(handle, addr);
 }
