@@ -34,7 +34,7 @@
 //! `sweep` runs the sharded parallel sweep engine (DESIGN.md §6) over a
 //! grid of registry algorithms × named graph families × sizes × seeds and
 //! emits machine-readable JSON or CSV; output bytes are independent of
-//! `--threads` (`0` = all available cores, like `SimConfig::threads`).
+//! `--threads` (`0` = all available cores, like `Exec::Parallel`).
 //!
 //! `gen` builds one named instance with the sweep's content-addressed
 //! seed and persists it as a `localavg-csr/v1` file (DESIGN.md §10);
@@ -73,6 +73,7 @@ use localavg_bench::{bench_engine, cli, emit, fuzz, generators, sweep, Table};
 use localavg_core::algo::{registry, Exec, Problem, RunSpec};
 use localavg_graph::suggest::closest_match;
 use localavg_graph::{gen, rng::Rng};
+use localavg_sim::engine::resolve_threads;
 use std::io::Read as _;
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -375,7 +376,7 @@ fn run_sweep(args: &[String]) {
     spec.seeds = parse_usize(args, "--seeds", spec.seeds as usize) as u64;
     spec.master_seed = parse_usize(args, "--master-seed", spec.master_seed as usize) as u64;
     // `--threads 0` (and the flag's absence) mean "all available cores",
-    // mirroring `SimConfig::threads`.
+    // mirroring `Exec::Parallel { threads: 0 }`.
     let threads = cli::parse_threads(args).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -583,7 +584,7 @@ fn run_bench_engine(args: &[String]) {
     // Unlike `sweep`, the *default* is the 2 threads of
     // `BenchSpec::default()`, not auto: the thread count is part of the
     // cell key, so committed artifacts must compare across machines.
-    let threads = cli::resolve_threads(parse_usize(args, "--threads", 2));
+    let threads = resolve_threads(parse_usize(args, "--threads", 2));
     spec.executors = vec![Exec::Sequential, Exec::Parallel { threads }];
     if let Some(label) = flag_value(args, "--label") {
         spec.label = label;
@@ -808,7 +809,7 @@ fn run_serve(args: &[String]) {
     });
     // `--threads 0` (and the flag's absence) mean "all available
     // cores", mirroring `exp sweep`.
-    cfg.threads = cli::resolve_threads(parse_usize(args, "--threads", 0));
+    cfg.threads = resolve_threads(parse_usize(args, "--threads", 0));
     cfg.cache_capacity = parse_usize(args, "--cache-capacity", cfg.cache_capacity);
     cfg.queue_capacity = parse_usize(args, "--queue-capacity", cfg.queue_capacity);
     cfg.master_seed = parse_usize(args, "--master-seed", 0) as u64;
@@ -1046,8 +1047,7 @@ fn reject_unknown_subcommand(args: &[String]) {
     ];
     let Some(first) = args.first() else { return };
     // Flags, the `quick` scale word, and experiment ids (`e1`..`e17`,
-    // matched loosely as e-words, validated later) keep the historical
-    // fall-through behaviour.
+    // matched loosely as e-words) are left to `validate_bare_args`.
     if first.starts_with('-') || first == "quick" || first.starts_with('e') {
         return;
     }
@@ -1061,6 +1061,24 @@ fn reject_unknown_subcommand(args: &[String]) {
         SUBCOMMANDS.join(", ")
     );
     std::process::exit(2);
+}
+
+/// Rejects unknown or value-less options of bare `exp` (no subcommand)
+/// before anything runs: without this check a typo, or `--help`, would
+/// silently start the full-scale experiment suite.
+fn validate_bare_args(args: &[String]) {
+    const VALUED: [&str; 6] = ["--algo", "--n", "--d", "--seed", "--param", "--problem"];
+    let mut words = vec!["--list", "quick"];
+    words.extend(experiments::EXPERIMENTS.iter().map(|(id, _)| *id));
+    if let Err(e) = cli::validate_flags(args, &VALUED, &words) {
+        eprintln!("error: {e}");
+        eprintln!(
+            "known options: --list, --problem P, --algo NAME, --n N, --d D, --seed S, \
+             --param algo:key=value, quick, e1..e17 (subcommands: sweep, gen, import, \
+             bench-engine, fuzz, serve, submit)"
+        );
+        std::process::exit(2);
+    }
 }
 
 fn main() {
@@ -1095,6 +1113,7 @@ fn main() {
         return;
     }
     reject_unknown_subcommand(&args);
+    validate_bare_args(&args);
     if args.iter().any(|a| a == "--list") {
         print_algo_list(parse_problem(&args));
         return;

@@ -4,6 +4,8 @@
 //! unit-testable — a measurement pipeline must not silently reinterpret
 //! its own flags.
 
+use localavg_sim::engine::resolve_threads;
+
 /// Returns the value following `--flag`, if present.
 pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -116,18 +118,8 @@ pub fn parse_policy(args: &[String]) -> Result<localavg_core::algo::TranscriptPo
     }
 }
 
-/// Resolves a `--threads` value: `0` means "number of available cores",
-/// matching `SimConfig::threads`' convention; any other value is taken
-/// literally.
-pub fn resolve_threads(raw: usize) -> usize {
-    if raw == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        raw
-    }
-}
-
-/// Parses the `--threads` flag with the `0 = auto` convention.
+/// Parses the `--threads` flag with the engine's `0 = all available
+/// cores` convention ([`localavg_sim::engine::resolve_threads`]).
 ///
 /// The default (flag absent) is also "auto": sweeps want every core
 /// unless told otherwise.
@@ -233,7 +225,8 @@ mod tests {
 
     #[test]
     fn threads_zero_means_available_cores() {
-        // `--threads 0` must behave like SimConfig::threads == 0: auto.
+        // `--threads 0` must behave like `Exec::Parallel { threads: 0 }`:
+        // every available core.
         let a = args(&["--threads", "0"]);
         let t = parse_threads(&a).unwrap();
         assert!(t >= 1);

@@ -729,52 +729,42 @@ pub fn e17_registry_sweep(scale: Scale) -> Table {
     t
 }
 
+/// An experiment runner: builds its table at the given scale.
+pub type Experiment = fn(Scale) -> Table;
+
+/// Every experiment in index order, keyed by the id the `exp` binary
+/// accepts.
+pub const EXPERIMENTS: [(&str, Experiment); 17] = [
+    ("e1", e1_figure1),
+    ("e2", e2_two_two_ruling),
+    ("e3", e3_det_ruling),
+    ("e4", e4_luby_matching),
+    ("e5", e5_det_matching),
+    ("e6", e6_mis_upper),
+    ("e7", e7_det_orientation),
+    ("e8", e8_rand_orientation),
+    ("e9", e9_mis_lower_bound),
+    ("e10", e10_tree_mis),
+    ("e11", e11_matching_lower_bound),
+    ("e12", e12_isomorphism),
+    ("e13", e13_lift_statistics),
+    ("e14", e14_appendix_a),
+    ("e15", e15_coloring),
+    ("e16", e16_footnote2),
+    ("e17", e17_registry_sweep),
+];
+
 /// All experiments in index order.
 pub fn all(scale: Scale) -> Vec<Table> {
-    vec![
-        e1_figure1(scale),
-        e2_two_two_ruling(scale),
-        e3_det_ruling(scale),
-        e4_luby_matching(scale),
-        e5_det_matching(scale),
-        e6_mis_upper(scale),
-        e7_det_orientation(scale),
-        e8_rand_orientation(scale),
-        e9_mis_lower_bound(scale),
-        e10_tree_mis(scale),
-        e11_matching_lower_bound(scale),
-        e12_isomorphism(scale),
-        e13_lift_statistics(scale),
-        e14_appendix_a(scale),
-        e15_coloring(scale),
-        e16_footnote2(scale),
-        e17_registry_sweep(scale),
-    ]
+    EXPERIMENTS.iter().map(|(_, run)| run(scale)).collect()
 }
 
-/// Experiment ids accepted by the `exp` binary, with their runners.
+/// Runs the experiment with id `id` (`e1`..`e17`), if there is one.
 pub fn by_id(id: &str, scale: Scale) -> Option<Table> {
-    let f: fn(Scale) -> Table = match id {
-        "e1" => e1_figure1,
-        "e2" => e2_two_two_ruling,
-        "e3" => e3_det_ruling,
-        "e4" => e4_luby_matching,
-        "e5" => e5_det_matching,
-        "e6" => e6_mis_upper,
-        "e7" => e7_det_orientation,
-        "e8" => e8_rand_orientation,
-        "e9" => e9_mis_lower_bound,
-        "e10" => e10_tree_mis,
-        "e11" => e11_matching_lower_bound,
-        "e12" => e12_isomorphism,
-        "e13" => e13_lift_statistics,
-        "e14" => e14_appendix_a,
-        "e15" => e15_coloring,
-        "e16" => e16_footnote2,
-        "e17" => e17_registry_sweep,
-        _ => return None,
-    };
-    Some(f(scale))
+    EXPERIMENTS
+        .iter()
+        .find(|(key, _)| *key == id)
+        .map(|(_, run)| run(scale))
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![doc(test(attr(deny(warnings))))]
 
 pub mod bench_engine;
 pub mod cell;

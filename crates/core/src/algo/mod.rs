@@ -27,10 +27,6 @@
 //!   `key=value` pairs with per-algorithm validation, so CLIs can vary
 //!   tuning knobs without knowing the typed parameter structs.
 //!
-//! The pre-`RunSpec` entry points (`run(&Graph, seed)`,
-//! `run_with_exec(...)`) survive as deprecated shims for one release;
-//! migrate via `execute(&g, &RunSpec::new(seed))`.
-//!
 //! # Quickstart
 //!
 //! ```
@@ -692,30 +688,6 @@ pub trait Algorithm {
             self.param_specs(),
         ))
     }
-
-    /// Runs with default parameters.
-    #[deprecated(note = "use `execute(&g, &RunSpec::new(seed))`")]
-    fn run(&self, g: &Graph, seed: u64) -> AlgoRun {
-        self.execute(g, &RunSpec::new(seed))
-    }
-
-    /// Runs with explicit parameters.
-    #[deprecated(note = "use `execute_with(&g, &RunSpec::new(seed), params)`")]
-    fn run_with(&self, g: &Graph, seed: u64, params: &Self::Params) -> AlgoRun {
-        self.execute_with(g, &RunSpec::new(seed), params)
-    }
-
-    /// Runs with default parameters on a chosen executor.
-    #[deprecated(note = "use `execute(&g, &RunSpec::new(seed).with_exec(exec))`")]
-    fn run_exec(&self, g: &Graph, seed: u64, exec: Exec) -> AlgoRun {
-        self.execute(g, &RunSpec::new(seed).with_exec(exec))
-    }
-
-    /// Runs with explicit parameters on a chosen executor.
-    #[deprecated(note = "use `execute_with(&g, &RunSpec::new(seed).with_exec(exec), params)`")]
-    fn run_with_exec(&self, g: &Graph, seed: u64, params: &Self::Params, exec: Exec) -> AlgoRun {
-        self.execute_with(g, &RunSpec::new(seed).with_exec(exec), params)
-    }
 }
 
 /// Object-safe facade over [`Algorithm`] for the string-keyed registry
@@ -752,18 +724,6 @@ pub trait DynAlgorithm: Send + Sync {
     /// Propagates the algorithm's [`ParamError`] (unknown key with a
     /// closest-match suggestion, or invalid value).
     fn with_params(&self, params: &[(&str, &str)]) -> Result<Box<dyn DynAlgorithm>, ParamError>;
-
-    /// Runs with default parameters.
-    #[deprecated(note = "use `execute(&g, &RunSpec::new(seed))`")]
-    fn run(&self, g: &Graph, seed: u64) -> AlgoRun {
-        self.execute(g, &RunSpec::new(seed))
-    }
-
-    /// Runs with default parameters on a chosen executor.
-    #[deprecated(note = "use `execute(&g, &RunSpec::new(seed).with_exec(exec))`")]
-    fn run_exec(&self, g: &Graph, seed: u64, exec: Exec) -> AlgoRun {
-        self.execute(g, &RunSpec::new(seed).with_exec(exec))
-    }
 }
 
 impl<A> DynAlgorithm for A
@@ -999,36 +959,6 @@ mod tests {
             typed.transcript.node_commit_round
         );
         assert_eq!(dynamic.algorithm, "mis/luby");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_execute() {
-        // The one-release compatibility contract: the old positional
-        // entry points are thin shims over `execute` and must produce
-        // identical runs.
-        let mut rng = Rng::seed_from(8);
-        let g = gen::random_regular(48, 4, &mut rng).unwrap();
-        let algo = registry().get("mis/luby").unwrap();
-        let via_execute = algo.execute(&g, &RunSpec::new(5));
-        let via_run = algo.run(&g, 5);
-        assert_eq!(via_run.solution, via_execute.solution);
-        assert_eq!(
-            via_run.transcript.node_commit_round,
-            via_execute.transcript.node_commit_round
-        );
-        let via_exec = algo.run_exec(&g, 5, Exec::Sequential);
-        assert_eq!(via_exec.solution, via_execute.solution);
-        let typed_run = Algorithm::run(&MisLuby, &g, 5);
-        assert_eq!(typed_run.solution, via_execute.solution);
-        let typed_with = Algorithm::run_with_exec(
-            &MisLuby,
-            &g,
-            5,
-            &crate::mis::LubyMisParams::default(),
-            Exec::Sequential,
-        );
-        assert_eq!(typed_with.solution, via_execute.solution);
     }
 
     #[test]

@@ -166,17 +166,6 @@ pub fn random_trial_spec(
     }
 }
 
-/// [`random_trial`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `random_trial_spec(g, &RunSpec::new(seed).with_exec(exec), ..)`")]
-pub fn random_trial_exec(g: &Graph, seed: u64, exec: Exec) -> ColoringRun {
-    random_trial_spec(
-        g,
-        &RunSpec::new(seed).with_exec(exec),
-        &TrialColoringParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
 /// Messages of the Linial process: bare colors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColorMsg(pub u64);
@@ -250,12 +239,6 @@ pub fn linial_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> ColoringRun
         transcript: t,
         colors,
     }
-}
-
-/// [`linial`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `linial_spec(g, &RunSpec::new(0).with_exec(exec), ..)`")]
-pub fn linial_exec(g: &Graph, exec: Exec) -> ColoringRun {
-    linial_spec(g, &RunSpec::new(0).with_exec(exec), &mut Workspace::new())
 }
 
 #[cfg(test)]

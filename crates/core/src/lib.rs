@@ -24,15 +24,16 @@
 //!
 //! ```
 //! use localavg_graph::{gen, rng::Rng};
-//! use localavg_core::algo::registry;
+//! use localavg_core::algo::{registry, RunSpec};
 //!
 //! let mut rng = Rng::seed_from(1);
 //! let g = gen::random_regular(128, 8, &mut rng).expect("graph");
 //!
+//! let spec = RunSpec::new(7);
 //! let mis_avg = registry().get("mis/luby").expect("registered")
-//!     .run(&g, 7).report(&g).node_averaged;
+//!     .execute(&g, &spec).report(&g).node_averaged;
 //! let rs_avg = registry().get("ruling/two-two").expect("registered")
-//!     .run(&g, 7).report(&g).node_averaged;
+//!     .execute(&g, &spec).report(&g).node_averaged;
 //! // Both are small here; the separation appears on the lower-bound
 //! // graphs (see the localavg-lowerbound crate).
 //! assert!(mis_avg < 32.0 && rs_avg < 32.0);
@@ -40,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![doc(test(attr(deny(warnings))))]
 
 pub mod algo;
 pub mod check;

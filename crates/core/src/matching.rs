@@ -258,17 +258,6 @@ pub fn luby_spec(
     MatchingRun::from_transcript(g, t)
 }
 
-/// [`luby`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `luby_spec(g, &RunSpec::new(seed).with_exec(exec), ..)`")]
-pub fn luby_exec(g: &Graph, seed: u64, exec: Exec) -> MatchingRun {
-    luby_spec(
-        g,
-        &RunSpec::new(seed).with_exec(exec),
-        &LubyMatchParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Greedy baseline: local-max-edge-id proposals
 // ---------------------------------------------------------------------------
@@ -363,12 +352,6 @@ pub fn greedy(g: &Graph) -> MatchingRun {
 pub fn greedy_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> MatchingRun {
     let t = spec.run_in::<GreedyMatching>(g, &(), ws);
     MatchingRun::from_transcript(g, t)
-}
-
-/// [`greedy`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `greedy_spec(g, &RunSpec::new(0).with_exec(exec), ..)`")]
-pub fn greedy_exec(g: &Graph, exec: Exec) -> MatchingRun {
-    greedy_spec(g, &RunSpec::new(0).with_exec(exec), &mut Workspace::new())
 }
 
 // ---------------------------------------------------------------------------
@@ -1028,12 +1011,6 @@ pub fn deterministic(g: &Graph) -> MatchingRun {
 pub fn deterministic_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> MatchingRun {
     let t = spec.run_in::<DetMatching>(g, &(), ws);
     MatchingRun::from_transcript(g, t)
-}
-
-/// [`deterministic`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `deterministic_spec(g, &RunSpec::new(0).with_exec(exec), ..)`")]
-pub fn deterministic_exec(g: &Graph, exec: Exec) -> MatchingRun {
-    deterministic_spec(g, &RunSpec::new(0).with_exec(exec), &mut Workspace::new())
 }
 
 /// The fractional matching of Theorem 5's analysis: `f_e = 1/(d_u + d_v)`

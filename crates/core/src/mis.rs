@@ -213,17 +213,6 @@ pub fn luby_spec(g: &Graph, spec: &RunSpec, params: &LubyMisParams, ws: &mut Wor
     MisRun::from_transcript(g, t)
 }
 
-/// [`luby`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `luby_spec(g, &RunSpec::new(seed).with_exec(exec), ..)`")]
-pub fn luby_exec(g: &Graph, seed: u64, exec: Exec) -> MisRun {
-    luby_spec(
-        g,
-        &RunSpec::new(seed).with_exec(exec),
-        &LubyMisParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Degree-guided (Ghaffari-style) algorithm
 // ---------------------------------------------------------------------------
@@ -365,17 +354,6 @@ pub fn degree_guided_spec(
     MisRun::from_transcript(g, t)
 }
 
-/// [`degree_guided`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `degree_guided_spec(g, &RunSpec::new(seed).with_exec(exec), ..)`")]
-pub fn degree_guided_exec(g: &Graph, seed: u64, exec: Exec) -> MisRun {
-    degree_guided_spec(
-        g,
-        &RunSpec::new(seed).with_exec(exec),
-        &DegreeGuidedParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Deterministic greedy baseline
 // ---------------------------------------------------------------------------
@@ -455,12 +433,6 @@ pub fn greedy_by_id(g: &Graph) -> MisRun {
 pub fn greedy_by_id_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> MisRun {
     let t = spec.run_in::<GreedyMis>(g, &(), ws);
     MisRun::from_transcript(g, t)
-}
-
-/// [`greedy_by_id`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `greedy_by_id_spec(g, &RunSpec::new(0).with_exec(exec), ..)`")]
-pub fn greedy_by_id_exec(g: &Graph, exec: Exec) -> MisRun {
-    greedy_by_id_spec(g, &RunSpec::new(0).with_exec(exec), &mut Workspace::new())
 }
 
 #[cfg(test)]
@@ -594,10 +566,12 @@ mod tests {
     fn parallel_executor_agrees_with_sequential() {
         let mut rng = Rng::seed_from(14);
         let g = gen::random_regular(300, 6, &mut rng).unwrap();
-        let cfg = SimConfig::new(77).with_threads(4);
+        let spec = RunSpec::new(77);
         let params = LubyMisParams::default();
-        let seq = run_sequential::<LubyMis>(&g, &params, &cfg);
-        let par = run_parallel::<LubyMis>(&g, &params, &cfg);
+        let seq = spec.run_in::<LubyMis>(&g, &params, &mut Workspace::new());
+        let par = spec
+            .with_exec(Exec::Parallel { threads: 4 })
+            .run_in::<LubyMis>(&g, &params, &mut Workspace::new());
         assert_eq!(seq.node_output, par.node_output);
         assert_eq!(seq.node_commit_round, par.node_commit_round);
     }

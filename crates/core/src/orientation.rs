@@ -402,17 +402,6 @@ pub fn randomized_spec(
     finalize(g, ledger, spec.transcript)
 }
 
-/// [`randomized`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `randomized_spec(g, &RunSpec::new(seed).with_exec(exec), ..)`")]
-pub fn randomized_exec(g: &Graph, seed: u64, exec: Exec) -> OrientationRun {
-    randomized_spec(
-        g,
-        &RunSpec::new(seed).with_exec(exec),
-        &RandOrientParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
 /// Completes any partial orientation: satisfied-neighbor waves, then the
 /// cycle rule on the min-degree-2 unsatisfied residue.
 fn finish_structurally(g: &Graph, ledger: &mut Ledger, base: usize) {

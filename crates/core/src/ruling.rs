@@ -201,16 +201,6 @@ pub fn two_two_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> RulingRun 
     }
 }
 
-/// [`two_two`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `two_two_spec(g, &RunSpec::new(seed).with_exec(exec), ..)`")]
-pub fn two_two_exec(g: &Graph, seed: u64, exec: Exec) -> RulingRun {
-    two_two_spec(
-        g,
-        &RunSpec::new(seed).with_exec(exec),
-        &mut Workspace::new(),
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Theorem 3: deterministic ruling sets
 // ---------------------------------------------------------------------------
@@ -629,17 +619,6 @@ pub fn deterministic_spec(
         in_set,
         beta,
     }
-}
-
-/// [`deterministic`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `deterministic_spec(g, &RunSpec::new(0).with_exec(exec), ..)`")]
-pub fn deterministic_exec(g: &Graph, params: DetRulingParams, exec: Exec) -> RulingRun {
-    deterministic_spec(
-        g,
-        &RunSpec::new(0).with_exec(exec),
-        params,
-        &mut Workspace::new(),
-    )
 }
 
 #[cfg(test)]

@@ -43,6 +43,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![doc(test(attr(deny(warnings))))]
 
 pub mod analysis;
 pub mod decomp;

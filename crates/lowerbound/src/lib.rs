@@ -33,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![doc(test(attr(deny(warnings))))]
 
 pub mod base_graph;
 pub mod cluster_tree;

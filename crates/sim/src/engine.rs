@@ -40,10 +40,10 @@
 //! The pass is the *same code* on both executors — the sequential loop
 //! is the 1-chunk special case — so executor choice, thread count,
 //! and chunk geometry are pure performance knobs that cannot perturb the
-//! transcript. Parallel runs distribute chunks over a persistent
-//! [`WorkerPool`] (spawned once per run, or once
-//! per [`Workspace`] when runs are batched) instead of respawning scoped
-//! threads every round.
+//! transcript. Parallel runs distribute chunks over the persistent
+//! [`WorkerPool`] owned by the run's [`Workspace`].
+//!
+//! [`RunSpec::run_in`] is the one function that drives the engine.
 
 use crate::bitset::Bitset;
 use crate::message::{Envelope, MessageSize};
@@ -56,88 +56,13 @@ use localavg_graph::rng::Rng;
 use localavg_graph::{Graph, NodeId};
 use std::any::TypeId;
 
-/// Engine configuration.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Master seed; node `v` uses the substream `seed.fork(v)`.
-    pub seed: u64,
-    /// Hard cap on rounds; exceeding it panics (indicates a non-terminating
-    /// algorithm — every algorithm in this workspace halts explicitly).
-    pub max_rounds: usize,
-    /// Initial knowledge configuration.
-    pub knowledge: Knowledge,
-    /// Number of worker threads for [`run_parallel`] (ignored by
-    /// [`run_sequential`]); 0 means "number of available cores".
-    pub threads: usize,
-    /// How much ledger the transcript retains (see [`TranscriptPolicy`]).
-    pub transcript: TranscriptPolicy,
-    /// Explicit scheduler chunk size (nodes per chunk) for the chunked
-    /// executor; `None` picks a balanced default. Setting this *forces*
-    /// the chunked code path even below [`PARALLEL_MIN_NODES`] — the
-    /// scheduler-adversarial determinism tests use it to probe chunk
-    /// boundaries on small instances. A pure performance/testing knob:
-    /// transcripts are bit-identical for every value.
-    pub chunk_nodes: Option<usize>,
-}
-
-impl SimConfig {
-    /// Creates a configuration with the given seed and defaults: a
-    /// 1,000,000-round cap, full neighbor knowledge, automatic threads,
-    /// and a [`TranscriptPolicy::Full`] ledger.
-    pub fn new(seed: u64) -> Self {
-        SimConfig {
-            seed,
-            max_rounds: 1_000_000,
-            knowledge: Knowledge::default(),
-            threads: 0,
-            transcript: TranscriptPolicy::Full,
-            chunk_nodes: None,
-        }
-    }
-
-    /// Sets the round cap.
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Sets the knowledge configuration.
-    #[must_use]
-    pub fn with_knowledge(mut self, knowledge: Knowledge) -> Self {
-        self.knowledge = knowledge;
-        self
-    }
-
-    /// Sets the worker-thread count for the parallel executor.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the transcript-retention policy.
-    #[must_use]
-    pub fn with_transcript(mut self, policy: TranscriptPolicy) -> Self {
-        self.transcript = policy;
-        self
-    }
-
-    /// Sets an explicit scheduler chunk size (see [`SimConfig::chunk_nodes`]).
-    #[must_use]
-    pub fn with_chunk_nodes(mut self, chunk_nodes: Option<usize>) -> Self {
-        self.chunk_nodes = chunk_nodes;
-        self
-    }
-}
-
 /// Everything one run needs besides the graph and the algorithm's own
 /// parameters: seed, executor, round budget, and transcript policy.
 ///
-/// This is the argument of the unified `execute(&Graph, &RunSpec)` entry
-/// points (`localavg-core`'s `Algorithm`/`DynAlgorithm`), replacing the
-/// old positional `run(&Graph, seed)` / `run_with_exec(.., exec)` pair.
-/// Built like [`SimConfig`], with chainable `with_*` setters:
+/// This is the argument of the `execute(&Graph, &RunSpec)` entry points
+/// (`localavg-core`'s `Algorithm`/`DynAlgorithm`) and of
+/// [`RunSpec::run_in`], the engine's only driver. Built with chainable
+/// `with_*` setters:
 ///
 /// ```
 /// use localavg_sim::engine::{Exec, RunSpec};
@@ -162,8 +87,12 @@ pub struct RunSpec {
     pub transcript: TranscriptPolicy,
     /// Initial knowledge configuration.
     pub knowledge: Knowledge,
-    /// Explicit scheduler chunk size (see [`SimConfig::chunk_nodes`]);
-    /// `None` — the default — picks a balanced chunk geometry.
+    /// Explicit scheduler chunk size (nodes per chunk); `None` — the
+    /// default — picks a balanced chunk geometry. Setting this *forces*
+    /// the chunked code path even below [`PARALLEL_MIN_NODES`] — the
+    /// scheduler-adversarial determinism tests use it to probe chunk
+    /// boundaries on small instances. A pure performance/testing knob:
+    /// transcripts are bit-identical for every value.
     pub chunk_nodes: Option<usize>,
 }
 
@@ -217,60 +146,63 @@ impl RunSpec {
         self
     }
 
-    /// Sets an explicit scheduler chunk size (see [`SimConfig::chunk_nodes`]).
+    /// Sets an explicit scheduler chunk size (see [`RunSpec::chunk_nodes`]).
     #[must_use]
     pub fn with_chunk_nodes(mut self, chunk_nodes: Option<usize>) -> Self {
         self.chunk_nodes = chunk_nodes;
         self
     }
 
-    /// The equivalent [`SimConfig`] (threads resolved from the executor).
-    pub fn sim_config(&self) -> SimConfig {
-        SimConfig {
-            seed: self.seed,
-            max_rounds: self.max_rounds,
-            knowledge: self.knowledge,
-            threads: match self.exec {
-                Exec::Sequential => 1,
-                Exec::Parallel { threads } => threads,
-            },
-            transcript: self.transcript,
-            chunk_nodes: self.chunk_nodes,
-        }
-    }
-
-    /// Runs `P` under this spec with fresh arenas.
+    /// Runs `P` to completion under this spec, reusing the arenas stored
+    /// in `ws`. This is the engine's only driver; a one-off run passes
+    /// `&mut Workspace::new()`.
+    ///
+    /// The first run of a process type (or the first after a CSR shape
+    /// change) allocates its arenas inside the workspace; subsequent runs
+    /// reuse them, paying only an O(n + m) reset instead of fresh
+    /// allocations. The first *parallel* run additionally spawns the
+    /// workspace's persistent worker pool; later parallel runs reuse its
+    /// threads. Transcripts are bit-identical to runs on a fresh
+    /// workspace — the reset path is the only initialization path in the
+    /// engine.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`run_sequential`].
-    pub fn run<P: Process>(
-        &self,
-        g: &Graph,
-        params: &P::Params,
-    ) -> Transcript<P::NodeOutput, P::EdgeOutput> {
-        self.exec.run::<P>(g, params, &self.sim_config())
-    }
-
-    /// Runs `P` under this spec, reusing the arenas in `ws`
-    /// (see [`run_spec_in`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`run_sequential`].
-    pub fn run_in<P>(
+    /// Panics if the algorithm exceeds `max_rounds` without halting every
+    /// node, if a node commits its own output twice, or if the two
+    /// endpoints of an edge commit conflicting labels.
+    pub fn run_in<P: Process + 'static>(
         &self,
         g: &Graph,
         params: &P::Params,
         ws: &mut Workspace,
-    ) -> Transcript<P::NodeOutput, P::EdgeOutput>
-    where
-        P: Process + 'static,
-        P::Message: 'static,
-        P::NodeOutput: 'static,
-        P::EdgeOutput: 'static,
-    {
-        run_spec_in::<P>(g, params, self, ws)
+    ) -> Transcript<P::NodeOutput, P::EdgeOutput> {
+        let threads = match self.exec {
+            Exec::Sequential => 1,
+            Exec::Parallel { threads } => resolve_threads(threads),
+        };
+        let shape = (g.n(), g.m(), g.degree_sum());
+        let Workspace {
+            shape: ws_shape,
+            states,
+            pool,
+            reuses,
+            runs,
+        } = ws;
+        if *ws_shape != Some(shape) {
+            states.clear();
+            *ws_shape = Some(shape);
+        }
+        *runs += 1;
+        let slot = states.entry(TypeId::of::<P>());
+        if let std::collections::hash_map::Entry::Occupied(_) = &slot {
+            *reuses += 1;
+        }
+        let state = slot
+            .or_insert_with(|| Box::new(RunState::<P>::empty()))
+            .downcast_mut::<RunState<P>>()
+            .expect("workspace slot keyed by process type");
+        run_with_threads::<P>(g, params, self, threads, state, pool)
     }
 }
 
@@ -278,41 +210,20 @@ impl RunSpec {
 ///
 /// Both executors produce bit-identical transcripts (see the module docs),
 /// so `Exec` is a pure performance knob: benchmark harnesses and the
-/// determinism tests thread it through the `localavg-core` registry's
-/// `run_exec` entry points to time or cross-check the two executors on
-/// the same algorithm.
+/// determinism tests set it on a [`RunSpec`] to time or cross-check the
+/// two executors on the same algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Exec {
-    /// Single-threaded executor ([`run_sequential`]).
+    /// Single-threaded executor: one chunk on the calling thread.
     #[default]
     Sequential,
-    /// Chunked `std::thread::scope` executor ([`run_parallel`]).
+    /// Chunked executor over the workspace's persistent [`WorkerPool`]
+    /// (the calling thread takes chunks too).
     Parallel {
-        /// Worker threads; 0 means "number of available cores".
+        /// Threads, the caller included; 0 means "number of available
+        /// cores" ([`resolve_threads`]).
         threads: usize,
     },
-}
-
-impl Exec {
-    /// Runs `P` under this executor (overriding `cfg.threads` for
-    /// [`Exec::Parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`run_sequential`].
-    pub fn run<P: Process>(
-        self,
-        g: &Graph,
-        params: &P::Params,
-        cfg: &SimConfig,
-    ) -> Transcript<P::NodeOutput, P::EdgeOutput> {
-        match self {
-            Exec::Sequential => run_sequential::<P>(g, params, cfg),
-            Exec::Parallel { threads } => {
-                run_parallel::<P>(g, params, &cfg.clone().with_threads(threads))
-            }
-        }
-    }
 }
 
 /// Mutable per-run state shared by both executors.
@@ -557,7 +468,7 @@ impl<P: Process> RunState<P> {
     fn round_shared<'a>(
         &mut self,
         g: &'a Graph,
-        cfg: &'a SimConfig,
+        spec: &'a RunSpec,
         params: &'a P::Params,
         order: Option<&'a [u32]>,
         round: Round,
@@ -568,7 +479,7 @@ impl<P: Process> RunState<P> {
         self.shadow.begin_pass();
         RoundShared {
             g,
-            cfg,
+            spec,
             params,
             order,
             round,
@@ -628,7 +539,7 @@ impl<P: Process> RunState<P> {
 /// panics on an index claimed by two chunks in one round.
 struct RoundShared<'a, P: Process> {
     g: &'a Graph,
-    cfg: &'a SimConfig,
+    spec: &'a RunSpec,
     params: &'a P::Params,
     /// Receiver-side port permutation (ascending neighbor id); `None`
     /// when adjacency is already sorted.
@@ -817,7 +728,7 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
                 id: v,
                 round: sh.round,
                 graph: sh.g,
-                knowledge: sh.cfg.knowledge,
+                knowledge: sh.spec.knowledge,
                 max_degree: sh.max_degree,
                 rng: &mut *sh.rngs.add(v),
                 out_slots: out,
@@ -873,64 +784,24 @@ fn dispatch(pool: Option<&WorkerPool>, limit: usize, chunks: usize, f: &(dyn Fn(
     }
 }
 
-/// Runs the algorithm to completion on the sequential executor.
-///
-/// # Panics
-///
-/// Panics if the algorithm exceeds `cfg.max_rounds` without halting every
-/// node, if a node commits its own output twice, or if the two endpoints
-/// of an edge commit conflicting labels.
-pub fn run_sequential<P: Process>(
-    g: &Graph,
-    params: &P::Params,
-    cfg: &SimConfig,
-) -> Transcript<P::NodeOutput, P::EdgeOutput> {
-    run_with_threads::<P>(g, params, cfg, 1, &mut RunState::empty(), None)
-}
-
-/// Runs the algorithm on the chunked parallel executor, spawning a
-/// transient [`WorkerPool`] for the run. Batched
-/// callers should prefer [`run_spec_in`], whose [`Workspace`] keeps the
-/// pool (and the arenas) alive across runs.
-///
-/// Produces a transcript bit-identical to [`run_sequential`]; see the
-/// module docs for why.
-///
-/// # Panics
-///
-/// Same conditions as [`run_sequential`].
-pub fn run_parallel<P: Process>(
-    g: &Graph,
-    params: &P::Params,
-    cfg: &SimConfig,
-) -> Transcript<P::NodeOutput, P::EdgeOutput> {
-    run_with_threads::<P>(
-        g,
-        params,
-        cfg,
-        resolve_threads(cfg.threads),
-        &mut RunState::empty(),
-        None,
-    )
-}
-
-/// Resolves a thread count with the `0 = all available cores` convention.
-fn resolve_threads(threads: usize) -> usize {
+/// Resolves a thread count with the `0 = all available cores` convention
+/// of [`Exec::Parallel`], falling back to one thread when the core count
+/// is unknown. Command-line `--threads` flags resolve through it too.
+pub fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
-        std::thread::available_parallelism().map_or(4, |p| p.get())
+        std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
         threads
     }
-    .max(1)
 }
 
-/// Below this node count [`run_parallel`] falls back to the sequential
-/// loop — chunking overhead would dominate. Exported so tests asserting
-/// that the parallel executor really ran can size their instances
-/// against the actual threshold instead of a copied magic number. An
-/// explicit [`SimConfig::chunk_nodes`] overrides the fallback: the
-/// chunked path then runs at any instance size (the scheduler-adversarial
-/// determinism tests rely on this).
+/// Below this node count the parallel executor falls back to the
+/// sequential loop — chunking overhead would dominate. Exported so tests
+/// asserting that the parallel executor really ran can size their
+/// instances against the actual threshold instead of a copied magic
+/// number. An explicit [`RunSpec::chunk_nodes`] overrides the fallback:
+/// the chunked path then runs at any instance size (the
+/// scheduler-adversarial determinism tests rely on this).
 pub const PARALLEL_MIN_NODES: usize = 256;
 
 /// Chunk geometry when none is forced: about four chunks per thread (the
@@ -942,106 +813,45 @@ fn default_chunk(n: usize, threads: usize) -> usize {
     target.div_ceil(64) * 64
 }
 
-/// Runs `P` under `spec`, reusing the arenas stored in `ws`.
-///
-/// The first run of a process type (or the first after a CSR shape
-/// change) allocates its arenas inside the workspace; subsequent runs
-/// reuse them, paying only an O(n + m) reset instead of fresh
-/// allocations. The first *parallel* run additionally spawns the
-/// workspace's persistent worker pool; later parallel runs reuse its
-/// threads. Transcripts are bit-identical to workspace-less runs — the
-/// reset path is the only initialization path in the engine.
-///
-/// # Panics
-///
-/// Same conditions as [`run_sequential`].
-pub fn run_spec_in<P>(
-    g: &Graph,
-    params: &P::Params,
-    spec: &RunSpec,
-    ws: &mut Workspace,
-) -> Transcript<P::NodeOutput, P::EdgeOutput>
-where
-    P: Process + 'static,
-    P::Message: 'static,
-    P::NodeOutput: 'static,
-    P::EdgeOutput: 'static,
-{
-    let cfg = spec.sim_config();
-    let threads = match spec.exec {
-        Exec::Sequential => 1,
-        Exec::Parallel { threads } => resolve_threads(threads),
-    };
-    let shape = (g.n(), g.m(), g.degree_sum());
-    let Workspace {
-        shape: ws_shape,
-        states,
-        pool,
-        reuses,
-        runs,
-    } = ws;
-    if *ws_shape != Some(shape) {
-        states.clear();
-        *ws_shape = Some(shape);
-    }
-    *runs += 1;
-    let slot = states.entry(TypeId::of::<P>());
-    if let std::collections::hash_map::Entry::Occupied(_) = &slot {
-        *reuses += 1;
-    }
-    let state = slot
-        .or_insert_with(|| Box::new(RunState::<P>::empty()))
-        .downcast_mut::<RunState<P>>()
-        .expect("workspace slot keyed by process type");
-    run_with_threads::<P>(g, params, &cfg, threads, state, Some(pool))
-}
-
 fn run_with_threads<P: Process>(
     g: &Graph,
     params: &P::Params,
-    cfg: &SimConfig,
+    spec: &RunSpec,
     threads: usize,
     state: &mut RunState<P>,
-    ws_pool: Option<&mut Option<WorkerPool>>,
+    pool: &mut Option<WorkerPool>,
 ) -> Transcript<P::NodeOutput, P::EdgeOutput> {
     let n = g.n();
     // The chunk geometry is fixed for the whole run: small instances and
     // one-thread configs run as a single chunk unless an explicit chunk
     // size forces the chunked path.
-    let chunked = match cfg.chunk_nodes {
+    let chunked = match spec.chunk_nodes {
         Some(_) => true,
         None => threads > 1 && n >= PARALLEL_MIN_NODES,
     };
-    let chunk = match cfg.chunk_nodes {
+    let chunk = match spec.chunk_nodes {
         Some(c) => c.max(1),
         None if chunked => default_chunk(n, threads),
         None => n.max(1),
     };
     let chunks = if chunked { n.div_ceil(chunk).max(1) } else { 1 };
-    // Acquire worker threads: the workspace's resident pool when running
-    // through one (grown if this run wants more workers than it has), a
-    // transient pool otherwise. `threads` counts the driver, so a
-    // `threads = t` run keeps `t - 1` workers grabbing chunks.
+    // Acquire worker threads: the workspace's resident pool, grown if
+    // this run wants more workers than it has. `threads` counts the
+    // driver, so a `threads = t` run keeps `t - 1` workers grabbing chunks.
     let workers = if chunks > 1 {
         threads.saturating_sub(1)
     } else {
         0
     };
-    let mut transient = None;
     let pool: Option<&WorkerPool> = if workers > 0 {
-        match ws_pool {
-            Some(slot) => {
-                if slot.as_ref().is_none_or(|p| p.workers() < workers) {
-                    *slot = Some(WorkerPool::new(workers));
-                }
-                slot.as_ref()
-            }
-            None => Some(transient.insert(WorkerPool::new(workers))),
+        if pool.as_ref().is_none_or(|p| p.workers() < workers) {
+            *pool = Some(WorkerPool::new(workers));
         }
+        pool.as_ref()
     } else {
         None
     };
-    state.reset(g, cfg.seed, chunks, cfg.transcript);
+    state.reset(g, spec.seed, chunks, spec.transcript);
     let max_degree = g.max_degree();
     // An inbox pull walks senders in ascending id order; for
     // insertion-ordered adjacencies that is a cached permutation.
@@ -1050,7 +860,7 @@ fn run_with_threads<P: Process>(
     let mut round: Round = 0;
     loop {
         {
-            let sh = state.round_shared(g, cfg, params, order, round, max_degree, chunk);
+            let sh = state.round_shared(g, spec, params, order, round, max_degree, chunk);
             dispatch(pool, workers, chunks, &|ci| step_chunk::<P>(&sh, ci));
         }
         state.apply_events(round);
@@ -1069,9 +879,9 @@ fn run_with_threads<P: Process>(
         }
         round += 1;
         assert!(
-            round <= cfg.max_rounds,
+            round <= spec.max_rounds,
             "algorithm exceeded max_rounds={} without halting",
-            cfg.max_rounds
+            spec.max_rounds
         );
     }
     state.transcript.rounds = round;
@@ -1087,6 +897,15 @@ mod tests {
     use super::*;
     use crate::prelude::*;
     use localavg_graph::gen;
+
+    /// Runs `P` under `spec` on a fresh workspace.
+    fn run<P: Process + 'static>(
+        spec: &RunSpec,
+        g: &Graph,
+        params: &P::Params,
+    ) -> Transcript<P::NodeOutput, P::EdgeOutput> {
+        spec.run_in::<P>(g, params, &mut Workspace::new())
+    }
 
     /// Every node floods the maximum id it has seen for `radius` rounds,
     /// then commits it. Classic LOCAL warm-up; lets us test delivery,
@@ -1130,8 +949,7 @@ mod tests {
     #[test]
     fn flood_reaches_radius() {
         let g = gen::path(8);
-        let cfg = SimConfig::new(1);
-        let t = run_sequential::<MaxFlood>(&g, &RADIUS, &cfg);
+        let t = run::<MaxFlood>(&RunSpec::new(1), &g, &RADIUS);
         // After 3 rounds of flooding, node 0 has seen ids up to distance 3.
         assert_eq!(t.node_output[0], Some(3));
         assert_eq!(t.node_output[4], Some(7));
@@ -1146,7 +964,7 @@ mod tests {
     #[test]
     fn congest_accounting() {
         let g = gen::cycle(6);
-        let t = run_sequential::<MaxFlood>(&g, &RADIUS, &SimConfig::new(2));
+        let t = run::<MaxFlood>(&RunSpec::new(2), &g, &RADIUS);
         assert_eq!(t.peak_message_bits(), Some(64));
         // 6 nodes broadcast to 2 neighbors for rounds 0..=2 (round 3 commits).
         assert_eq!(t.messages_sent, 6 * 2 * 3);
@@ -1165,9 +983,9 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let g = gen::grid(8, 9);
-        let cfg = SimConfig::new(7).with_threads(4);
-        let a = run_sequential::<MaxFlood>(&g, &RADIUS, &cfg);
-        let b = run_parallel::<MaxFlood>(&g, &RADIUS, &cfg);
+        let spec = RunSpec::new(7);
+        let a = run::<MaxFlood>(&spec, &g, &RADIUS);
+        let b = run::<MaxFlood>(&spec.with_exec(Exec::Parallel { threads: 4 }), &g, &RADIUS);
         assert_eq!(a.node_output, b.node_output);
         assert_eq!(a.node_commit_round, b.node_commit_round);
         assert_eq!(a.rounds, b.rounds);
@@ -1200,9 +1018,13 @@ mod tests {
     #[test]
     fn randomness_is_seed_deterministic() {
         let g = gen::cycle(32);
-        let a = run_sequential::<CoinFlip>(&g, &(), &SimConfig::new(5));
-        let b = run_parallel::<CoinFlip>(&g, &(), &SimConfig::new(5).with_threads(3));
-        let c = run_sequential::<CoinFlip>(&g, &(), &SimConfig::new(6));
+        let a = run::<CoinFlip>(&RunSpec::new(5), &g, &());
+        let b = run::<CoinFlip>(
+            &RunSpec::new(5).with_exec(Exec::Parallel { threads: 3 }),
+            &g,
+            &(),
+        );
+        let c = run::<CoinFlip>(&RunSpec::new(6), &g, &());
         assert_eq!(a.node_output, b.node_output);
         assert_ne!(a.node_output, c.node_output);
         assert_eq!(a.rounds, 0, "0-round algorithm");
@@ -1254,7 +1076,7 @@ mod tests {
     #[test]
     fn edge_commits_record_earliest_round_and_agree() {
         let g = gen::path(4);
-        let t = run_sequential::<EdgeLabel>(&g, &(), &SimConfig::new(1));
+        let t = run::<EdgeLabel>(&RunSpec::new(1), &g, &());
         assert!(t.all_edges_committed());
         // Lower endpoint committed at round 0; duplicate commit at round 1
         // must not move the recorded round.
@@ -1291,7 +1113,7 @@ mod tests {
     #[should_panic(expected = "conflicting labels")]
     fn conflicting_edge_commit_panics() {
         let g = gen::path(2);
-        let _ = run_sequential::<BadEdgeLabel>(&g, &(), &SimConfig::new(1));
+        let _ = run::<BadEdgeLabel>(&RunSpec::new(1), &g, &());
     }
 
     /// A process that never halts must trip the round cap.
@@ -1312,8 +1134,7 @@ mod tests {
     #[should_panic(expected = "max_rounds")]
     fn round_cap_panics() {
         let g = gen::path(3);
-        let cfg = SimConfig::new(1).with_max_rounds(10);
-        let _ = run_sequential::<Forever>(&g, &(), &cfg);
+        let _ = run::<Forever>(&RunSpec::new(1).with_max_rounds(10), &g, &());
     }
 
     #[test]
@@ -1332,12 +1153,12 @@ mod tests {
             fn round(&mut self, _: &mut Ctx<'_, Self>, _: &[Envelope<()>]) {}
         }
         let g = gen::path(2);
-        let cfg = SimConfig::new(1).with_knowledge(Knowledge {
+        let spec = RunSpec::new(1).with_knowledge(Knowledge {
             neighbor_ids: false,
             neighbor_degrees: false,
         });
         let result = std::panic::catch_unwind(|| {
-            let _ = run_sequential::<NosyProcess>(&g, &(), &cfg);
+            let _ = run::<NosyProcess>(&spec, &g, &());
         });
         assert!(result.is_err());
     }
@@ -1345,52 +1166,52 @@ mod tests {
     #[test]
     fn empty_graph_trivial_run() {
         let g = Graph::empty(0);
-        let t = run_sequential::<CoinFlip>(&g, &(), &SimConfig::new(1));
+        let t = run::<CoinFlip>(&RunSpec::new(1), &g, &());
         assert_eq!(t.rounds, 0);
         assert!(t.is_complete());
     }
 
     #[test]
-    fn config_builders() {
-        let cfg = SimConfig::new(9)
-            .with_max_rounds(50)
-            .with_threads(2)
-            .with_knowledge(Knowledge::default())
-            .with_transcript(TranscriptPolicy::CompletionsOnly);
-        assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.max_rounds, 50);
-        assert_eq!(cfg.threads, 2);
-        assert_eq!(cfg.transcript, TranscriptPolicy::CompletionsOnly);
-    }
-
-    #[test]
-    fn run_spec_builders_and_sim_config() {
-        let spec = RunSpec::new(3)
+    fn run_spec_builders() {
+        let defaults = RunSpec::new(3);
+        assert_eq!(defaults.exec, Exec::Sequential);
+        assert_eq!(defaults.max_rounds, 1_000_000);
+        assert_eq!(defaults.transcript, TranscriptPolicy::Full);
+        assert_eq!(defaults.knowledge, Knowledge::default());
+        assert_eq!(defaults.chunk_nodes, None);
+        let nothing_known = Knowledge {
+            neighbor_ids: false,
+            neighbor_degrees: false,
+        };
+        let spec = defaults
             .with_seed(4)
             .with_exec(Exec::Parallel { threads: 2 })
             .with_max_rounds(99)
             .with_transcript(TranscriptPolicy::None)
-            .with_knowledge(Knowledge::default());
+            .with_knowledge(nothing_known)
+            .with_chunk_nodes(Some(5));
         assert_eq!(spec.seed, 4);
+        assert_eq!(spec.exec, Exec::Parallel { threads: 2 });
         assert_eq!(spec.max_rounds, 99);
-        let cfg = spec.sim_config();
-        assert_eq!(cfg.seed, 4);
-        assert_eq!(cfg.threads, 2);
-        assert_eq!(cfg.max_rounds, 99);
-        assert_eq!(cfg.transcript, TranscriptPolicy::None);
-        assert_eq!(RunSpec::new(1).sim_config().threads, 1);
+        assert_eq!(spec.transcript, TranscriptPolicy::None);
+        assert_eq!(spec.knowledge, nothing_known);
+        assert_eq!(spec.chunk_nodes, Some(5));
     }
 
     #[test]
     fn transcript_policy_drops_only_what_it_promises() {
         let g = gen::grid(6, 6);
-        let full = RunSpec::new(5).run::<MaxFlood>(&g, &RADIUS);
-        let completions = RunSpec::new(5)
-            .with_transcript(TranscriptPolicy::CompletionsOnly)
-            .run::<MaxFlood>(&g, &RADIUS);
-        let none = RunSpec::new(5)
-            .with_transcript(TranscriptPolicy::None)
-            .run::<MaxFlood>(&g, &RADIUS);
+        let full = run::<MaxFlood>(&RunSpec::new(5), &g, &RADIUS);
+        let completions = run::<MaxFlood>(
+            &RunSpec::new(5).with_transcript(TranscriptPolicy::CompletionsOnly),
+            &g,
+            &RADIUS,
+        );
+        let none = run::<MaxFlood>(
+            &RunSpec::new(5).with_transcript(TranscriptPolicy::None),
+            &g,
+            &RADIUS,
+        );
         // Outputs and commit clocks survive every policy.
         for t in [&completions, &none] {
             assert_eq!(t.node_output, full.node_output);
@@ -1430,7 +1251,7 @@ mod tests {
         let spec = RunSpec::new(7);
         let first = spec.run_in::<MaxFlood>(&g, &RADIUS, &mut ws);
         let reused = spec.run_in::<MaxFlood>(&g, &RADIUS, &mut ws);
-        let fresh = spec.run::<MaxFlood>(&g, &RADIUS);
+        let fresh = run::<MaxFlood>(&spec, &g, &RADIUS);
         assert_eq!(ws.run_count(), 2);
         assert_eq!(ws.reuse_count(), 1);
         assert_eq!(first.node_output, fresh.node_output);
@@ -1445,7 +1266,7 @@ mod tests {
         assert_eq!(reused.node_bits_recv, fresh.node_bits_recv);
         // A different seed through the same arenas still matches fresh.
         let other_ws = spec.with_seed(9).run_in::<MaxFlood>(&g, &RADIUS, &mut ws);
-        let other = RunSpec::new(9).run::<MaxFlood>(&g, &RADIUS);
+        let other = run::<MaxFlood>(&RunSpec::new(9), &g, &RADIUS);
         assert_eq!(other_ws.node_output, other.node_output);
     }
 
@@ -1463,13 +1284,13 @@ mod tests {
         assert_eq!(ws.arena_count(), 1);
         assert_eq!(
             on_big.node_output,
-            spec.run::<MaxFlood>(&big, &RADIUS).node_output
+            run::<MaxFlood>(&spec, &big, &RADIUS).node_output
         );
         // Back to the small shape: flush again, still correct.
         let back = spec.run_in::<MaxFlood>(&small, &RADIUS, &mut ws);
         assert_eq!(
             back.node_output,
-            spec.run::<MaxFlood>(&small, &RADIUS).node_output
+            run::<MaxFlood>(&spec, &small, &RADIUS).node_output
         );
     }
 
@@ -1538,7 +1359,7 @@ mod tests {
             );
             POISON.store(0, Ordering::Relaxed);
             let reused = spec.run_in::<MidRoundPanic>(&g, &(), &mut ws);
-            let fresh = spec.run::<MidRoundPanic>(&g, &());
+            let fresh = run::<MidRoundPanic>(&spec, &g, &());
             assert_eq!(
                 reused, fresh,
                 "stale sends after an abort in round {poison}"
@@ -1559,7 +1380,7 @@ mod tests {
             for exec in [Exec::Sequential, Exec::Parallel { threads: 3 }] {
                 let spec = RunSpec::new(11).with_exec(exec).with_transcript(policy);
                 let reused = spec.run_in::<MaxFlood>(&g, &RADIUS, &mut ws);
-                let fresh = spec.run::<MaxFlood>(&g, &RADIUS);
+                let fresh = run::<MaxFlood>(&spec, &g, &RADIUS);
                 assert_eq!(reused.node_output, fresh.node_output);
                 assert_eq!(reused.node_commit_round, fresh.node_commit_round);
                 assert_eq!(reused.node_halt_round, fresh.node_halt_round);
@@ -1599,7 +1420,7 @@ mod tests {
     #[test]
     fn live_ledger_matches_a_recount_from_halt_rounds() {
         let g = gen::grid(6, 7);
-        let t = RunSpec::new(3).run::<Staircase>(&g, &());
+        let t = run::<Staircase>(&RunSpec::new(3), &g, &());
         assert_eq!(t.rounds, 4);
         assert_eq!(t.live_after_round.len(), 5);
         // Monotone non-increasing, ending at zero.
@@ -1621,14 +1442,14 @@ mod tests {
         // Small enough that the default geometry is a single chunk: the
         // explicit override is what forces the chunked path here.
         let g = gen::grid(6, 6);
-        let baseline = RunSpec::new(5).run::<MaxFlood>(&g, &RADIUS);
+        let baseline = run::<MaxFlood>(&RunSpec::new(5), &g, &RADIUS);
         assert!(g.n() < PARALLEL_MIN_NODES);
         for chunk in [1, 3, 7, 36, 1000] {
-            for threads in [1, 2, 8] {
+            for threads in [0, 1, 2, 8] {
                 let spec = RunSpec::new(5)
                     .with_exec(Exec::Parallel { threads })
                     .with_chunk_nodes(Some(chunk));
-                let t = spec.run::<MaxFlood>(&g, &RADIUS);
+                let t = run::<MaxFlood>(&spec, &g, &RADIUS);
                 assert_eq!(
                     t, baseline,
                     "transcript drift at chunk={chunk} threads={threads}"
@@ -1746,7 +1567,7 @@ mod tests {
                 })
                 .sum();
 
-            let baseline = RunSpec::new(1).run::<Chatter>(&g, &());
+            let baseline = run::<Chatter>(&RunSpec::new(1), &g, &());
             assert_eq!(baseline.rounds, 5);
             assert_eq!(baseline.messages_sent, sent);
             let outputs: Vec<(u64, i64)> = baseline.node_output.iter().flatten().copied().collect();
@@ -1759,10 +1580,10 @@ mod tests {
             assert_eq!(baseline.node_messages_recv, received);
             for chunk in [1, 3, g.n()] {
                 for threads in [1, 2] {
-                    let t = RunSpec::new(1)
+                    let spec = RunSpec::new(1)
                         .with_exec(Exec::Parallel { threads })
-                        .with_chunk_nodes(Some(chunk))
-                        .run::<Chatter>(&g, &());
+                        .with_chunk_nodes(Some(chunk));
+                    let t = run::<Chatter>(&spec, &g, &());
                     assert_eq!(
                         t, baseline,
                         "transcript drift at chunk={chunk} threads={threads}"
@@ -1876,17 +1697,17 @@ mod tests {
                         .sum()
                 })
                 .collect();
-            let baseline = RunSpec::new(1).run::<Farewell>(&g, &());
+            let baseline = run::<Farewell>(&RunSpec::new(1), &g, &());
             assert_eq!(baseline.rounds, 5);
             assert_eq!(baseline.node_messages_recv, expected);
             let outputs: Vec<u64> = baseline.node_output.iter().flatten().copied().collect();
             assert_eq!(outputs, expected);
             for chunk in [1, 3, g.n()] {
                 for threads in [1, 2] {
-                    let t = RunSpec::new(1)
+                    let spec = RunSpec::new(1)
                         .with_exec(Exec::Parallel { threads })
-                        .with_chunk_nodes(Some(chunk))
-                        .run::<Farewell>(&g, &());
+                        .with_chunk_nodes(Some(chunk));
+                    let t = run::<Farewell>(&spec, &g, &());
                     assert_eq!(
                         t, baseline,
                         "transcript drift at chunk={chunk} threads={threads}"

@@ -51,7 +51,7 @@
 //! }
 //!
 //! let g = gen::path(5);
-//! let t = run_sequential::<LocalMax>(&g, &(), &SimConfig::new(1));
+//! let t = RunSpec::new(1).run_in::<LocalMax>(&g, &(), &mut Workspace::new());
 //! assert_eq!(t.node_output[4], Some(true));  // node 4 is a local max
 //! assert_eq!(t.node_output[0], Some(false));
 //! ```
@@ -63,6 +63,7 @@
 // `shadow`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![doc(test(attr(deny(warnings))))]
 
 pub mod bitset;
 pub mod engine;
@@ -75,7 +76,7 @@ pub mod workspace;
 
 /// Convenient glob import for algorithm implementations.
 pub mod prelude {
-    pub use crate::engine::{run_parallel, run_sequential, run_spec_in, Exec, RunSpec, SimConfig};
+    pub use crate::engine::{Exec, RunSpec};
     pub use crate::message::{Envelope, MessageSize};
     pub use crate::process::{Ctx, Knowledge, Process};
     pub use crate::transcript::{OutputKind, Round, Transcript, TranscriptPolicy, UNCOMMITTED};

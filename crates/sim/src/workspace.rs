@@ -11,7 +11,7 @@
 //! state is typed by the algorithm's `Process` implementation (message
 //! and output types differ per algorithm), so the workspace stores one
 //! type-erased slot per process type and the engine downcasts on entry
-//! (`engine::run_spec_in`). Arenas are only valid for one CSR shape —
+//! (`RunSpec::run_in`). Arenas are only valid for one CSR shape —
 //! `(n, m, Σdeg)` — and the workspace flushes itself whenever a run
 //! arrives for a differently-shaped graph.
 //!

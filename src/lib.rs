@@ -44,6 +44,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![doc(test(attr(deny(warnings))))]
 
 pub use localavg_core as core;
 pub use localavg_graph as graph;

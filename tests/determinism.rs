@@ -4,6 +4,7 @@
 
 use localavg::core::algo::{registry, Exec, RunSpec};
 use localavg::graph::{gen, rng::Rng};
+use localavg::sim::engine::resolve_threads;
 
 #[test]
 fn luby_mis_is_seed_deterministic() {
@@ -58,7 +59,7 @@ fn every_randomized_algorithm_is_seed_deterministic() {
 fn parallel_and_sequential_executors_are_bit_identical() {
     // Every registry algorithm, on a random tree and a grid (instances big
     // enough that the parallel executor actually chunks), at 1/2/8 worker
-    // threads: transcripts must match the sequential executor bit for bit
+    // threads and at 0 (all cores): transcripts must match the sequential executor bit for bit
     // — outputs, commit clocks, halt clocks, and the CONGEST audit.
     for family in ["tree/random", "grid"] {
         let g = gen::registry()
@@ -77,7 +78,7 @@ fn parallel_and_sequential_executors_are_bit_identical() {
                 continue;
             }
             let seq = algo.execute(&g, &RunSpec::new(5));
-            for threads in [1usize, 2, 8] {
+            for threads in [0usize, 1, 2, 8] {
                 let par = algo.execute(&g, &RunSpec::new(5).with_exec(Exec::Parallel { threads }));
                 let label = format!("{} on {family} with {threads} thread(s)", algo.name());
                 assert_eq!(seq.solution, par.solution, "{label}: outputs differ");
@@ -112,10 +113,11 @@ fn chunk_geometry_is_invisible_in_every_transcript() {
     // chunk size forced to degenerate extremes — one node per chunk (every
     // pass crosses a chunk boundary between any two nodes), a tiny prime
     // (chunks straddle bitset words), one chunk per thread, and a single
-    // chunk covering the instance — at 1/2/8 worker threads. The explicit
-    // override forces the chunked executor even below its size cutoff, and
-    // any scheduling sensitivity (event order, halt order, audit sums)
-    // shows up as a transcript diff against the sequential baseline.
+    // chunk covering the instance — at 1/2/8 worker threads and at 0 (all
+    // cores). The explicit override forces the chunked executor even
+    // below its size cutoff, and any scheduling sensitivity (event order,
+    // halt order, audit sums) shows up as a transcript diff against the
+    // sequential baseline.
     let mut rng = Rng::seed_from(12);
     let g = gen::random_regular(90, 4, &mut rng).unwrap();
     let n = g.n();
@@ -126,8 +128,8 @@ fn chunk_geometry_is_invisible_in_every_transcript() {
             continue;
         }
         let baseline = algo.execute(&g, &RunSpec::new(7));
-        for threads in [1usize, 2, 8] {
-            for chunk in [1, 3, n.div_ceil(threads), n] {
+        for threads in [0usize, 1, 2, 8] {
+            for chunk in [1, 3, n.div_ceil(resolve_threads(threads)), n] {
                 let spec = RunSpec::new(7)
                     .with_exec(Exec::Parallel { threads })
                     .with_chunk_nodes(Some(chunk));

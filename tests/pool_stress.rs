@@ -98,7 +98,7 @@ fn one_workspace_survives_hundreds_of_mixed_cells_and_panics() {
             );
             // The very same process type through the abandoned arena.
             let healed = spec.run_in::<FaultyBroadcast>(g, &false, &mut ws);
-            let cold = spec.run::<FaultyBroadcast>(g, &false);
+            let cold = spec.run_in::<FaultyBroadcast>(g, &false, &mut Workspace::new());
             assert_eq!(healed, cold, "cell after panic #{panics} drifted");
             executes += 2;
             continue;
