@@ -1172,18 +1172,12 @@ mod tests {
     }
 
     #[test]
-    fn run_spec_builders() {
-        let defaults = RunSpec::new(3);
-        assert_eq!(defaults.exec, Exec::Sequential);
-        assert_eq!(defaults.max_rounds, 1_000_000);
-        assert_eq!(defaults.transcript, TranscriptPolicy::Full);
-        assert_eq!(defaults.knowledge, Knowledge::default());
-        assert_eq!(defaults.chunk_nodes, None);
+    fn config_builders() {
         let nothing_known = Knowledge {
             neighbor_ids: false,
             neighbor_degrees: false,
         };
-        let spec = defaults
+        let spec = RunSpec::new(3)
             .with_seed(4)
             .with_exec(Exec::Parallel { threads: 2 })
             .with_max_rounds(99)
@@ -1196,6 +1190,27 @@ mod tests {
         assert_eq!(spec.transcript, TranscriptPolicy::None);
         assert_eq!(spec.knowledge, nothing_known);
         assert_eq!(spec.chunk_nodes, Some(5));
+    }
+
+    /// The defaults of `RunSpec::new`: one sequential executor, the full
+    /// transcript, full knowledge, no forced chunking. (`RunSpec` also
+    /// holds what the former `SimConfig` carried, hence the name.)
+    #[test]
+    fn run_spec_builders_and_sim_config() {
+        let defaults = RunSpec::new(3);
+        assert_eq!(defaults.seed, 3);
+        assert_eq!(defaults.exec, Exec::Sequential);
+        assert_eq!(defaults.max_rounds, 1_000_000);
+        assert_eq!(defaults.transcript, TranscriptPolicy::Full);
+        assert_eq!(defaults.knowledge, Knowledge::default());
+        assert_eq!(defaults.chunk_nodes, None);
+        // Each setter changes its own field only.
+        let spec = defaults.with_max_rounds(50);
+        assert_eq!(spec.seed, 3);
+        assert_eq!(spec.exec, Exec::Sequential);
+        assert_eq!(spec.max_rounds, 50);
+        assert_eq!(spec.transcript, TranscriptPolicy::Full);
+        assert_eq!(spec.chunk_nodes, None);
     }
 
     #[test]
