@@ -562,7 +562,7 @@ impl Algorithm for OrientationDet {
             ParamSpec {
                 key: "r",
                 default: "2",
-                doc: "the paper's constant r (cycle threshold 6r, cluster radius 2r+1); an integer >= 2",
+                doc: "the paper's constant r (short cycles of <= 6r + 1 vedges, cluster radius 2r+1); an integer >= 2",
             },
             ParamSpec {
                 key: "finish-threshold",

@@ -20,9 +20,10 @@
 //! * [`deterministic`] — Theorem 6's algorithm with its contraction-level
 //!   cost accounting implemented exactly as the paper's proof charges it:
 //!   each node picks 3 edges (unreciprocated picks act as the paper's
-//!   *self-loops* = free outs); short cycles (≤ 6r) take the *preferred
-//!   orientation of their smallest-id containing cycle* (conflict-free by
-//!   the paper's argument); the remaining high-girth 3-regular structure
+//!   *self-loops* = free outs); short cycles (≤ 6r + 1 vedges) take the
+//!   *preferred orientation of the containing cycle with the
+//!   lexicographically smallest sorted-id key* (conflict-free by the
+//!   paper's argument); the remaining high-girth 3-regular structure
 //!   is clustered around a (2r+1)-independent set, cluster interiors
 //!   orient toward the kept exit paths, and the cluster graph recurses as
 //!   a virtual graph where one virtual round costs `4r+4` real rounds.
@@ -664,10 +665,11 @@ struct LevelResult {
 /// Parameters of the deterministic algorithm.
 #[derive(Debug, Clone, Copy)]
 pub struct DetOrientParams {
-    /// The paper's constant `r` (cycle threshold `6r`, cluster radius
-    /// `2r+1`, stretch `4r+4`). The paper takes `r >= 15` for its constant
-    /// bounds; `r = 2` keeps the measured constants small while preserving
-    /// every structural property (the girth argument needs `r >= 2`).
+    /// The paper's constant `r` (short cycles of `<= 6r + 1` vedges,
+    /// cluster radius `2r+1`, stretch `4r+4`). The paper takes `r >= 15`
+    /// for its constant bounds; `r = 2` keeps the measured constants small
+    /// while preserving every structural property (the girth argument
+    /// needs `r >= 2`).
     pub r: usize,
     /// Recursion cutoff: virtual graphs at most this large go straight to
     /// the ball-growing finisher.
@@ -724,58 +726,7 @@ pub fn deterministic_with(
         "sinkless orientation requires minimum degree 3"
     );
     let mut ledger = Ledger::new(g);
-
-    // Level 0: every node picks its 3 smallest incident edges (the paper's
-    // degree-3 truncation). Mutual picks are links; one-sided picks act as
-    // the paper's self-loops (free ports); unpicked edges default later.
-    let mut picks: Vec<Vec<EdgeId>> = g
-        .nodes()
-        .map(|v| {
-            let mut es: Vec<EdgeId> = g.neighbors(v).map(|(_, e)| e).collect();
-            es.sort_unstable();
-            es.truncate(3);
-            es
-        })
-        .collect();
-    let mut vedges = Vec::new();
-    let mut ports: Vec<Vec<usize>> = vec![Vec::new(); g.n()];
-    let mut seen: HashMap<EdgeId, usize> = HashMap::new();
-    for v in g.nodes() {
-        let list = std::mem::take(&mut picks[v]);
-        for e in list {
-            let (x, y) = g.endpoints(e);
-            let other = if x == v { y } else { x };
-            let mutual_pick = {
-                let mut os: Vec<EdgeId> = g.neighbors(other).map(|(_, ee)| ee).collect();
-                os.sort_unstable();
-                os.truncate(3);
-                os.contains(&e)
-            };
-            if let Some(&idx) = seen.get(&e) {
-                let _ = idx; // already created by the other endpoint
-                if mutual_pick {
-                    ports[v].push(idx_for(&seen, e));
-                }
-                continue;
-            }
-            let sense_from_v = x == v;
-            let idx = vedges.len();
-            vedges.push(VEdge {
-                a: v,
-                b: if mutual_pick { Some(other) } else { None },
-                path: vec![(e, sense_from_v)],
-                inner: Vec::new(),
-            });
-            seen.insert(e, idx);
-            ports[v].push(idx);
-        }
-    }
-    let vg = VGraph {
-        host: g.nodes().collect(),
-        ports,
-        vedges,
-    };
-
+    let vg = level0_vgraph(g);
     let mut result = LevelResult {
         vedge_dir: vec![None; vg.vedges.len()],
         vnode_clock: vec![0; vg.host.len()],
@@ -787,19 +738,58 @@ pub fn deterministic_with(
         ledger.decide_node(vg.host[v], c);
     }
     // Default-orient the never-picked original edges.
-    let final_clock = result.vnode_clock.iter().copied().max().unwrap_or(0);
     for (e, u, v) in g.edges() {
         if !ledger.is_set(e) {
             let c = ledger.node_clock[u].max(ledger.node_clock[v]).max(1) + 1;
             ledger.set(e, Orientation::away_from(g, e, u.max(v)), c);
         }
     }
-    let _ = final_clock;
     finalize(g, ledger, policy)
 }
 
-fn idx_for(seen: &HashMap<EdgeId, usize>, e: EdgeId) -> usize {
-    *seen.get(&e).expect("vedge exists")
+/// Level 0 of Theorem 6: every node picks its 3 smallest incident edges
+/// (the paper's degree-3 truncation). Mutual picks are links; one-sided
+/// picks act as the paper's self-loops (free ports); unpicked edges
+/// default later.
+fn level0_vgraph(g: &Graph) -> VGraph {
+    let picks: Vec<Vec<EdgeId>> = g
+        .nodes()
+        .map(|v| {
+            let mut es: Vec<EdgeId> = g.neighbors(v).map(|(_, e)| e).collect();
+            es.sort_unstable();
+            es.truncate(3);
+            es
+        })
+        .collect();
+    let mut vedges = Vec::new();
+    let mut ports: Vec<Vec<usize>> = vec![Vec::new(); g.n()];
+    // The vedge of each picked edge, made by its first picking endpoint.
+    let mut vedge_of: Vec<Option<usize>> = vec![None; g.m()];
+    for v in g.nodes() {
+        for &e in &picks[v] {
+            if let Some(idx) = vedge_of[e] {
+                // The other endpoint picked `e` too: a link.
+                ports[v].push(idx);
+                continue;
+            }
+            let (x, y) = g.endpoints(e);
+            let other = if x == v { y } else { x };
+            let idx = vedges.len();
+            vedges.push(VEdge {
+                a: v,
+                b: picks[other].contains(&e).then_some(other),
+                path: vec![(e, x == v)],
+                inner: Vec::new(),
+            });
+            vedge_of[e] = Some(idx);
+            ports[v].push(idx);
+        }
+    }
+    VGraph {
+        host: g.nodes().collect(),
+        ports,
+        vedges,
+    }
 }
 
 /// One level of Theorem 6's recursion. Fills `result` with the direction
@@ -847,7 +837,8 @@ fn solve_level(
         }
     }
 
-    // --- Short cycles (length <= 6r) among links of undecided vnodes.
+    // --- Short cycles (<= 6r + 1 vedges) among links of undecided vnodes,
+    // each vedge oriented by its lexicographically smallest sorted-id key.
     let cycle_clock = clock_now + 6 * r * stretch;
     let cycles = short_cycle_orientations(vg, &decided, result, 6 * r);
     if !cycles.is_empty() {
@@ -1152,97 +1143,144 @@ fn has_outward(vg: &VGraph, v: usize, result: &LevelResult) -> bool {
     })
 }
 
-/// Finds, per link vedge among undecided vnodes, the smallest containing
-/// cycle of length `<= max_len`, and returns the orientation each such
-/// vedge takes under the preferred orientation of its smallest cycle
-/// (paper §B, proof of Theorem 6).
+/// Finds, per link vedge among undecided vnodes, the containing cycle of
+/// `<= max_len + 1` vedges with the lexicographically smallest sorted-id
+/// key, and returns the orientation each such vedge takes under the
+/// preferred orientation of that cycle (paper §B, proof of Theorem 6).
+///
+/// Each simple cycle is enumerated once, from its smallest vedge `s =
+/// (a, b)`: a DFS walks from `b` back to `a` over usable vedges with ids
+/// above `s`. A BFS from `a` over the same vedges, truncated at radius
+/// `reach / 2`, gives every vnode a lower bound on its distance back to
+/// `a` (`reach / 2 + 1` beyond the ball), and the DFS extends a path only
+/// while it can still close within `reach` vedges. The output depends only
+/// on the set of cycles through each vedge, so it equals that of any
+/// complete enumeration.
 fn short_cycle_orientations(
     vg: &VGraph,
     decided: &[bool],
     result: &LevelResult,
     max_len: usize,
 ) -> Vec<(usize, usize)> {
-    // Adjacency restricted to undecided link vedges.
-    let usable = |ve: usize| {
-        result.vedge_dir[ve].is_none()
-            && vg.vedges[ve].b.is_some()
-            && !decided[vg.vedges[ve].a]
-            && !decided[vg.vedges[ve].b.expect("link")]
-    };
-    // Enumerate cycles by DFS from each vedge.
-    // Cycle key: sorted vedge ids (the paper concatenates edge ids; any
-    // injective canonical form works for consistent minimum selection).
-    let mut best_cycle: HashMap<usize, Vec<usize>> = HashMap::new(); // vedge -> cycle key/seq? store vedge sequence
-    let mut best_key: HashMap<usize, Vec<usize>> = HashMap::new();
-    for start_ve in 0..vg.vedges.len() {
-        if !usable(start_ve) {
-            continue;
-        }
-        let a = vg.vedges[start_ve].a;
-        let b = vg.vedges[start_ve].b.expect("link");
-        // DFS from b back to a with <= max_len - 1 further vedges.
-        let mut stack: Vec<(usize, Vec<usize>, Vec<usize>)> = vec![(b, vec![start_ve], vec![a, b])];
-        while let Some((cur, ves, nodes)) = stack.pop() {
-            if ves.len() > max_len {
+    // Cycles close at up to `max_len + 1` vedges: the longest path the
+    // search extends has `max_len` of them, plus the closing one.
+    let reach = max_len + 1;
+    let radius = reach / 2;
+    let m = vg.vedges.len();
+    // Undecided link vedges between undecided vnodes.
+    let usable: Vec<bool> = vg
+        .vedges
+        .iter()
+        .zip(&result.vedge_dir)
+        .map(|(ve, dir)| dir.is_none() && !decided[ve.a] && ve.b.is_some_and(|b| !decided[b]))
+        .collect();
+    // The usable links as one flat adjacency: (vedge, far end) per port.
+    let mut offsets = Vec::with_capacity(vg.host.len() + 1);
+    offsets.push(0);
+    let mut adj: Vec<(usize, usize)> = Vec::new();
+    for (v, ports) in vg.ports.iter().enumerate() {
+        adj.extend(
+            ports
+                .iter()
+                .filter(|&&ve| usable[ve])
+                .map(|&ve| (ve, vg.other(ve, v).expect("link"))),
+        );
+        offsets.push(adj.len());
+    }
+    let links = |v: usize| &adj[offsets[v]..offsets[v + 1]];
+    // Per cycle: (sorted-id key, vedge sequence from its smallest vedge's `a`).
+    let mut cycles: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
+    let mut best: Vec<Option<usize>> = vec![None; m];
+    let mut dist = vec![usize::MAX; vg.host.len()];
+    let mut ball: Vec<usize> = Vec::new();
+    let mut on_path = vec![false; vg.host.len()];
+    let mut path: Vec<usize> = Vec::new();
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for s in (0..m).filter(|&s| usable[s]) {
+        let a = vg.vedges[s].a;
+        let b = vg.vedges[s].b.expect("link");
+
+        // Truncated BFS from `a` (the vedges after `s` only).
+        dist[a] = 0;
+        ball.push(a);
+        let mut head = 0;
+        while head < ball.len() {
+            let v = ball[head];
+            head += 1;
+            if dist[v] == radius {
                 continue;
             }
-            for &ve in &vg.ports[cur] {
-                if !usable(ve) || ves.contains(&ve) {
-                    continue;
-                }
-                let Some(nxt) = vg.other(ve, cur) else {
-                    continue;
-                };
-                if nxt == a && ves.len() >= 2 {
-                    // Found a cycle.
-                    let mut cyc = ves.clone();
-                    cyc.push(ve);
-                    let mut key = cyc.clone();
-                    key.sort_unstable();
-                    for &cve in &cyc {
-                        let better = match best_key.get(&cve) {
-                            None => true,
-                            Some(k) => key < *k,
-                        };
-                        if better {
-                            best_key.insert(cve, key.clone());
-                            best_cycle.insert(cve, cyc.clone());
-                        }
-                    }
-                } else if !nodes.contains(&nxt) && ves.len() < max_len {
-                    let mut nv = ves.clone();
-                    nv.push(ve);
-                    let mut nn = nodes.clone();
-                    nn.push(nxt);
-                    stack.push((nxt, nv, nn));
+            for &(_, u) in links(v).iter().filter(|&&(ve, _)| ve > s) {
+                if dist[u] == usize::MAX {
+                    dist[u] = dist[v] + 1;
+                    ball.push(u);
                 }
             }
+        }
+
+        // In-place DFS from `b`; `path` holds the vedges taken from `a`.
+        on_path[a] = true;
+        on_path[b] = true;
+        path.push(s);
+        stack.push((b, 0));
+        while let Some(top) = stack.last_mut() {
+            let (cur, i) = *top;
+            let Some(&(ve, next)) = links(cur).get(i) else {
+                on_path[cur] = false;
+                path.pop();
+                stack.pop();
+                continue;
+            };
+            top.1 += 1;
+            if ve <= s {
+                continue;
+            }
+            if next == a {
+                if path.len() >= 2 {
+                    let mut ves = path.clone();
+                    ves.push(ve);
+                    let mut key = ves.clone();
+                    key.sort_unstable();
+                    let idx = cycles.len();
+                    for &cve in &ves {
+                        if best[cve].is_none_or(|c| key < cycles[c].0) {
+                            best[cve] = Some(idx);
+                        }
+                    }
+                    cycles.push((key, ves));
+                }
+            } else if !on_path[next] && path.len() + 1 + dist[next].min(radius + 1) <= reach {
+                on_path[next] = true;
+                path.push(ve);
+                stack.push((next, 0));
+            }
+        }
+        on_path[a] = false;
+        for v in ball.drain(..) {
+            dist[v] = usize::MAX;
         }
     }
     // Preferred orientation per vedge from its own best cycle.
     let mut out = Vec::new();
-    for (&ve, cyc) in &best_cycle {
-        // The cycle is a vedge sequence starting and ending at the start
+    for (ve, c) in best.iter().enumerate() {
+        let Some(c) = *c else { continue };
+        let cyc = &cycles[c].1;
+        // The cycle is a vedge sequence starting and ending at its first
         // vedge's `a`; walk it to find the node sequence.
-        let mut node_seq = Vec::with_capacity(cyc.len());
+        let mut node_seq = Vec::with_capacity(cyc.len() + 1);
         let mut cur = vg.vedges[cyc[0]].a;
         node_seq.push(cur);
         for &cve in cyc {
             cur = vg.other(cve, cur).expect("cycle over links");
             node_seq.push(cur);
         }
-        // Preferred orientation: the smallest vedge id in the cycle orients
-        // from its smaller-host endpoint; the rest follow around.
-        let min_ve = *cyc.iter().min().expect("nonempty cycle");
-        let pos = cyc.iter().position(|&x| x == min_ve).expect("present");
-        let (p, q) = (node_seq[pos], node_seq[pos + 1]);
-        // Walk direction: node_seq order. Flip if the minimum vedge would
-        // go from larger host to smaller.
-        let forward = vg.host[p] < vg.host[q];
+        // Preferred orientation: the smallest vedge id in the cycle (its
+        // first) orients from its smaller-host endpoint; the rest follow
+        // around.
+        let forward = vg.host[node_seq[0]] < vg.host[node_seq[1]];
         let my_pos = cyc.iter().position(|&x| x == ve).expect("present");
         let (x, y) = (node_seq[my_pos], node_seq[my_pos + 1]);
-        let from = if forward { x } else { y };
-        out.push((ve, from));
+        out.push((ve, if forward { x } else { y }));
     }
     out
 }
@@ -1644,6 +1682,192 @@ mod tests {
     fn regular3(n: usize, seed: u64) -> Graph {
         let mut rng = Rng::seed_from(seed);
         gen::random_regular(n, 3, &mut rng).expect("3-regular graph")
+    }
+
+    /// The unpruned enumeration [`short_cycle_orientations`] replaced: a DFS
+    /// from every usable vedge over every simple path of `<= max_len`
+    /// vedges, cloning its path at each step, closing cycles of up to
+    /// `max_len + 1` vedges and finding each from all of its vedges.
+    fn reference_short_cycle_orientations(
+        vg: &VGraph,
+        decided: &[bool],
+        result: &LevelResult,
+        max_len: usize,
+    ) -> Vec<(usize, usize)> {
+        // Adjacency restricted to undecided link vedges.
+        let usable = |ve: usize| {
+            result.vedge_dir[ve].is_none()
+                && vg.vedges[ve].b.is_some()
+                && !decided[vg.vedges[ve].a]
+                && !decided[vg.vedges[ve].b.expect("link")]
+        };
+        // Enumerate cycles by DFS from each vedge.
+        // Cycle key: sorted vedge ids (the paper concatenates edge ids; any
+        // injective canonical form works for consistent minimum selection).
+        let mut best_cycle: HashMap<usize, Vec<usize>> = HashMap::new(); // vedge -> vedge sequence
+        let mut best_key: HashMap<usize, Vec<usize>> = HashMap::new();
+        for start_ve in 0..vg.vedges.len() {
+            if !usable(start_ve) {
+                continue;
+            }
+            let a = vg.vedges[start_ve].a;
+            let b = vg.vedges[start_ve].b.expect("link");
+            // DFS from b back to a with <= max_len further vedges.
+            let mut stack: Vec<(usize, Vec<usize>, Vec<usize>)> =
+                vec![(b, vec![start_ve], vec![a, b])];
+            while let Some((cur, ves, nodes)) = stack.pop() {
+                if ves.len() > max_len {
+                    continue;
+                }
+                for &ve in &vg.ports[cur] {
+                    if !usable(ve) || ves.contains(&ve) {
+                        continue;
+                    }
+                    let Some(nxt) = vg.other(ve, cur) else {
+                        continue;
+                    };
+                    if nxt == a && ves.len() >= 2 {
+                        // Found a cycle.
+                        let mut cyc = ves.clone();
+                        cyc.push(ve);
+                        let mut key = cyc.clone();
+                        key.sort_unstable();
+                        for &cve in &cyc {
+                            let better = match best_key.get(&cve) {
+                                None => true,
+                                Some(k) => key < *k,
+                            };
+                            if better {
+                                best_key.insert(cve, key.clone());
+                                best_cycle.insert(cve, cyc.clone());
+                            }
+                        }
+                    } else if !nodes.contains(&nxt) && ves.len() < max_len {
+                        let mut nv = ves.clone();
+                        nv.push(ve);
+                        let mut nn = nodes.clone();
+                        nn.push(nxt);
+                        stack.push((nxt, nv, nn));
+                    }
+                }
+            }
+        }
+        // Preferred orientation per vedge from its own best cycle.
+        let mut out = Vec::new();
+        for (&ve, cyc) in &best_cycle {
+            // The cycle is a vedge sequence starting and ending at the start
+            // vedge's `a`; walk it to find the node sequence.
+            let mut node_seq = Vec::with_capacity(cyc.len());
+            let mut cur = vg.vedges[cyc[0]].a;
+            node_seq.push(cur);
+            for &cve in cyc {
+                cur = vg.other(cve, cur).expect("cycle over links");
+                node_seq.push(cur);
+            }
+            // Preferred orientation: the smallest vedge id in the cycle orients
+            // from its smaller-host endpoint; the rest follow around.
+            let min_ve = *cyc.iter().min().expect("nonempty cycle");
+            let pos = cyc.iter().position(|&x| x == min_ve).expect("present");
+            let (p, q) = (node_seq[pos], node_seq[pos + 1]);
+            // Walk direction: node_seq order. Flip if the minimum vedge would
+            // go from larger host to smaller.
+            let forward = vg.host[p] < vg.host[q];
+            let my_pos = cyc.iter().position(|&x| x == ve).expect("present");
+            let (x, y) = (node_seq[my_pos], node_seq[my_pos + 1]);
+            let from = if forward { x } else { y };
+            out.push((ve, from));
+        }
+        out
+    }
+
+    /// Sorted `(vedge, from)` pairs, so two enumerations compare as sets.
+    fn sorted(mut pairs: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
+        pairs.sort_unstable();
+        pairs
+    }
+
+    #[test]
+    fn pruned_enumeration_matches_the_reference_dfs() {
+        // Small random 3-regular graphs and every `lb/*` family at its
+        // smallest size, as level-0 vgraphs with random decided vnodes and
+        // random pre-oriented vedges, so that partial usable sets occur.
+        let lb = localavg_lowerbound::families::generators();
+        let mut with_cycles = 0;
+        for seed in 0..60u64 {
+            let mut rng = Rng::seed_from(1000 + seed);
+            let g = if seed % 3 == 2 {
+                let family = &lb[(seed / 3) as usize % lb.len()];
+                family.build(1, seed).expect("lb instance")
+            } else {
+                regular3(8 + 2 * rng.range(0, 40), seed)
+            };
+            let vg = level0_vgraph(&g);
+            let p_decided = [0.0, 0.1, 0.3][rng.range(0, 3)];
+            let decided: Vec<bool> = (0..vg.host.len()).map(|_| rng.chance(p_decided)).collect();
+            let vedge_dir = (0..vg.vedges.len())
+                .map(|_| rng.chance(0.15).then(|| (rng.chance(0.5), 1)))
+                .collect();
+            let result = LevelResult {
+                vedge_dir,
+                vnode_clock: vec![0; vg.host.len()],
+            };
+            for max_len in [5, 12] {
+                let want = sorted(reference_short_cycle_orientations(
+                    &vg, &decided, &result, max_len,
+                ));
+                let got = sorted(short_cycle_orientations(&vg, &decided, &result, max_len));
+                assert_eq!(got, want, "seed {seed}, max_len {max_len}");
+                with_cycles += usize::from(!want.is_empty());
+            }
+        }
+        assert!(with_cycles >= 60, "only {with_cycles} cases had a cycle");
+    }
+
+    #[test]
+    fn short_cycles_close_at_6r_plus_1_vedges() {
+        // Two disjoint rings of 13 = 6r + 1 and 14 vedges at r = 2: the
+        // first is a short cycle, the second is not.
+        let rings = [(0usize, 13usize), (13, 14)];
+        let n = 27;
+        let mut vedges = Vec::new();
+        let mut ports = vec![Vec::new(); n];
+        for (first, len) in rings {
+            for i in 0..len {
+                let (a, b) = (first + i, first + (i + 1) % len);
+                ports[a].push(vedges.len());
+                ports[b].push(vedges.len());
+                vedges.push(VEdge {
+                    a,
+                    b: Some(b),
+                    path: Vec::new(),
+                    inner: Vec::new(),
+                });
+            }
+        }
+        let vg = VGraph {
+            host: (0..n).collect(),
+            ports,
+            vedges,
+        };
+        let result = LevelResult {
+            vedge_dir: vec![None; vg.vedges.len()],
+            vnode_clock: vec![0; n],
+        };
+        let decided = vec![false; n];
+        let r = DetOrientParams::default().r;
+        assert_eq!(r, 2);
+        for found in [
+            short_cycle_orientations(&vg, &decided, &result, 6 * r),
+            reference_short_cycle_orientations(&vg, &decided, &result, 6 * r),
+        ] {
+            let found = sorted(found);
+            let ves: Vec<usize> = found.iter().map(|&(ve, _)| ve).collect();
+            assert_eq!(ves, (0..13).collect::<Vec<_>>());
+            // The ring is oriented as a cycle: every vnode has one out.
+            let mut froms: Vec<usize> = found.iter().map(|&(_, from)| from).collect();
+            froms.sort_unstable();
+            assert_eq!(froms, (0..13).collect::<Vec<_>>());
+        }
     }
 
     #[test]
