@@ -13,9 +13,6 @@
 //! cargo run --release -p localavg-bench --bin exp -- gen --generator powerlaw/2.1 --n 1e7 --seed 0 --out big.csr
 //! cargo run --release -p localavg-bench --bin exp -- import --in edges.txt --out imported.csr
 //! cargo run --release -p localavg-bench --bin exp -- sweep --graph-file big.csr --algorithms mis/luby
-//! cargo run --release -p localavg-bench --bin exp -- bench-engine --out BENCH.json
-//! cargo run --release -p localavg-bench --bin exp -- bench-engine --graph-file big.csr
-//! cargo run --release -p localavg-bench --bin exp -- bench-engine --policy none --reuse-workspace
 //! cargo run --release -p localavg-bench --bin exp -- fuzz --cases 500 --master-seed 5
 //! cargo run --release -p localavg-bench --bin exp -- fuzz --generators lb/lift/1,tree/spider
 //! cargo run --release -p localavg-bench --bin exp -- serve --port 0 --port-file port.txt
@@ -38,16 +35,10 @@
 //!
 //! `gen` builds one named instance with the sweep's content-addressed
 //! seed and persists it as a `localavg-csr/v1` file (DESIGN.md §10);
-//! `--graph-file FILE` on `sweep`/`bench-engine` loads such a file as a
+//! `--graph-file FILE` on `sweep` loads such a file as a
 //! `file/<content-hash>` pseudo-family, so 1e7-node instances are built
 //! once and measured many times. Sizes everywhere accept `4096`,
 //! `10_000_000`, and `1e7` forms.
-//!
-//! `bench-engine` times the round engine itself (sequential + parallel
-//! executors) and emits `localavg-bench/v1` JSON; `--baseline FILE`
-//! embeds a previous run and computes per-cell speedups; `--policy
-//! full|completions|none` and `--reuse-workspace` drive the
-//! `TranscriptPolicy`/`Workspace` fast path.
 //!
 //! `fuzz` runs the seeded differential harness (DESIGN.md §8): sampled
 //! (family × size × algorithm × params × policy × executor) cells are
@@ -63,14 +54,14 @@
 //! cell schema — byte-identical to what `exp sweep` would emit for the
 //! same tuples under the daemon's `--master-seed`.
 
-use localavg_bench::cell::CellKey;
+use localavg_bench::cell::{self, CellKey};
 use localavg_bench::cli::{flag_list, flag_value, flag_values};
 use localavg_bench::experiments::{self, Scale};
 use localavg_bench::serve;
 use localavg_bench::serve::protocol::{parse_cell, Json};
-use localavg_bench::sweep::ParamOverride;
-use localavg_bench::{bench_engine, cli, emit, fuzz, generators, sweep, Table};
-use localavg_core::algo::{registry, Exec, Problem, RunSpec};
+use localavg_bench::sweep::{ParamOverride, SweepError};
+use localavg_bench::{cli, emit, fuzz, generators, sweep, Table};
+use localavg_core::algo::{registry, Problem, RunSpec};
 use localavg_graph::suggest::closest_match;
 use localavg_graph::{gen, rng::Rng};
 use localavg_sim::engine::resolve_threads;
@@ -200,15 +191,6 @@ fn splice_graph_file(
 }
 
 fn run_single_algo(args: &[String], name: &str) {
-    let Some(algo) = registry().get(name) else {
-        eprint!("error: unknown algorithm `{name}`");
-        match registry().suggest(name) {
-            Some(close) => eprintln!(" — did you mean `{close}`?"),
-            None => eprintln!(),
-        }
-        eprintln!("hint: `--list` prints every registered algorithm");
-        std::process::exit(2);
-    };
     let overrides = parse_params(args);
     if let Some(other) = overrides.iter().find(|p| p.algorithm != name) {
         eprintln!(
@@ -221,8 +203,11 @@ fn run_single_algo(args: &[String], name: &str) {
         .iter()
         .map(|p| (p.key.as_str(), p.value.as_str()))
         .collect();
-    let algo = algo.with_params(&kvs).unwrap_or_else(|e| {
+    let algo = cell::resolve_algorithm(name, &kvs).unwrap_or_else(|e| {
         eprintln!("error: {e}");
+        if matches!(e, SweepError::UnknownAlgorithm { .. }) {
+            eprintln!("hint: `--list` prints every registered algorithm");
+        }
         std::process::exit(2);
     });
     let n = parse_usize(args, "--n", 256);
@@ -480,21 +465,15 @@ fn run_gen(args: &[String]) {
         eprintln!("error: --out FILE is required");
         std::process::exit(2);
     };
-    let Some(family) = generators::registry().get(&gname) else {
-        eprint!("error: unknown generator `{gname}`");
-        match generators::registry().suggest(&gname) {
-            Some(close) => eprintln!(" — did you mean `{close}`?"),
-            None => eprintln!(),
-        }
-        std::process::exit(2);
-    };
     let build_start = Instant::now();
-    let g = family
-        .build(n, localavg_bench::cell::graph_seed(master_seed, &gname, n))
-        .unwrap_or_else(|e| {
-            eprintln!("error: generator `{gname}` failed at n={n}: {e:?}");
-            std::process::exit(1);
+    let g = cell::build_instance(&gname, n, master_seed).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(if matches!(e, SweepError::GraphBuild { .. }) {
+            1
+        } else {
+            2
         });
+    });
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
     let write_start = Instant::now();
     let written = localavg_graph::io::write_graph_to_path(&out, &g).unwrap_or_else(|e| {
@@ -518,148 +497,13 @@ fn run_gen(args: &[String]) {
     );
     println!(
         "  family     {}   (use: exp sweep --graph-file {out})",
-        localavg_bench::cell::file_family(hash)
+        cell::file_family(hash)
     );
     if let Some(rss) = peak_rss_bytes() {
         println!(
             "  peak RSS   {rss} bytes ({:.2}x of on-disk size)",
             rss as f64 / written as f64
         );
-    }
-}
-
-/// Rejects unknown or value-less `exp bench-engine` options up front.
-fn validate_bench_args(args: &[String]) {
-    const VALUED: [&str; 12] = [
-        "--algorithms",
-        "--generators",
-        "--sizes",
-        "--reps",
-        "--threads",
-        "--label",
-        "--baseline",
-        "--out",
-        "--policy",
-        "--param",
-        "--tripwire",
-        "--graph-file",
-    ];
-    if let Err(e) = cli::validate_flags(args, &VALUED, &["--reuse-workspace"]) {
-        eprintln!("error: {e}");
-        eprintln!(
-            "known options: --algorithms a,b, --generators g,h, --sizes n,m, --reps R, \
-             --threads N, --label S, --baseline FILE, --out FILE, \
-             --policy full|completions|none, --reuse-workspace, --param algo:key=value, \
-             --tripwire PCT, --graph-file FILE"
-        );
-        std::process::exit(2);
-    }
-}
-
-/// The `exp bench-engine` subcommand: timed engine runs → JSON.
-fn run_bench_engine(args: &[String]) {
-    validate_bench_args(args);
-    let mut spec = bench_engine::BenchSpec::default();
-    if let Some(algos) = flag_list(args, "--algorithms") {
-        spec.algorithms = algos;
-    }
-    spec.policy = cli::parse_policy(args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    spec.reuse_workspace = args.iter().any(|a| a == "--reuse-workspace");
-    spec.params = parse_params(args);
-    if let Some(gens) = flag_list(args, "--generators") {
-        spec.generators = gens;
-    }
-    if let Some(sizes) = parse_sizes(args) {
-        spec.sizes = sizes;
-    }
-    let graph_file = parse_graph_file(args);
-    if let Some(f) = &graph_file {
-        splice_graph_file(args, f, &mut spec.generators, &mut spec.sizes);
-    }
-    spec.reps = parse_usize(args, "--reps", spec.reps);
-    // `--threads` sets the parallel executor's worker count (0 = auto).
-    // Unlike `sweep`, the *default* is the 2 threads of
-    // `BenchSpec::default()`, not auto: the thread count is part of the
-    // cell key, so committed artifacts must compare across machines.
-    let threads = resolve_threads(parse_usize(args, "--threads", 2));
-    spec.executors = vec![Exec::Sequential, Exec::Parallel { threads }];
-    if let Some(label) = flag_value(args, "--label") {
-        spec.label = label;
-    }
-    let baseline = flag_value(args, "--baseline").map(|path| {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        bench_engine::parse_report(&text).unwrap_or_else(|| {
-            eprintln!("error: {path} is not a localavg-bench/v1 document");
-            std::process::exit(2);
-        })
-    });
-
-    let report = bench_engine::run_with_file(&spec, graph_file.as_ref()).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    if let Some(base) = &baseline {
-        let gap = bench_engine::baseline_coverage_gap(&report, base);
-        if gap > 0 {
-            eprintln!(
-                "note: {gap} cell(s) have no matching baseline cell (different grid \
-                 or --threads?) and are omitted from the \"speedups\" section"
-            );
-        }
-        // The mirror image: baseline rows this run never re-measured.
-        // Dropping them silently would let a shrunk grid pass for a
-        // clean comparison, so each one is named and the count lands in
-        // the JSON as "unmatched_cells".
-        for b in bench_engine::unmatched_baseline_cells(&report, base) {
-            eprintln!(
-                "warning: unmatched baseline cell: {} on {} n={} ({}) — \
-                 not re-measured by this run",
-                b.algorithm, b.generator, b.n, b.executor
-            );
-        }
-    }
-    let json = bench_engine::to_json(&report, baseline.as_ref());
-    match flag_value(args, "--out") {
-        None => print!("{json}"),
-        Some(out) => {
-            std::fs::write(&out, &json).unwrap_or_else(|e| {
-                eprintln!("error: cannot write {out}: {e}");
-                std::process::exit(1);
-            });
-            println!("wrote {out}");
-            for c in &report.cells {
-                println!(
-                    "{:>14} {:>10} n={:<7} {:>12}  best {:>9.3} ms  mean {:>9.3} ms  ({} rounds)",
-                    c.algorithm, c.generator, c.n, c.executor, c.best_ms, c.mean_ms, c.rounds
-                );
-            }
-        }
-    }
-    // Perf-regression tripwire (CI): the parallel executor may lose at
-    // most PCT percent to sequential on any cell timed on both. Runs
-    // after the report is written so a trip still leaves the evidence.
-    if let Some(pct) = flag_value(args, "--tripwire") {
-        let pct: f64 = pct.parse().unwrap_or_else(|_| {
-            eprintln!("error: --tripwire expects a percentage, got `{pct}`");
-            std::process::exit(2);
-        });
-        match bench_engine::tripwire(&report, pct) {
-            Ok(lines) => {
-                for line in lines {
-                    eprintln!("{line}");
-                }
-            }
-            Err(message) => {
-                eprintln!("PERF REGRESSION: {message}");
-                std::process::exit(1);
-            }
-        }
     }
 }
 
@@ -1031,20 +875,12 @@ fn run_import(args: &[String]) {
     );
     println!(
         "  family     {}   (use: exp sweep --graph-file {out})",
-        localavg_bench::cell::file_family(hash)
+        cell::file_family(hash)
     );
 }
 
 fn reject_unknown_subcommand(args: &[String]) {
-    const SUBCOMMANDS: [&str; 7] = [
-        "sweep",
-        "gen",
-        "import",
-        "bench-engine",
-        "fuzz",
-        "serve",
-        "submit",
-    ];
+    const SUBCOMMANDS: [&str; 6] = ["sweep", "gen", "import", "fuzz", "serve", "submit"];
     let Some(first) = args.first() else { return };
     // Flags, the `quick` scale word, and experiment ids (`e1`..`e17`,
     // matched loosely as e-words) are left to `validate_bare_args`.
@@ -1075,7 +911,7 @@ fn validate_bare_args(args: &[String]) {
         eprintln!(
             "known options: --list, --problem P, --algo NAME, --n N, --d D, --seed S, \
              --param algo:key=value, quick, e1..e17 (subcommands: sweep, gen, import, \
-             bench-engine, fuzz, serve, submit)"
+             fuzz, serve, submit)"
         );
         std::process::exit(2);
     }
@@ -1094,10 +930,6 @@ fn main() {
     }
     if args.first().map(String::as_str) == Some("import") {
         run_import(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("bench-engine") {
-        run_bench_engine(&args[1..]);
         return;
     }
     if args.first().map(String::as_str) == Some("fuzz") {

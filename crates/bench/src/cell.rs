@@ -1,4 +1,5 @@
-//! The canonical cell identity shared by every measurement front end.
+//! One cell, one code path: the canonical cell identity and the
+//! executor every measurement front end runs it through.
 //!
 //! A *cell* — the unit of work everywhere in this crate — is fully
 //! determined by the tuple `(family, n, seed, algo, params, policy)`
@@ -13,17 +14,31 @@
 //!   iterated-SplitMix64 digest ([`key_tag`]) the seeding discipline
 //!   uses;
 //! * [`graph_seed`] / [`algo_seed`] are the content-addressed seed
-//!   derivations (DESIGN.md §7), moved here from the sweep engine so
-//!   that `exp sweep`, `exp bench-engine`, `exp fuzz`, and `exp serve`
-//!   provably run every cell from the same substreams.
+//!   derivations (DESIGN.md §7), so that `exp sweep`, `exp fuzz` and
+//!   `exp serve` provably build every instance from the same substream.
 //!
 //! Canonicalization rules: parameter overrides are sorted by key (the
 //! CLI/protocol order never matters), and the policy is rendered by its
 //! stable [`TranscriptPolicy::label`]. Two requests that differ only in
 //! param order or policy spelling therefore collapse to one cache entry.
+//!
+//! # The per-cell path
+//!
+//! Sweep, serve and fuzz run every cell through the functions below:
+//! [`resolve_algorithm`] and [`family`] resolve registry keys (with a
+//! closest-match suggestion), [`build_instance`] builds from
+//! [`graph_seed`], front ends apply the domain predicate [`check_domain`]
+//! to a family's declared guarantee, and [`execute`] applies it again to
+//! the built graph, then runs, verifies and computes the [`CellMetrics`].
+//! The run seed stays with each front end.
 
-use localavg_core::algo::TranscriptPolicy;
+use crate::generators;
+use crate::sweep::SweepError;
+use localavg_core::algo::{registry, AlgoRun, DynAlgorithm, RunSpec, TranscriptPolicy, Workspace};
+use localavg_core::metrics::CompletionTimes;
+use localavg_graph::gen::NamedGenerator;
 use localavg_graph::rng::{splitmix64, Rng};
+use localavg_graph::Graph;
 use std::fmt;
 
 /// Hashes a registry key (or any canonical string) into a substream tag:
@@ -158,11 +173,6 @@ impl CellKey {
         key_tag(&self.canonical())
     }
 
-    /// The instance seed of this cell's `(family, n)` graph.
-    pub fn graph_seed(&self, master: u64) -> u64 {
-        graph_seed(master, &self.family, self.n)
-    }
-
     /// The run seed of this cell's algorithm execution.
     pub fn algo_seed(&self, master: u64) -> u64 {
         algo_seed(master, &self.family, self.n, &self.algo, self.seed)
@@ -194,6 +204,160 @@ impl fmt::Display for CellKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.canonical())
     }
+}
+
+/// Looks up an algorithm registry key ([`SweepError::UnknownAlgorithm`]
+/// on a miss).
+pub fn lookup_algorithm(name: &str) -> Result<&'static dyn DynAlgorithm, SweepError> {
+    registry()
+        .get(name)
+        .ok_or_else(|| SweepError::UnknownAlgorithm {
+            name: name.to_string(),
+            suggestion: registry().suggest(name).map(str::to_string),
+        })
+}
+
+/// [`lookup_algorithm`], then `params` applied over the defaults
+/// ([`SweepError::Param`] when the algorithm rejects one).
+pub fn resolve_algorithm(
+    name: &str,
+    params: &[(&str, &str)],
+) -> Result<Box<dyn DynAlgorithm>, SweepError> {
+    lookup_algorithm(name)?
+        .with_params(params)
+        .map_err(|e| SweepError::Param {
+            message: e.to_string(),
+        })
+}
+
+/// Looks up a family in [`generators::registry`]
+/// ([`SweepError::UnknownGenerator`] on a miss).
+pub fn family(name: &str) -> Result<&'static NamedGenerator, SweepError> {
+    generators::registry()
+        .get(name)
+        .ok_or_else(|| SweepError::UnknownGenerator {
+            name: name.to_string(),
+            suggestion: generators::registry().suggest(name).map(str::to_string),
+        })
+}
+
+/// Builds the instance every cell of `(name, n)` runs on, from
+/// [`graph_seed`] ([`SweepError::GraphBuild`] when the generator fails).
+pub fn build_instance(name: &str, n: usize, master_seed: u64) -> Result<Graph, SweepError> {
+    family(name)?
+        .build(n, graph_seed(master_seed, name, n))
+        .map_err(|e| SweepError::GraphBuild {
+            generator: name.to_string(),
+            n,
+            message: format!("{e:?}"),
+        })
+}
+
+/// The domain predicate: `algo` may run on an input of `generator` at
+/// size `n` with minimum degree `min_degree` unless its problem needs
+/// more ([`SweepError::MinDegree`]), or it is forest-only and `forest()`
+/// is false ([`SweepError::NotATree`]; only then is `forest` called).
+pub fn check_domain(
+    algo: &dyn DynAlgorithm,
+    generator: &str,
+    n: usize,
+    min_degree: usize,
+    forest: impl FnOnce() -> bool,
+) -> Result<(), SweepError> {
+    let need = algo.problem().min_degree();
+    if need > min_degree {
+        return Err(SweepError::MinDegree {
+            algorithm: algo.name(),
+            generator: generator.to_string(),
+            n,
+            need,
+            have: min_degree,
+        });
+    }
+    if algo.requires_tree() && !forest() {
+        return Err(SweepError::NotATree {
+            algorithm: algo.name(),
+            generator: generator.to_string(),
+        });
+    }
+    Ok(())
+}
+
+/// The ten per-cell metrics of the `localavg-sweep/v1` schema.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellMetrics {
+    /// Realized node count of the instance.
+    pub nodes: usize,
+    /// Realized edge count of the instance.
+    pub edges: usize,
+    /// Minimum degree of the instance.
+    pub min_degree: usize,
+    /// Maximum degree of the instance.
+    pub max_degree: usize,
+    /// `AVG_V` — node-averaged complexity (Definition 1).
+    pub node_averaged: f64,
+    /// `AVG_E` — edge-averaged complexity (Definition 1).
+    pub edge_averaged: f64,
+    /// Edge average under the relaxed one-endpoint convention (fn. 2).
+    pub edge_averaged_one_endpoint: f64,
+    /// Maximum node completion time.
+    pub node_worst: usize,
+    /// Total rounds until global termination (classic worst case).
+    pub rounds: usize,
+    /// Peak CONGEST message size in bits; `None` when the transcript
+    /// policy skipped the audit.
+    pub peak_message_bits: Option<usize>,
+}
+
+/// One verified run of a cell, as [`execute`] returns it.
+#[derive(Debug, Clone)]
+pub struct CellOutcome {
+    /// The run (solution and transcript).
+    pub run: AlgoRun,
+    /// Definition 1 completion times of the run.
+    pub times: CompletionTimes,
+    /// The cell's metrics.
+    pub metrics: CellMetrics,
+}
+
+/// Runs one cell: [`check_domain`] on the built graph `g` (an instance
+/// of `generator`), `algo` under `spec` in `ws`, verification
+/// ([`SweepError::InvalidOutput`]), and the cell's metrics.
+pub fn execute(
+    algo: &dyn DynAlgorithm,
+    generator: &str,
+    g: &Graph,
+    spec: &RunSpec,
+    ws: &mut Workspace,
+) -> Result<CellOutcome, SweepError> {
+    let min_degree = g.min_degree();
+    check_domain(algo, generator, g.n(), min_degree, || {
+        localavg_graph::analysis::is_forest(g)
+    })?;
+    let run = algo.execute_in(g, spec, ws);
+    run.verify(g).map_err(|e| SweepError::InvalidOutput {
+        algorithm: algo.name(),
+        generator: generator.to_string(),
+        message: e.to_string(),
+    })?;
+    let times = run.completion_times(g);
+    let metrics = CellMetrics {
+        nodes: g.n(),
+        edges: g.m(),
+        min_degree,
+        max_degree: g.max_degree(),
+        node_averaged: times.node_mean(),
+        edge_averaged: times.edge_mean(),
+        edge_averaged_one_endpoint: times.edge_one_endpoint_mean(),
+        node_worst: times.node_max(),
+        rounds: run.worst_case(),
+        peak_message_bits: run.transcript.peak_message_bits(),
+    };
+    Ok(CellOutcome {
+        run,
+        times,
+        metrics,
+    })
 }
 
 #[cfg(test)]
@@ -232,11 +396,10 @@ mod tests {
 
     #[test]
     fn seeds_match_the_sweep_discipline() {
-        // cell::graph_seed/algo_seed are the seeding functions the sweep
-        // engine re-exports; the golden bytes pin this indirectly, this
-        // test pins it directly.
+        // The key's seeds are the free seeding functions every front end
+        // uses; the golden bytes pin this indirectly, this test pins it
+        // directly.
         let key = CellKey::new("regular/4", 64, 2, "mis/luby");
-        assert_eq!(key.graph_seed(7), graph_seed(7, "regular/4", 64));
         assert_eq!(
             key.algo_seed(7),
             algo_seed(7, "regular/4", 64, "mis/luby", 2)

@@ -55,6 +55,7 @@
 //! The CSV emitters flatten the same data: [`cells_csv`] is one row per
 //! cell, [`groups_csv`] one row per (algorithm, generator, size) group.
 
+use crate::cell::CellMetrics;
 use crate::sweep::SweepReport;
 use std::fmt::Write as _;
 
@@ -103,69 +104,33 @@ fn json_str_array(items: &[String]) -> String {
     format!("[{}]", quoted.join(", "))
 }
 
-/// One cell row of the `localavg-sweep/v1` schema, borrowed by key.
-///
-/// This is the *wire form* of a measured cell: [`to_json`] renders one
-/// per sweep cell, and `exp serve` streams exactly the same object per
-/// served result — byte identity between the two is structural, not
-/// coincidental, because both go through [`cell_json`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellRow<'a> {
-    /// Algorithm registry key.
-    pub algorithm: &'a str,
-    /// Generator registry key.
-    pub generator: &'a str,
-    /// Target size.
-    pub n: usize,
-    /// Seed index.
-    pub seed: u64,
-    /// Realized node count.
-    pub nodes: usize,
-    /// Realized edge count.
-    pub edges: usize,
-    /// Minimum degree of the instance.
-    pub min_degree: usize,
-    /// Maximum degree of the instance.
-    pub max_degree: usize,
-    /// `AVG_V` (Definition 1).
-    pub node_averaged: f64,
-    /// `AVG_E` (Definition 1).
-    pub edge_averaged: f64,
-    /// Edge average under the one-endpoint convention (fn. 2).
-    pub edge_averaged_one_endpoint: f64,
-    /// Maximum node completion time.
-    pub node_worst: usize,
-    /// Total rounds until global termination.
-    pub rounds: usize,
-    /// Peak CONGEST message size, in bits; `None` (rendered as JSON
-    /// `null`) when the transcript policy skipped the CONGEST audit.
-    pub peak_message_bits: Option<usize>,
-}
-
 /// Renders one `localavg-sweep/v1` cell object (no indent, no trailing
-/// comma) — the single code path behind both the sweep JSON document and
-/// the `exp serve` result stream.
-pub fn cell_json(row: &CellRow<'_>) -> String {
+/// comma) from the cell's identity and its [`CellMetrics`] — the single
+/// code path behind both the sweep JSON document and the `exp serve`
+/// result stream, so a served line is byte-identical to the sweep's by
+/// construction. An unaudited run's `peak_message_bits` renders as
+/// `null`.
+pub fn cell_json(algorithm: &str, generator: &str, n: usize, seed: u64, m: &CellMetrics) -> String {
     format!(
         "{{\"algorithm\": \"{}\", \"generator\": \"{}\", \"n\": {}, \"seed\": {}, \
          \"graph\": {{\"nodes\": {}, \"edges\": {}, \"min_degree\": {}, \"max_degree\": {}}}, \
          \"metrics\": {{\"node_averaged\": {}, \"edge_averaged\": {}, \
          \"edge_averaged_one_endpoint\": {}, \"node_worst\": {}, \"rounds\": {}, \
          \"peak_message_bits\": {}}}}}",
-        json_escape(row.algorithm),
-        json_escape(row.generator),
-        row.n,
-        row.seed,
-        row.nodes,
-        row.edges,
-        row.min_degree,
-        row.max_degree,
-        json_f64(row.node_averaged),
-        json_f64(row.edge_averaged),
-        json_f64(row.edge_averaged_one_endpoint),
-        row.node_worst,
-        row.rounds,
-        row.peak_message_bits
+        json_escape(algorithm),
+        json_escape(generator),
+        n,
+        seed,
+        m.nodes,
+        m.edges,
+        m.min_degree,
+        m.max_degree,
+        json_f64(m.node_averaged),
+        json_f64(m.edge_averaged),
+        json_f64(m.edge_averaged_one_endpoint),
+        m.node_worst,
+        m.rounds,
+        m.peak_message_bits
             .map_or_else(|| "null".to_string(), |b| b.to_string())
     )
 }
@@ -247,7 +212,13 @@ pub fn to_json(report: &SweepReport) -> String {
         let _ = writeln!(
             out,
             "    {}{}",
-            cell_json(&c.row()),
+            cell_json(
+                c.cell.algorithm,
+                c.cell.generator,
+                c.cell.n,
+                c.cell.seed,
+                &c.metrics
+            ),
             if i + 1 < report.cells.len() { "," } else { "" }
         );
     }
@@ -475,16 +446,18 @@ mod tests {
     #[test]
     fn unaudited_cells_render_a_null_peak() {
         let report = tiny_report();
-        let mut row = report.cells[0].row();
+        let c = &report.cells[0];
+        let line = |m: &CellMetrics| cell_json(c.cell.algorithm, c.cell.generator, 16, 0, m);
         assert!(
-            !cell_json(&row).contains("null"),
+            !line(&c.metrics).contains("null"),
             "audited cells render a numeric peak"
         );
-        row.peak_message_bits = None;
-        assert!(cell_json(&row).ends_with("\"peak_message_bits\": null}}"));
+        let mut metrics = c.metrics;
+        metrics.peak_message_bits = None;
+        assert!(line(&metrics).ends_with("\"peak_message_bits\": null}}"));
         // The CSV column is empty rather than a fake zero.
         let mut unaudited = report.clone();
-        unaudited.cells[0].peak_message_bits = None;
+        unaudited.cells[0].metrics.peak_message_bits = None;
         let line = cells_csv(&unaudited).lines().nth(1).unwrap().to_string();
         assert!(line.ends_with(','), "empty trailing column: {line}");
         assert_eq!(line.split(',').count(), 14);

@@ -48,13 +48,13 @@
 //! tuple, ready to paste into a regression test.
 //!
 //! Everything is a pure function of `FuzzSpec`: case `i` draws from
-//! `Rng::seed_from(master_seed).fork(i)`, and instances reuse the
-//! sweep's content-addressed [`sweep::graph_seed`], so a reported tuple
-//! replays exactly.
+//! `Rng::seed_from(master_seed).fork(i)`, instances come from the
+//! content-addressed [`cell::graph_seed`], and the fast run goes through
+//! [`cell::execute`] under the sampled seed, so a reported tuple replays
+//! exactly.
 
-use crate::cell::CellKey;
-use crate::generators;
-use crate::sweep::{self, SweepError};
+use crate::cell::{self, CellKey, CellOutcome};
+use crate::sweep::SweepError;
 use localavg_core::algo::{
     registry, DynAlgorithm, Exec, RunSpec, Solution, TranscriptPolicy, Workspace,
 };
@@ -64,6 +64,7 @@ use localavg_graph::analysis::Orientation;
 use localavg_graph::io;
 use localavg_graph::rng::Rng;
 use localavg_graph::Graph;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -362,17 +363,8 @@ struct Session {
 
 impl Session {
     fn ensure_graph(&mut self, generator: &'static str, n: usize) -> Result<(), SweepError> {
-        if !self.graphs.contains_key(&(generator, n)) {
-            let g = generators::registry()
-                .get(generator)
-                .expect("validated key")
-                .build(n, sweep::graph_seed(self.master_seed, generator, n))
-                .map_err(|e| SweepError::GraphBuild {
-                    generator: generator.to_string(),
-                    n,
-                    message: format!("{e:?}"),
-                })?;
-            self.graphs.insert((generator, n), g);
+        if let Entry::Vacant(slot) = self.graphs.entry((generator, n)) {
+            slot.insert(cell::build_instance(generator, n, self.master_seed)?);
         }
         Ok(())
     }
@@ -385,10 +377,7 @@ impl Session {
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect();
-        let algo = registry()
-            .get(cell.algorithm)
-            .ok_or_else(|| format!("unknown algorithm `{}`", cell.algorithm))?
-            .with_params(&kvs)
+        let algo = cell::resolve_algorithm(cell.algorithm, &kvs)
             .map_err(|e| format!("param rejection: {e}"))?;
         let (generator, n) = (cell.generator, cell.n);
         self.ensure_graph(generator, n)
@@ -399,29 +388,16 @@ impl Session {
             graphs, workspace, ..
         } = self;
         let g = &graphs[&(generator, n)];
-        if algo.problem().min_degree() > g.min_degree() {
-            return Err(format!(
-                "domain filter breach: {} on {} (min degree {} < {})",
-                cell.algorithm,
-                cell.generator,
-                g.min_degree(),
-                algo.problem().min_degree()
-            ));
-        }
-        if algo.requires_tree() && !localavg_graph::analysis::is_forest(g) {
-            return Err(format!(
-                "domain filter breach: {} only runs on forests but {} built a cyclic graph",
-                cell.algorithm, cell.generator
-            ));
-        }
         let fast_spec = RunSpec::new(cell.seed)
             .with_exec(cell.exec())
             .with_transcript(cell.policy);
-        let run = algo.execute_in(g, &fast_spec, workspace);
+        // The domain check on the built graph, the run, and leg 1's fast
+        // validator.
+        let CellOutcome { run, times, .. } =
+            cell::execute(&*algo, generator, g, &fast_spec, workspace)
+                .map_err(|e| e.to_string())?;
 
         // 1. Both validators accept.
-        run.verify(g)
-            .map_err(|e| format!("fast validator rejected the run: {e}"))?;
         check::verify_solution(g, &run.solution)
             .map_err(|e| format!("oracle validator rejected the run: {e}"))?;
 
@@ -434,7 +410,6 @@ impl Session {
         //    stand on (a nearest-rank p99 covers ≥ 99% of the mass, and
         //    completion times are never concentrated in the top 1% on
         //    instances the samplers build).
-        let times = run.completion_times(g);
         let d_node = Distribution::from_rounds(&times.node);
         let d_edge = Distribution::from_rounds(&times.edge);
         for (label, d) in [("node", &d_node), ("edge", &d_edge)] {
@@ -480,7 +455,7 @@ impl Session {
         //    live counter after every round; it must replay exactly from
         //    the per-node termination ledger.
         let ledger = &canon.transcript.live_after_round;
-        if ledger.len() != canon.transcript.rounds as usize + 1 {
+        if ledger.len() != canon.transcript.rounds + 1 {
             return Err(format!(
                 "live ledger has {} entries for {} rounds",
                 ledger.len(),
@@ -562,14 +537,13 @@ fn sample_domain(
 ) -> Domain {
     let mut domain = Vec::new();
     for &generator in gens {
-        let fam = generators::registry().get(generator).expect("validated");
+        let fam = cell::family(generator).expect("validated");
         for &n in &spec.sizes {
             let eligible: Vec<&'static dyn DynAlgorithm> = algos
                 .iter()
                 .copied()
-                .filter(|a| {
-                    a.problem().min_degree() <= fam.min_degree(n)
-                        && (!a.requires_tree() || fam.is_tree())
+                .filter(|&a| {
+                    cell::check_domain(a, generator, n, fam.min_degree(n), || fam.is_tree()).is_ok()
                 })
                 .collect();
             if !eligible.is_empty() {
@@ -694,30 +668,16 @@ pub fn run(spec: &FuzzSpec) -> Result<FuzzReport, SweepError> {
     {
         return Err(SweepError::EmptyAxis);
     }
-    let mut algos: Vec<&'static dyn DynAlgorithm> = Vec::new();
-    for name in &spec.algorithms {
-        match registry().get(name) {
-            Some(a) => algos.push(a),
-            None => {
-                return Err(SweepError::UnknownAlgorithm {
-                    name: name.clone(),
-                    suggestion: registry().suggest(name).map(str::to_string),
-                })
-            }
-        }
-    }
-    let mut gens: Vec<&'static str> = Vec::new();
-    for name in &spec.generators {
-        match generators::registry().get(name) {
-            Some(g) => gens.push(g.name()),
-            None => {
-                return Err(SweepError::UnknownGenerator {
-                    name: name.clone(),
-                    suggestion: generators::registry().suggest(name).map(str::to_string),
-                })
-            }
-        }
-    }
+    let algos = spec
+        .algorithms
+        .iter()
+        .map(|name| cell::lookup_algorithm(name))
+        .collect::<Result<Vec<_>, _>>()?;
+    let gens = spec
+        .generators
+        .iter()
+        .map(|name| cell::family(name).map(|g| g.name()))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut session = Session {
         graphs: BTreeMap::new(),
@@ -796,6 +756,7 @@ pub fn run(spec: &FuzzSpec) -> Result<FuzzReport, SweepError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators;
 
     fn quick_spec() -> FuzzSpec {
         FuzzSpec {

@@ -5,9 +5,10 @@
 //! (`lb/cluster-tree/*`, `lb/lift/*`, `lb/doubled/1`) live in
 //! `localavg_lowerbound::families` because the graph crate cannot depend
 //! on the lower-bound crate. This module is where the two meet: every
-//! measurement front end in this crate (`exp sweep`, `exp bench-engine`,
-//! `exp fuzz`) resolves generator keys through [`registry`], so hard
-//! instances are ordinary workloads everywhere.
+//! measurement front end in this crate (`exp sweep`, `exp fuzz`, `exp
+//! serve`) resolves generator keys through [`registry`] (by way of
+//! [`crate::cell::family`]), so hard instances are ordinary workloads
+//! everywhere.
 
 use localavg_graph::gen::GenRegistry;
 use std::sync::OnceLock;

@@ -21,7 +21,8 @@
 //! verifies the whole stack against the `localavg_core::check` oracle.
 //!
 //! Every front end names a unit of work by the same canonical
-//! [`cell::CellKey`] tuple, and the [`serve`] subsystem (`exp serve` /
+//! [`cell::CellKey`] tuple and runs it through the same
+//! [`cell::execute`], and the [`serve`] subsystem (`exp serve` /
 //! `exp submit`, DESIGN.md §9) exposes the sweep's cells as a
 //! long-running TCP service with a content-addressed result cache.
 
@@ -29,7 +30,6 @@
 #![warn(missing_docs)]
 #![doc(test(attr(deny(warnings))))]
 
-pub mod bench_engine;
 pub mod cell;
 pub mod cli;
 pub mod emit;

@@ -7,10 +7,8 @@
 //! per submitted cell; each worker thread runs [`Pool::worker_loop`]
 //! with a private reusable [`Workspace`] until the queue closes.
 //!
-//! Execution reproduces the sweep engine's cell semantics exactly —
-//! same registries, same content-addressed seeds
-//! ([`CellKey::graph_seed`] / [`CellKey::algo_seed`]), same domain
-//! filter, same verified metrics — and renders the result through
+//! A cell runs through the sweep engine's per-cell path ([`crate::cell`])
+//! with the same content-addressed seeds and renders through
 //! [`crate::emit::cell_json`], so a served line is byte-identical to
 //! the same cell's line in an `exp sweep` report (the serve goldens
 //! pin this).
@@ -24,10 +22,10 @@
 use super::cache::{Acquire, CellCache};
 use super::protocol::ServeStats;
 use super::queue::JobQueue;
-use crate::cell::CellKey;
-use crate::emit::{cell_json, CellRow};
-use crate::generators;
-use localavg_core::algo::{registry, RunSpec};
+use crate::cell::{self, CellKey};
+use crate::emit::cell_json;
+use crate::sweep::SweepError;
+use localavg_core::algo::RunSpec;
 use localavg_graph::Graph;
 use localavg_sim::workspace::Workspace;
 use std::collections::HashMap;
@@ -94,6 +92,11 @@ impl GraphStore {
     /// Returns a human-readable message for unknown families (with a
     /// closest-match suggestion) or generator failures.
     pub fn get(&self, key: &CellKey, master_seed: u64) -> Result<Arc<Graph>, String> {
+        self.fetch(key, master_seed).map_err(|e| e.to_string())
+    }
+
+    /// [`GraphStore::get`] with the typed error.
+    fn fetch(&self, key: &CellKey, master_seed: u64) -> Result<Arc<Graph>, SweepError> {
         let store_key = (key.family.clone(), key.n);
         let mut slots = self.slots.lock().expect("graph store poisoned");
         loop {
@@ -109,7 +112,7 @@ impl GraphStore {
             }
         }
         drop(slots);
-        let built = build_instance(key, master_seed);
+        let built = cell::build_instance(&key.family, key.n, master_seed).map(Arc::new);
         let mut slots = self.slots.lock().expect("graph store poisoned");
         match &built {
             Ok(g) => {
@@ -133,19 +136,6 @@ impl GraphStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-fn build_instance(key: &CellKey, master_seed: u64) -> Result<Arc<Graph>, String> {
-    let gen =
-        generators::registry().get(&key.family).ok_or_else(|| {
-            match generators::registry().suggest(&key.family) {
-                Some(s) => format!("unknown generator `{}` — did you mean `{s}`?", key.family),
-                None => format!("unknown generator `{}`", key.family),
-            }
-        })?;
-    gen.build(key.n, key.graph_seed(master_seed))
-        .map(Arc::new)
-        .map_err(|e| format!("generator `{}` failed at n={}: {e:?}", key.family, key.n))
 }
 
 /// Everything the daemon's threads share (see the module docs).
@@ -262,17 +252,14 @@ impl Pool {
     }
 }
 
-/// Runs one cell end to end — registry lookup, param configuration,
-/// domain filter, shared instance, content-addressed seeds, verified
-/// metrics — and renders the `localavg-sweep/v1` line.
-///
-/// This is the serve-side twin of the sweep engine's per-cell body
-/// ([`crate::sweep::run`]); the serve goldens assert the two produce
-/// byte-identical lines for every golden cell.
+/// Runs one cell end to end — registry resolution, the domain predicate
+/// on the family's declared guarantee (before anything is built), the
+/// shared instance, [`cell::execute`] under the content-addressed run
+/// seed — and renders the `localavg-sweep/v1` line.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for unknown registry keys (with
+/// Returns the rendered [`SweepError`] for unknown registry keys (with
 /// closest-match suggestions), rejected params, domain violations,
 /// generator failures, and outputs that fail verification.
 pub fn execute_cell(
@@ -281,55 +268,29 @@ pub fn execute_cell(
     graphs: &GraphStore,
     ws: &mut Workspace,
 ) -> Result<String, String> {
-    let algo = registry()
-        .get(&key.algo)
-        .ok_or_else(|| match registry().suggest(&key.algo) {
-            Some(s) => format!("unknown algorithm `{}` — did you mean `{s}`?", key.algo),
-            None => format!("unknown algorithm `{}`", key.algo),
-        })?;
+    serve_cell(key, master_seed, graphs, ws).map_err(|e| e.to_string())
+}
+
+fn serve_cell(
+    key: &CellKey,
+    master_seed: u64,
+    graphs: &GraphStore,
+    ws: &mut Workspace,
+) -> Result<String, SweepError> {
     let kvs: Vec<(&str, &str)> = key
         .params
         .iter()
         .map(|(k, v)| (k.as_str(), v.as_str()))
         .collect();
-    let algo = algo.with_params(&kvs).map_err(|e| e.to_string())?;
-    let gen =
-        generators::registry().get(&key.family).ok_or_else(|| {
-            match generators::registry().suggest(&key.family) {
-                Some(s) => format!("unknown generator `{}` — did you mean `{s}`?", key.family),
-                None => format!("unknown generator `{}`", key.family),
-            }
-        })?;
-    let need = algo.problem().min_degree();
-    let have = gen.min_degree(key.n);
-    if need > have {
-        return Err(format!(
-            "`{}` needs minimum degree {need} but `{}` only guarantees {have} at n={}",
-            key.algo, key.family, key.n
-        ));
-    }
-    let g = graphs.get(key, master_seed)?;
+    let algo = cell::resolve_algorithm(&key.algo, &kvs)?;
+    let family = cell::family(&key.family)?;
+    cell::check_domain(&*algo, &key.family, key.n, family.min_degree(key.n), || {
+        family.is_tree()
+    })?;
+    let g = graphs.fetch(key, master_seed)?;
     let spec = RunSpec::new(key.algo_seed(master_seed)).with_transcript(key.policy);
-    let run = algo.execute_in(&g, &spec, ws);
-    run.verify(&g)
-        .map_err(|e| format!("{key} produced an invalid output: {e}"))?;
-    let times = run.completion_times(&g);
-    Ok(cell_json(&CellRow {
-        algorithm: &key.algo,
-        generator: &key.family,
-        n: key.n,
-        seed: key.seed,
-        nodes: g.n(),
-        edges: g.m(),
-        min_degree: g.min_degree(),
-        max_degree: g.degrees().max().unwrap_or(0),
-        node_averaged: times.node_mean(),
-        edge_averaged: times.edge_mean(),
-        edge_averaged_one_endpoint: times.edge_one_endpoint_mean(),
-        node_worst: times.node_max(),
-        rounds: run.worst_case(),
-        peak_message_bits: run.transcript.peak_message_bits(),
-    }))
+    let m = cell::execute(&*algo, &key.family, &g, &spec, ws)?.metrics;
+    Ok(cell_json(&key.algo, &key.family, key.n, key.seed, &m))
 }
 
 #[cfg(test)]
@@ -357,7 +318,9 @@ mod tests {
         let mut ws = Workspace::new();
         for result in &report.cells {
             let line = execute_cell(&result.cell.key(), 7, &graphs, &mut ws).unwrap();
-            assert_eq!(line, cell_json(&result.row()), "cell {}", result.cell.key());
+            let c = &result.cell;
+            let expected = cell_json(c.algorithm, c.generator, c.n, c.seed, &result.metrics);
+            assert_eq!(line, expected, "cell {}", c.key());
         }
         assert_eq!(graphs.len(), 1, "one shared (family, n) instance");
     }
@@ -382,6 +345,11 @@ mod tests {
         let key = CellKey::new("tree/random", 32, 0, "orientation/rand");
         let err = execute_cell(&key, 0, &graphs, &mut ws).unwrap_err();
         assert!(err.contains("minimum degree"), "got: {err}");
+        // Rake-and-compress runs on forests only; a 4-regular graph has
+        // cycles.
+        let key = CellKey::new("regular/4", 32, 0, "mis/tree-rc");
+        let err = execute_cell(&key, 0, &graphs, &mut ws).unwrap_err();
+        assert!(err.contains("forests"), "got: {err}");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! Deterministic algorithms ignore their seed, so the sweep collapses
 //! their seed axis to a single run per group.
 
-use crate::cell::{self, CellKey};
+use crate::cell::{self, CellKey, CellMetrics};
 use crate::generators;
 use localavg_core::algo::{registry, DynAlgorithm, RunSpec};
 use localavg_core::metrics::{CompletionTimes, Distribution, RunAggregate};
@@ -36,7 +36,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use crate::experiments::Scale;
 
@@ -53,9 +52,6 @@ pub struct FileGraph {
     pub family: &'static str,
     /// The loaded, fully validated instance.
     pub graph: Graph,
-    /// Wall-clock of the load, in milliseconds (reported by
-    /// `exp bench-engine` as the instance's `graph_build_ms`).
-    pub load_ms: f64,
 }
 
 impl FileGraph {
@@ -66,13 +62,11 @@ impl FileGraph {
     /// Returns the rendered [`localavg_graph::io::ReadError`], prefixed
     /// with the path.
     pub fn load(path: &str) -> Result<FileGraph, String> {
-        let t0 = Instant::now();
         let (graph, hash) = localavg_graph::io::read_graph_from_path_with_hash(path)
             .map_err(|e| format!("cannot load graph file {path}: {e}"))?;
         Ok(FileGraph {
             family: Box::leak(cell::file_family(hash).into_boxed_str()),
             graph,
-            load_ms: t0.elapsed().as_secs_f64() * 1e3,
         })
     }
 }
@@ -170,9 +164,10 @@ impl SweepSpec {
     }
 
     /// Expands the grid into cells in canonical order (generator, size,
-    /// algorithm, seed), applying the static domain filter: an algorithm
-    /// is skipped on families whose guaranteed minimum degree is below
-    /// its problem's requirement.
+    /// algorithm, seed), applying [`cell::check_domain`] to each family's
+    /// declared guarantee: an algorithm is skipped on families whose
+    /// guaranteed minimum degree is below its problem's requirement, and
+    /// a forest-only algorithm on families that may have cycles.
     ///
     /// # Errors
     ///
@@ -198,57 +193,42 @@ impl SweepSpec {
         {
             return Err(SweepError::EmptyAxis);
         }
-        let mut algos: Vec<&'static dyn DynAlgorithm> = Vec::new();
-        for name in &self.algorithms {
-            match registry().get(name) {
-                Some(a) => algos.push(a),
-                None => {
-                    return Err(SweepError::UnknownAlgorithm {
-                        name: name.clone(),
-                        suggestion: registry().suggest(name).map(str::to_string),
-                    })
-                }
-            }
-        }
+        let algos = self
+            .algorithms
+            .iter()
+            .map(|name| cell::lookup_algorithm(name))
+            .collect::<Result<Vec<_>, _>>()?;
         enum Gen<'a> {
             Registry(&'static NamedGenerator),
             File(&'a FileGraph),
         }
         let mut gens: Vec<Gen<'_>> = Vec::new();
         for name in &self.generators {
-            if let Some(f) = file.filter(|f| f.family == name.as_str()) {
-                gens.push(Gen::File(f));
-                continue;
-            }
-            match generators::registry().get(name) {
-                Some(g) => gens.push(Gen::Registry(g)),
-                None => {
-                    return Err(SweepError::UnknownGenerator {
-                        name: name.clone(),
-                        suggestion: generators::registry().suggest(name).map(str::to_string),
-                    })
-                }
+            match file.filter(|f| f.family == name.as_str()) {
+                Some(f) => gens.push(Gen::File(f)),
+                None => gens.push(Gen::Registry(cell::family(name)?)),
             }
         }
         let mut cells = Vec::new();
-        let mut tree_skip: Option<(&'static str, String)> = None;
+        let mut tree_skip: Option<SweepError> = None;
         for g in &gens {
             for &n in &self.sizes {
-                let (gname, min_degree, is_tree) = match g {
-                    Gen::Registry(g) => (g.name(), g.min_degree(n), g.is_tree()),
-                    Gen::File(f) => (
-                        f.family,
-                        f.graph.min_degree(),
-                        localavg_graph::analysis::is_forest(&f.graph),
-                    ),
+                let (gname, min_degree) = match g {
+                    Gen::Registry(g) => (g.name(), g.min_degree(n)),
+                    Gen::File(f) => (f.family, f.graph.min_degree()),
                 };
-                for a in &algos {
-                    if a.problem().min_degree() > min_degree {
-                        continue;
-                    }
-                    if a.requires_tree() && !is_tree {
-                        tree_skip.get_or_insert_with(|| (a.name(), gname.to_string()));
-                        continue;
+                let forest = || match g {
+                    Gen::Registry(g) => g.is_tree(),
+                    Gen::File(f) => localavg_graph::analysis::is_forest(&f.graph),
+                };
+                for &a in &algos {
+                    match cell::check_domain(a, gname, n, min_degree, forest) {
+                        Ok(()) => {}
+                        Err(e @ SweepError::NotATree { .. }) => {
+                            tree_skip.get_or_insert(e);
+                            continue;
+                        }
+                        Err(_) => continue,
                     }
                     let seeds = if a.deterministic() { 1 } else { self.seeds };
                     for seed in 0..seeds {
@@ -262,15 +242,10 @@ impl SweepSpec {
                 }
             }
         }
-        if cells.is_empty() {
-            if let Some((algorithm, generator)) = tree_skip {
-                return Err(SweepError::NotATree {
-                    algorithm,
-                    generator,
-                });
-            }
+        match tree_skip {
+            Some(e) if cells.is_empty() => Err(e),
+            _ => Ok(cells),
         }
-        Ok(cells)
     }
 }
 
@@ -336,13 +311,36 @@ pub enum SweepError {
     /// algorithm's domain requirement exceeds every chosen family's
     /// minimum-degree guarantee (`exp fuzz` sampling).
     NoCompatibleCells,
-    /// A `*/tree-rc` algorithm was paired only with non-tree families
-    /// (its domain is restricted to forests), leaving the grid empty.
+    /// A `*/tree-rc` algorithm (forests only) met only families or an
+    /// instance that may have cycles.
     NotATree {
         /// The tree-restricted algorithm.
         algorithm: &'static str,
         /// A non-tree family it was paired with.
         generator: String,
+    },
+    /// A cell's family guarantees, or its instance has, a smaller
+    /// minimum degree than the algorithm's problem needs.
+    MinDegree {
+        /// The algorithm.
+        algorithm: &'static str,
+        /// The family.
+        generator: String,
+        /// Target size (realized size for a built instance).
+        n: usize,
+        /// Minimum degree the problem needs.
+        need: usize,
+        /// Minimum degree the family guarantees or the instance has.
+        have: usize,
+    },
+    /// A run's output failed verification — a bug in the algorithm.
+    InvalidOutput {
+        /// The algorithm.
+        algorithm: &'static str,
+        /// The family of the instance it ran on.
+        generator: String,
+        /// The verifier's rejection.
+        message: String,
     },
 }
 
@@ -391,62 +389,48 @@ impl fmt::Display for SweepError {
                     trees.join(", ")
                 )
             }
+            SweepError::MinDegree {
+                algorithm,
+                generator,
+                n,
+                need,
+                have,
+            } => write!(
+                f,
+                "`{algorithm}` needs minimum degree {need} but `{generator}` only \
+                 guarantees {have} at n={n}"
+            ),
+            SweepError::InvalidOutput {
+                algorithm,
+                generator,
+                message,
+            } => write!(
+                f,
+                "`{algorithm}` on `{generator}` produced an invalid output: {message}"
+            ),
         }
     }
 }
 
 impl std::error::Error for SweepError {}
 
-/// Measured result of one cell (one verified run).
+/// Measured result of one cell (one verified run). Dereferences to its
+/// [`CellMetrics`], so `result.rounds` and the other metrics read as
+/// fields of the result.
 #[derive(Debug, Clone)]
 pub struct CellResult {
     /// The cell that was run.
     pub cell: SweepCell,
-    /// Realized node count of the instance.
-    pub nodes: usize,
-    /// Realized edge count of the instance.
-    pub edges: usize,
-    /// Minimum degree of the instance.
-    pub min_degree: usize,
-    /// Maximum degree of the instance.
-    pub max_degree: usize,
-    /// `AVG_V` — node-averaged complexity (Definition 1).
-    pub node_averaged: f64,
-    /// `AVG_E` — edge-averaged complexity (Definition 1).
-    pub edge_averaged: f64,
-    /// Edge average under the relaxed one-endpoint convention (fn. 2).
-    pub edge_averaged_one_endpoint: f64,
-    /// Maximum node completion time.
-    pub node_worst: usize,
-    /// Total rounds until global termination (classic worst case).
-    pub rounds: usize,
-    /// Peak CONGEST message size observed, in bits — `None` when the
-    /// run's transcript policy skipped the CONGEST audit entirely (the
-    /// sweep always audits; lean policies surface here through `exp
-    /// serve` and replay paths).
-    pub peak_message_bits: Option<usize>,
+    /// The cell's metrics (the sweep always audits, so
+    /// `peak_message_bits` is always `Some`).
+    pub metrics: CellMetrics,
 }
 
-impl CellResult {
-    /// The `localavg-sweep/v1` wire view of this result (see
-    /// [`crate::emit::cell_json`]).
-    pub fn row(&self) -> crate::emit::CellRow<'_> {
-        crate::emit::CellRow {
-            algorithm: self.cell.algorithm,
-            generator: self.cell.generator,
-            n: self.cell.n,
-            seed: self.cell.seed,
-            nodes: self.nodes,
-            edges: self.edges,
-            min_degree: self.min_degree,
-            max_degree: self.max_degree,
-            node_averaged: self.node_averaged,
-            edge_averaged: self.edge_averaged,
-            edge_averaged_one_endpoint: self.edge_averaged_one_endpoint,
-            node_worst: self.node_worst,
-            rounds: self.rounds,
-            peak_message_bits: self.peak_message_bits,
-        }
+impl std::ops::Deref for CellResult {
+    type Target = CellMetrics;
+
+    fn deref(&self) -> &CellMetrics {
+        &self.metrics
     }
 }
 
@@ -508,43 +492,23 @@ pub struct SweepReport {
     pub groups: Vec<GroupResult>,
 }
 
-/// The seed a `(generator, n)` instance is built from: forked from the
-/// master seed by generator key and target size only, so every algorithm
-/// and every seed index of a group sees the same topology. Public so
-/// tests and `exp bench-engine` can rebuild the exact instances a sweep
-/// measured. Delegates to [`crate::cell::graph_seed`] — the one seeding
-/// code path every front end (sweep, bench, fuzz, serve) shares.
-pub fn graph_seed(master: u64, generator: &str, n: usize) -> u64 {
-    cell::graph_seed(master, generator, n)
-}
-
-/// The seed a cell's algorithm run draws from: additionally forked by
-/// algorithm key and seed index. Public for the same reason as
-/// [`graph_seed`]: replaying a sweep cell outside the sweep engine.
+/// The seed a sweep cell's algorithm run draws from
+/// ([`cell::algo_seed`] of the cell's tuple). Public so a sweep cell can
+/// be replayed outside the sweep engine.
 pub fn algo_seed(master: u64, cell: &SweepCell) -> u64 {
     cell::algo_seed(master, cell.generator, cell.n, cell.algorithm, cell.seed)
 }
 
-/// Builds the configured algorithm table for a spec: every algorithm
-/// key mapped to a `DynAlgorithm` with the spec's [`ParamOverride`]s
-/// applied (defaults when none name it).
+/// Builds the configured algorithm table for a spec, once per spec:
+/// every algorithm key mapped to a `DynAlgorithm` with the spec's
+/// [`ParamOverride`]s applied (defaults when none name it).
 ///
 /// # Errors
 ///
 /// Fails on overrides naming algorithms outside the spec and on
 /// key/value pairs the algorithm's validation rejects.
-fn configured_algorithms(
-    spec: &SweepSpec,
-) -> Result<BTreeMap<String, Box<dyn DynAlgorithm>>, SweepError> {
-    configure(&spec.algorithms, &spec.params)
-}
-
-/// Shared override plumbing for the sweep and `exp bench-engine`: maps
-/// every algorithm key to a `DynAlgorithm` carrying its overrides.
-pub(crate) fn configure(
-    algorithms: &[String],
-    params: &[ParamOverride],
-) -> Result<BTreeMap<String, Box<dyn DynAlgorithm>>, SweepError> {
+fn configure(spec: &SweepSpec) -> Result<BTreeMap<String, Box<dyn DynAlgorithm>>, SweepError> {
+    let (algorithms, params) = (&spec.algorithms, &spec.params);
     for p in params {
         if !algorithms.contains(&p.algorithm) {
             return Err(SweepError::Param {
@@ -562,17 +526,7 @@ pub(crate) fn configure(
             .filter(|p| &p.algorithm == name)
             .map(|p| (p.key.as_str(), p.value.as_str()))
             .collect();
-        let algo = registry()
-            .get(name)
-            .ok_or_else(|| SweepError::UnknownAlgorithm {
-                name: name.clone(),
-                suggestion: registry().suggest(name).map(str::to_string),
-            })?
-            .with_params(&kvs)
-            .map_err(|e| SweepError::Param {
-                message: e.to_string(),
-            })?;
-        algos.insert(name.clone(), algo);
+        algos.insert(name.clone(), cell::resolve_algorithm(name, &kvs)?);
     }
     Ok(algos)
 }
@@ -592,7 +546,9 @@ pub(crate) fn configure(
 /// # Panics
 ///
 /// Panics if a registered algorithm produces an output that fails
-/// verification — that is a bug in the algorithm, not in the caller.
+/// verification — that is a bug in the algorithm, not in the caller —
+/// or if a family's instance breaks the domain guarantee the grid was
+/// filtered by.
 pub fn run(spec: &SweepSpec, threads: usize) -> Result<SweepReport, SweepError> {
     run_with_file(spec, threads, None)
 }
@@ -615,7 +571,7 @@ pub fn run_with_file(
     file: Option<&FileGraph>,
 ) -> Result<SweepReport, SweepError> {
     let cells = spec.cells_with(file)?;
-    let algos = configured_algorithms(spec)?;
+    let algos = configure(spec)?;
     // Build every (generator, n) instance once, up front and sequentially
     // — deterministic, and workers then share read-only graphs.
     let mut graphs: BTreeMap<(&'static str, usize), Graph> = BTreeMap::new();
@@ -624,15 +580,7 @@ pub fn run_with_file(
         {
             continue;
         }
-        let g = generators::registry()
-            .get(c.generator)
-            .expect("cells() validated the key")
-            .build(c.n, graph_seed(spec.master_seed, c.generator, c.n))
-            .map_err(|e| SweepError::GraphBuild {
-                generator: c.generator.to_string(),
-                n: c.n,
-                message: format!("{e:?}"),
-            })?;
+        let g = cell::build_instance(c.generator, c.n, spec.master_seed)?;
         graphs.insert((c.generator, c.n), g);
     }
     // The file-backed instance never clones: cells borrow it directly.
@@ -667,36 +615,17 @@ pub fn run_with_file(
                     let cell = cells[i];
                     let g = instance(cell.generator, cell.n);
                     let algo = algos.get(cell.algorithm).expect("validated key");
-                    let run = algo.execute_in(
-                        g,
-                        &RunSpec::new(algo_seed(spec.master_seed, &cell)),
-                        &mut ws,
-                    );
-                    run.verify(g).unwrap_or_else(|e| {
-                        panic!("{} produced an invalid output: {e}", cell.key())
-                    });
-                    let times = run.completion_times(g);
-                    let result = CellResult {
-                        cell,
-                        nodes: g.n(),
-                        edges: g.m(),
-                        min_degree: g.min_degree(),
-                        max_degree: g.degrees().max().unwrap_or(0),
-                        node_averaged: times.node_mean(),
-                        edge_averaged: times.edge_mean(),
-                        edge_averaged_one_endpoint: times.edge_one_endpoint_mean(),
-                        node_worst: times.node_max(),
-                        rounds: run.worst_case(),
-                        peak_message_bits: run.transcript.peak_message_bits(),
-                    };
-                    let node_bits_sent = run
-                        .transcript
-                        .audited()
-                        .then(|| run.transcript.node_bits_sent.clone());
+                    let run_spec = RunSpec::new(algo_seed(spec.master_seed, &cell));
+                    let out = cell::execute(&**algo, cell.generator, g, &run_spec, &mut ws)
+                        .unwrap_or_else(|e| panic!("{}: {e}", cell.key()));
+                    let audited = out.run.transcript.audited();
                     *slots[i].lock().expect("result slot") = Some(Outcome {
-                        result,
-                        times,
-                        node_bits_sent,
+                        result: CellResult {
+                            cell,
+                            metrics: out.metrics,
+                        },
+                        times: out.times,
+                        node_bits_sent: audited.then_some(out.run.transcript.node_bits_sent),
                     });
                 }
             });
@@ -1061,7 +990,6 @@ mod tests {
         let file = FileGraph {
             family: Box::leak(cell::file_family(io::content_hash(&g)).into_boxed_str()),
             graph: g,
-            load_ms: 0.0,
         };
         let spec = SweepSpec {
             algorithms: vec!["mis/luby".into(), "orientation/rand".into()],
@@ -1112,16 +1040,16 @@ mod tests {
     fn seeding_is_content_addressed() {
         // The graph seed ignores the algorithm; the algo seed does not.
         assert_eq!(
-            graph_seed(1, "regular/4", 64),
-            graph_seed(1, "regular/4", 64)
+            cell::graph_seed(1, "regular/4", 64),
+            cell::graph_seed(1, "regular/4", 64)
         );
         assert_ne!(
-            graph_seed(1, "regular/4", 64),
-            graph_seed(1, "regular/4", 128)
+            cell::graph_seed(1, "regular/4", 64),
+            cell::graph_seed(1, "regular/4", 128)
         );
         assert_ne!(
-            graph_seed(1, "regular/4", 64),
-            graph_seed(2, "regular/4", 64)
+            cell::graph_seed(1, "regular/4", 64),
+            cell::graph_seed(2, "regular/4", 64)
         );
         let c1 = SweepCell {
             algorithm: "mis/luby",

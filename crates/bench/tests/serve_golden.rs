@@ -262,6 +262,55 @@ fn an_oversized_node_count_is_an_error_line_not_a_dead_daemon() {
 }
 
 #[test]
+fn a_forest_only_algorithm_on_a_cyclic_family_is_an_error_line_not_a_dead_worker() {
+    // `mis/tree-rc` runs on forests only and `regular/4` has cycles: the
+    // cell must come back as a per-cell error line naming forests, and
+    // the same connection must keep answering submits. A worker that
+    // panicked on the cell would send no line at all; the read timeout
+    // turns that hang into a failure.
+    use std::io::{BufRead, BufReader, Write};
+    let (handle, addr) = start_server(2022);
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut read_line = || {
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("daemon answers within the timeout");
+        line.trim_end().to_string()
+    };
+    writeln!(
+        writer,
+        r#"{{"op":"submit","cells":[{{"algorithm":"mis/tree-rc","generator":"regular/4","n":64}}]}}"#
+    )
+    .expect("send submit");
+    let error = read_line();
+    assert!(error.starts_with("{\"error\""), "got: {error}");
+    assert!(error.contains("\"index\": 0"), "got: {error}");
+    assert!(error.contains("forests"), "got: {error}");
+    let done = read_line();
+    assert!(done.contains("\"done\": true"), "got: {done}");
+    assert!(done.contains("\"errors\": 1"), "got: {done}");
+    writeln!(
+        writer,
+        r#"{{"op":"submit","cells":[{{"algorithm":"mis/luby","generator":"regular/4","n":64}}]}}"#
+    )
+    .expect("send a second submit");
+    let line = read_line();
+    assert!(
+        line.starts_with("{\"algorithm\": \"mis/luby\""),
+        "got: {line}"
+    );
+    let done = read_line();
+    assert!(done.contains("\"errors\": 0"), "got: {done}");
+    shutdown(handle, addr);
+}
+
+#[test]
 fn ping_and_stats_work_on_a_fresh_daemon() {
     let (handle, addr) = start_server(7);
     let mut client = Client::connect(addr).expect("connect");

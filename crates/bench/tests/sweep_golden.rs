@@ -11,7 +11,7 @@
 //!
 //! and review the diff like any other code change.
 
-use localavg_bench::{emit, sweep};
+use localavg_bench::{cell, emit, sweep};
 use localavg_core::algo::{registry, RunSpec, TranscriptPolicy, Workspace};
 use localavg_graph::gen;
 
@@ -109,7 +109,7 @@ fn lean_policies_reproduce_the_golden_metrics() {
                         .expect("registered family")
                         .build(
                             cell.cell.n,
-                            sweep::graph_seed(spec.master_seed, cell.cell.generator, cell.cell.n),
+                            cell::graph_seed(spec.master_seed, cell.cell.generator, cell.cell.n),
                         )
                         .expect("instance")
                 });

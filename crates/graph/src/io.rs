@@ -3,8 +3,8 @@
 //!
 //! Large instances (10⁷⁺ nodes) take minutes to generate but milliseconds
 //! per query cell; persisting the frozen CSR lets `exp gen` build once and
-//! every later `exp sweep --graph-file` / `exp bench-engine --graph-file`
-//! reload in a single streaming pass. The format *is* the in-memory
+//! every later `exp sweep --graph-file` reload in a single streaming
+//! pass. The format *is* the in-memory
 //! layout of [`Graph`]: the offsets, arcs, edges and edge-ports sections
 //! are its four frozen arrays verbatim (the `(u32, u32)` pairs are read
 //! straight into place, only range-checked), and the reverse-port

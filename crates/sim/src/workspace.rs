@@ -4,7 +4,7 @@
 //! of megabytes of allocation *per run* — two outbox slots per directed
 //! arc (the double buffer), per-node process/RNG/spill columns. Drivers that run
 //! the same algorithm on the same instance thousands of times (the sweep
-//! engine's cells, `exp bench-engine`'s repetitions) pay that bill every
+//! engine's cells, the `exp serve` pool workers) pay that bill every
 //! time for no benefit.
 //!
 //! A [`Workspace`] owns those arenas across runs. The engine's per-run
@@ -33,7 +33,7 @@ use std::collections::HashMap;
 /// Besides the arenas, a workspace owns the engine's persistent
 /// [`WorkerPool`]: the first parallel run spawns the worker threads and
 /// later parallel runs reuse them, so a long-lived workspace (the `exp
-/// serve` pool workers, `exp bench-engine` repetitions) pays thread-spawn
+/// serve` pool workers, the sweep engine's workers) pays thread-spawn
 /// cost once rather than once per run. The pool is independent of the
 /// CSR shape and survives both shape changes and [`Workspace::clear`].
 #[derive(Debug, Default)]

@@ -125,3 +125,78 @@ fn one_workspace_survives_hundreds_of_mixed_cells_and_panics() {
         ws.reuse_count()
     );
 }
+
+/// Median of a non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
+}
+
+/// Perf tripwire: on `mis/luby` over `regular/8` at n = 10⁴, the
+/// 2-thread parallel executor may lose at most 25 % to the sequential
+/// one. A pool whose coordination overhead eats the parallelism fails
+/// here with every pair's ratio printed.
+///
+/// Each run gets fresh arenas (so the parallel side also pays for its
+/// pool), and the gate is the median `parallel / sequential` ratio over
+/// interleaved same-process pairs whose order alternates: a burst of
+/// host noise lands on both sides of a pair, and no single pair can
+/// trip the gate. A timing gate, so it runs only on request, in release:
+/// `cargo test --release -p localavg --test pool_stress -- --ignored --nocapture`.
+#[test]
+#[ignore = "timing gate: run in release with --ignored"]
+fn parallel_executor_stays_within_25_percent_of_sequential() {
+    const PAIRS: usize = 15;
+    const BOUND: f64 = 1.25;
+    let (family, n, algo) = ("regular/8", 10_000, "mis/luby");
+    let g = localavg_bench::cell::build_instance(family, n, 0).expect("instance");
+    let algo = registry().get(algo).expect("registered");
+    let seed = localavg_bench::cell::algo_seed(0, family, n, algo.name(), 0);
+    let sequential = RunSpec::new(seed);
+    let parallel = RunSpec::new(seed).with_exec(Exec::Parallel { threads: 2 });
+    let rounds = algo.execute(&g, &sequential).worst_case();
+    let time = |spec: &RunSpec| {
+        let mut ws = Workspace::new();
+        let start = std::time::Instant::now();
+        let run = algo.execute_in(&g, spec, &mut ws);
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(run.worst_case(), rounds, "the executor changed the run");
+        ms
+    };
+    time(&parallel); // warm-up
+    let mut ratios = Vec::with_capacity(PAIRS);
+    for pair in 0..PAIRS {
+        let (seq_ms, par_ms) = if pair % 2 == 0 {
+            let s = time(&sequential);
+            (s, time(&parallel))
+        } else {
+            let p = time(&parallel);
+            (time(&sequential), p)
+        };
+        println!(
+            "pair {pair:2}: sequential {seq_ms:7.3} ms, parallel {par_ms:7.3} ms, ratio {:.3}",
+            par_ms / seq_ms
+        );
+        ratios.push(par_ms / seq_ms);
+    }
+    let (min, max) = ratios.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &r| {
+        (lo.min(r), hi.max(r))
+    });
+    let med = median(ratios);
+    println!(
+        "{} on {family} n={n}: median parallel/sequential ratio {med:.3} over {PAIRS} pairs \
+         (range {min:.3}–{max:.3}, bound {BOUND})",
+        algo.name()
+    );
+    assert!(
+        med <= BOUND,
+        "the 2-thread parallel executor is {:.0}% slower than sequential \
+         (median ratio {med:.3} > {BOUND})",
+        (med - 1.0) * 100.0
+    );
+}
