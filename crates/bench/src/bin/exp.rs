@@ -61,7 +61,7 @@ use localavg_bench::serve;
 use localavg_bench::serve::protocol::{parse_cell, Json};
 use localavg_bench::sweep::{ParamOverride, SweepError};
 use localavg_bench::{cli, emit, fuzz, generators, sweep, Table};
-use localavg_core::algo::{registry, Problem, RunSpec};
+use localavg_core::algo::{registry, Problem, RunSpec, Workspace};
 use localavg_graph::suggest::closest_match;
 use localavg_graph::{gen, rng::Rng};
 use localavg_sim::engine::resolve_threads;
@@ -245,7 +245,8 @@ fn run_single_algo(args: &[String], name: &str) {
         );
         g
     };
-    let run = algo.execute(&g, &RunSpec::new(seed));
+    let mut ws = Workspace::new();
+    let run = algo.execute_in(&g, &RunSpec::new(seed), &mut ws);
     match run.verify(&g) {
         Ok(()) => println!("output verified: valid {}", algo.problem()),
         Err(e) => {
@@ -271,6 +272,19 @@ fn run_single_algo(args: &[String], name: &str) {
     println!(
         "termination-time node average    : {:.2}",
         rep.node_averaged_termination
+    );
+    // Engine cost next to Definition 1's clocks: activations per node.
+    // Sleeping nodes are live but not activated, so this can undercut
+    // the termination average + 1 (= Σ live / n).
+    let awake = ws.stats().awake_node_rounds;
+    println!(
+        "awake node-rounds per node       : {:.2}{}",
+        awake as f64 / g.n().max(1) as f64,
+        if awake == 0 {
+            " (no engine rounds)"
+        } else {
+            ""
+        }
     );
     match run.transcript.peak_message_bits() {
         Some(bits) => println!("CONGEST audit: peak message size = {bits} bits"),

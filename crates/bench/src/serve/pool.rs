@@ -18,6 +18,13 @@
 //! threads → queue (relieved by workers popping) and waiter-workers →
 //! in-flight cache leaders (always another worker actively executing).
 //! The wait-for graph is acyclic and every sink makes progress.
+//!
+//! A cell that panics does not take its worker down: `Pool::answer`
+//! catches the panic and replies with a per-cell error line, and the
+//! leader's cache reservation is abandoned by a drop guard, so
+//! duplicates waiting on it wake up and retry instead of blocking
+//! forever. The worker keeps its [`Workspace`]: the engine's reset path
+//! is built to recover from a run aborted mid-round.
 
 use super::cache::{Acquire, CellCache};
 use super::protocol::ServeStats;
@@ -29,6 +36,7 @@ use localavg_core::algo::RunSpec;
 use localavg_graph::Graph;
 use localavg_sim::workspace::Workspace;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
@@ -206,28 +214,31 @@ impl Pool {
     }
 
     /// Answers one cell: cache hit, or lead the execution and publish.
+    /// A panicking cell becomes an error reply (see the module docs).
     fn answer(&self, key: &CellKey, ws: &mut Workspace) -> Result<String, String> {
         match self.cache.acquire(key) {
             Acquire::Hit(line) => Ok(line),
             Acquire::Lead => {
+                // Settles the reservation on every path out of here.
+                let mut lead = Leader {
+                    cache: &self.cache,
+                    key,
+                    line: None,
+                };
                 let before = ws.stats();
-                let outcome = execute_cell(key, self.master_seed, &self.graphs, ws);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    execute_cell(key, self.master_seed, &self.graphs, ws)
+                }))
+                .unwrap_or_else(|payload| Err(format!("cell panicked: {}", panic_text(&*payload))));
                 let after = ws.stats();
                 self.ws_runs
                     .fetch_add((after.runs - before.runs) as u64, Ordering::Relaxed);
                 self.ws_reuses
                     .fetch_add((after.reuses - before.reuses) as u64, Ordering::Relaxed);
-                match outcome {
-                    Ok(line) => {
-                        self.executed.fetch_add(1, Ordering::Relaxed);
-                        self.cache.complete(key, line.clone());
-                        Ok(line)
-                    }
-                    Err(e) => {
-                        self.cache.abandon(key);
-                        Err(e)
-                    }
-                }
+                let line = outcome?;
+                self.executed.fetch_add(1, Ordering::Relaxed);
+                lead.line = Some(line.clone());
+                Ok(line)
             }
         }
     }
@@ -251,6 +262,38 @@ impl Pool {
         }
     }
 }
+
+/// A cache leader's reservation, settled when dropped: completed with
+/// `line` if the leader set it, otherwise (an error, or a panic
+/// unwinding through the leader) abandoned, so waiters retry.
+struct Leader<'a> {
+    cache: &'a CellCache,
+    key: &'a CellKey,
+    line: Option<String>,
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        match self.line.take() {
+            Some(line) => self.cache.complete(self.key, line),
+            None => self.cache.abandon(self.key),
+        }
+    }
+}
+
+/// The message of a caught panic payload.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
+/// Seed index of a cell that panics in test builds only: the seam the
+/// panic-recovery tests drive the worker path through.
+#[cfg(test)]
+const PANIC_SEED: u64 = u64::MAX;
 
 /// Runs one cell end to end — registry resolution, the domain predicate
 /// on the family's declared guarantee (before anything is built), the
@@ -277,6 +320,10 @@ fn serve_cell(
     graphs: &GraphStore,
     ws: &mut Workspace,
 ) -> Result<String, SweepError> {
+    #[cfg(test)]
+    if key.seed == PANIC_SEED {
+        panic!("test-only panicking cell");
+    }
     let kvs: Vec<(&str, &str)> = key
         .params
         .iter()
@@ -383,6 +430,61 @@ mod tests {
         assert_eq!(s.served, 3);
         assert_eq!(s.errors, 0);
         assert!(s.workspace_runs >= 1);
+    }
+
+    #[test]
+    fn a_panicking_cell_is_an_error_reply_and_releases_its_duplicates() {
+        use std::sync::mpsc::RecvTimeoutError;
+        use std::time::Duration;
+        let p = Arc::new(pool());
+        let (tx, rx) = channel();
+        let bad = CellKey::new("regular/4", 32, PANIC_SEED, "mis/luby");
+        let good = CellKey::new("regular/4", 32, 0, "mis/luby");
+        // Two workers and a duplicate of the panicking cell: whether the
+        // duplicate arrives while the leader runs (it waits on the
+        // reservation) or after (it finds the slot), it must be answered.
+        // Then a healthy cell.
+        for (index, key) in [bad.clone(), bad, good].into_iter().enumerate() {
+            p.queue
+                .push(Job {
+                    key,
+                    index,
+                    reply: tx.clone(),
+                })
+                .unwrap();
+        }
+        drop(tx);
+        let workers = Arc::clone(&p);
+        // A waiter stuck on an unsettled slot never returns, so the
+        // workers run off the test thread and the replies time out.
+        let crew = std::thread::spawn(move || {
+            std::thread::scope(|s| {
+                s.spawn(|| workers.worker_loop());
+                s.spawn(|| workers.worker_loop());
+            });
+        });
+        let mut replies: Vec<JobReply> = (0..3)
+            .map(|_| match rx.recv_timeout(Duration::from_secs(20)) {
+                Ok(reply) => reply,
+                Err(RecvTimeoutError::Timeout) => panic!("a duplicate of a panicked cell hangs"),
+                Err(e) => panic!("a worker died: {e}"),
+            })
+            .collect();
+        p.queue.close();
+        crew.join()
+            .expect("both workers survive the panicking cell");
+        replies.sort_by_key(|r| r.index);
+        for r in &replies[..2] {
+            let err = r.line.as_ref().unwrap_err();
+            assert!(
+                err.contains("cell panicked: test-only panicking cell"),
+                "got: {err}"
+            );
+        }
+        assert!(replies[2].line.is_ok(), "the worker survives its panic");
+        let s = p.stats();
+        assert_eq!((s.served, s.errors, s.executed), (3, 2, 1));
+        assert_eq!(s.entries, 1, "the panicked cell is not cached");
     }
 
     #[test]

@@ -412,7 +412,7 @@ struct DetMatchSchedule {
 }
 
 impl DetMatchSchedule {
-    fn new(n: usize, m: usize, max_degree: usize) -> Self {
+    fn new(m: usize, max_degree: usize) -> Self {
         let cv = cv_rounds(m.max(2) as u64);
         let k_max = ceil_log2(2 * max_degree.max(1) as u64) as usize + 1;
         // Class offsets: 0 pair, 1..cv CV message rounds (first CV step is
@@ -423,7 +423,6 @@ impl DetMatchSchedule {
         // Iteration: 1 degree round + classes + fallback propose/resolve +
         // match-intent handshake + commit + prune rounds.
         let iter_len = 1 + k_max * class_len + 5;
-        let _ = n;
         DetMatchSchedule {
             cv,
             k_max,
@@ -471,6 +470,12 @@ struct DetMatching {
     /// Port matched during this iteration's fallback, if any.
     fallback_port: Option<usize>,
     matched: bool,
+    /// Whether this node has a port of the current value class, as of
+    /// its pair round (the class can only lose ports during its phase,
+    /// never gain one).
+    in_class: bool,
+    /// Whether this node owns the edge of one of those ports.
+    owns_class_edge: bool,
 }
 
 impl DetMatching {
@@ -550,16 +555,28 @@ impl DetMatching {
         }
         // Pair class-k edges in port order.
         self.partner.iter_mut().for_each(|q| *q = None);
-        let class_ports: Vec<usize> = ctx
-            .ports()
-            .filter(|&p| self.value[p] == EdgeValue::Exp(k))
-            .collect();
-        for pair in class_ports.chunks_exact(2) {
-            self.partner[pair[0]] = Some(pair[1]);
-            self.partner[pair[1]] = Some(pair[0]);
+        self.in_class = false;
+        self.owns_class_edge = false;
+        let mut unpaired = None;
+        for p in ctx.ports() {
+            if self.value[p] != EdgeValue::Exp(k) {
+                continue;
+            }
+            self.in_class = true;
+            self.owns_class_edge |= self.owner(ctx, p);
+            match unpaired.take() {
+                Some(q) => {
+                    self.partner[q] = Some(p);
+                    self.partner[p] = Some(q);
+                }
+                None => unpaired = Some(p),
+            }
         }
         // Reset per-class CV / sweep state for owned class edges.
-        for &p in &class_ports {
+        for p in ctx.ports() {
+            if self.value[p] != EdgeValue::Exp(k) {
+                continue;
+            }
             self.mis[p] = false;
             self.partner_joined[p] = false;
             self.granted[p] = false;
@@ -630,33 +647,37 @@ impl DetMatching {
     }
 
     /// CV message rounds: the owner updates against the parent edge's color.
+    ///
+    /// Every update reads the *previous* round's colors. A parent edge we
+    /// own ourselves is the root of a pair at this node (pairs are mutual
+    /// here, and the smaller edge id is the root), so its child is updated
+    /// together with it, before the root's own color moves.
     fn cv_round(&mut self, ctx: &mut Ctx<'_, Self>, inbox: &[Envelope<DetMatchMsg>], k: usize) {
         self.note_cv_colors(inbox);
-        // Record colors arriving from owners of edges we don't own.
-        let mut incoming = vec![None; self.cv_color.len()];
-        for env in inbox {
-            if let DetMatchMsg::CvColor(c) = env.msg {
-                incoming[env.port] = Some(c);
-            }
-        }
-        // Snapshot: every update must read the *previous* round's colors,
-        // including for parent edges we own ourselves.
-        let snapshot = self.cv_color.clone();
         for p in ctx.ports() {
             if self.value[p] != EdgeValue::Exp(k) || !self.owner(ctx, p) {
                 continue;
             }
+            let q = self.partner[p];
             if self.is_root[p] {
-                self.cv_color[p] = cv_step_root(snapshot[p]);
+                if let Some(q) = q.filter(|&q| self.owner(ctx, q) && !self.is_root[q]) {
+                    self.cv_color[q] = cv_step(self.cv_color[q], self.cv_color[p]);
+                    ctx.send(q, DetMatchMsg::CvColor(self.cv_color[q]));
+                }
+                self.cv_color[p] = cv_step_root(self.cv_color[p]);
             } else {
-                let q = self.partner[p].expect("non-root has a parent");
-                // Parent edge color: if we own it, local; else it arrived.
-                let parent_color = if self.owner(ctx, q) {
-                    snapshot[q]
-                } else {
-                    incoming[q].expect("parent edge owner broadcasts CV color")
-                };
-                self.cv_color[p] = cv_step(snapshot[p], parent_color);
+                let q = q.expect("non-root has a parent");
+                if self.owner(ctx, q) {
+                    continue; // updated with its root `q`
+                }
+                // The parent edge's owner sent its color this round.
+                debug_assert!(
+                    inbox
+                        .iter()
+                        .any(|env| env.port == q && matches!(env.msg, DetMatchMsg::CvColor(_))),
+                    "parent edge owner broadcasts CV color"
+                );
+                self.cv_color[p] = cv_step(self.cv_color[p], self.nbr_cv_color[q]);
             }
             ctx.send(p, DetMatchMsg::CvColor(self.cv_color[p]));
         }
@@ -736,10 +757,13 @@ impl DetMatching {
     /// Doubling handshake (4 rounds): want, grant, double, zero.
     fn want_round(&mut self, ctx: &mut Ctx<'_, Self>, inbox: &[Envelope<DetMatchMsg>], k: usize) {
         self.note_partner_joins(inbox);
+        // No value moves in this round: the O(deg) slack is summed once.
+        let mut slack = None;
         for p in ctx.ports() {
             if self.value[p] == EdgeValue::Exp(k) && self.owner(ctx, p) && self.mis[p] {
                 // Owner-side feasibility: paired here, or enough slack.
-                let ok = self.partner[p].is_some() || self.slack(ctx) >= self.value_f(p) - 1e-12;
+                let ok = self.partner[p].is_some()
+                    || *slack.get_or_insert_with(|| self.slack(ctx)) >= self.value_f(p) - 1e-12;
                 if ok {
                     ctx.send(p, DetMatchMsg::WantDouble);
                 }
@@ -748,6 +772,8 @@ impl DetMatching {
     }
 
     fn grant_round(&mut self, ctx: &mut Ctx<'_, Self>, inbox: &[Envelope<DetMatchMsg>], k: usize) {
+        // No value moves in this round: the O(deg) slack is summed once.
+        let mut slack = None;
         for env in inbox {
             if matches!(env.msg, DetMatchMsg::WantDouble) {
                 let p = env.port;
@@ -756,7 +782,8 @@ impl DetMatching {
                 if self.value[p] != EdgeValue::Exp(k) {
                     continue;
                 }
-                let ok = self.partner[p].is_some() || self.slack(ctx) >= self.value_f(p) - 1e-12;
+                let ok = self.partner[p].is_some()
+                    || *slack.get_or_insert_with(|| self.slack(ctx)) >= self.value_f(p) - 1e-12;
                 if ok {
                     ctx.send(p, DetMatchMsg::Grant);
                 }
@@ -921,8 +948,7 @@ impl Process for DetMatching {
 
     fn init(_: &(), ctx: &mut Ctx<'_, Self>) -> Self {
         let degree = ctx.degree();
-        let sched =
-            DetMatchSchedule::new(ctx.n(), ctx.n() * ctx.max_degree().max(1), ctx.max_degree());
+        let sched = DetMatchSchedule::new(ctx.n() * ctx.max_degree().max(1), ctx.max_degree());
         let mut state = DetMatching {
             sched,
             nbr_active: vec![true; degree],
@@ -938,6 +964,8 @@ impl Process for DetMatching {
             granted: vec![false; degree],
             fallback_port: None,
             matched: false,
+            in_class: false,
+            owns_class_edge: false,
         };
         state.degree_round(ctx);
         state
@@ -957,6 +985,7 @@ impl Process for DetMatching {
             let k = s.k_max - class_idx; // classes processed high -> low
             let coff = (off - 1) % s.class_len;
             let cv_msg_rounds = s.cv.saturating_sub(1);
+            let want = 2 + cv_msg_rounds + 12;
             if coff == 0 {
                 self.pair_round(ctx, inbox, k);
             } else if coff < 1 + cv_msg_rounds {
@@ -971,12 +1000,28 @@ impl Process for DetMatching {
                     self.sweep_relay_round(ctx, inbox);
                 }
             } else {
-                match coff - (2 + cv_msg_rounds + 12) {
+                match coff - want {
                     0 => self.want_round(ctx, inbox, k),
                     1 => self.grant_round(ctx, inbox, k),
                     2 => self.double_round(ctx, inbox, k),
                     _ => self.zero_round(ctx, inbox, k),
                 }
+            }
+            // Sleep through the rounds this node has no part in (see
+            // `Ctx::sleep_until`): each skipped round, with an empty
+            // inbox, would only re-read state nobody changed. A message
+            // wakes the node early and is handled as usual.
+            let class_start = ctx.round() - coff;
+            if !self.in_class {
+                // Rule A: no class-k port, so every round of the phase
+                // only touches class-k ports; the next pair round resets
+                // the pairing and must run.
+                ctx.sleep_until(class_start + s.class_len);
+            } else if !self.owns_class_edge && (1 + cv_msg_rounds..want).contains(&coff) {
+                // Rule B: after the partner-color relay, the sweep acts
+                // only on owned class-k edges; a non-owner relays joins,
+                // which arrive as messages, until the want round.
+                ctx.sleep_until(class_start + want);
             }
             return;
         }

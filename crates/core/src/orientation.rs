@@ -169,9 +169,19 @@ impl RandOrient {
         self.oriented.iter().filter(|&&o| !o).count()
     }
 
+    /// Sleeps until the final round once the node can no longer contest
+    /// (see `Ctx::sleep_until`): a satisfied node, or one whose every edge
+    /// is oriented, draws no randomness, holds no proposal, and with an
+    /// empty inbox neither proposes nor grants. Proposals and orientations
+    /// reach it as messages, which wake it.
+    fn nap(&self, ctx: &mut Ctx<'_, Self>) {
+        if self.satisfied || self.unoriented_count() == 0 {
+            ctx.sleep_until(3 * self.iterations);
+        }
+    }
+
     fn propose_phase(&mut self, ctx: &mut Ctx<'_, Self>, inbox: &[Envelope<SoMsg>]) {
         self.absorb_with_commit(ctx, inbox);
-        self.proposers.iter_mut().for_each(|p| *p = None);
         self.proposal = None;
         if self.satisfied {
             return;
@@ -226,6 +236,8 @@ impl RandOrient {
             budget = budget.saturating_sub(1);
             ctx.send(port, SoMsg::Grant);
         }
+        // Proposals live for one grant round.
+        self.proposers.iter_mut().for_each(|p| *p = None);
     }
 
     fn resolve_phase(&mut self, ctx: &mut Ctx<'_, Self>, inbox: &[Envelope<SoMsg>]) {
@@ -244,6 +256,9 @@ impl RandOrient {
     fn take_out_edge(&mut self, ctx: &mut Ctx<'_, Self>, p: usize) {
         self.oriented[p] = true;
         self.satisfied = true;
+        // A satisfied node never proposes again (the next propose phase
+        // would clear this anyway).
+        self.proposal = None;
         let away = ctx.orientation_away_from_self(p);
         ctx.commit_edge(p, away);
         ctx.send(p, SoMsg::Orient);
@@ -313,6 +328,7 @@ impl Process for RandOrient {
             proposers: vec![None; degree],
         };
         state.propose_phase(ctx, &[]);
+        state.nap(ctx);
         state
     }
 
@@ -328,6 +344,7 @@ impl Process for RandOrient {
             1 => self.grant_phase(ctx, inbox),
             _ => self.resolve_phase(ctx, inbox),
         }
+        self.nap(ctx);
     }
 }
 

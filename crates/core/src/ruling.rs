@@ -314,6 +314,29 @@ struct DetRuling {
 }
 
 impl DetRuling {
+    /// The iteration offset up to which this node's rounds after `off`
+    /// are no-ops with an empty inbox, if any (see `Ctx::sleep_until`;
+    /// messages wake the node early and are handled as usual):
+    ///
+    /// * a dominating-set member (joined at LP-JOIN or in the forest MIS)
+    ///   sits out the rest of the iteration;
+    /// * in the sweep, a forest node that a neighbor covered only waits
+    ///   for FINISH, and an uncovered one for its own color's round.
+    fn idle_until(&self, off: usize) -> Option<usize> {
+        let sweep = 5 + self.sched.cv.saturating_sub(1);
+        if self.in_dominating && off >= 2 {
+            Some(self.sched.iter_len)
+        } else if self.is_forest_node && (sweep..sweep + 6).contains(&off) {
+            Some(if self.forest_covered {
+                sweep + 6
+            } else {
+                sweep + self.cv_color as usize
+            })
+        } else {
+            None
+        }
+    }
+
     fn prune(&mut self, inbox: &[Envelope<DetMsg>]) {
         for env in inbox {
             if matches!(env.msg, DetMsg::Gone) {
@@ -532,6 +555,11 @@ impl DetRuling {
                     ctx.commit_node(true);
                     ctx.broadcast(DetMsg::SetJoined);
                     ctx.halt();
+                } else {
+                    // The colors are final, and only a message (a joined
+                    // or departed neighbor) can change the verdict:
+                    // sleep until one arrives (see `Ctx::sleep_until`).
+                    ctx.sleep_until(Round::MAX);
                 }
             }
         }
@@ -574,7 +602,11 @@ impl Process for DetRuling {
         let total_iter_rounds = self.sched.iterations * self.sched.iter_len;
         let r = ctx.round();
         if r < total_iter_rounds {
-            self.iteration_round(ctx, inbox, r % self.sched.iter_len);
+            let off = r % self.sched.iter_len;
+            self.iteration_round(ctx, inbox, off);
+            if let Some(wake) = self.idle_until(off) {
+                ctx.sleep_until(r - off + wake);
+            }
         } else {
             if self.stage == DetStage::Iterating {
                 self.stage = DetStage::LinialColoring;

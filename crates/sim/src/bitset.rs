@@ -1,11 +1,11 @@
 //! A dense fixed-length bitset.
 //!
-//! The round engine keeps its per-node halted/committed state columnar:
-//! one bit per node, packed 64 to a word. That makes "skip a fully
-//! halted block of 64 nodes" a single word compare in the sequential
-//! activation loop — the dominant win in the long low-activity tail of
-//! algorithms whose nodes finish at very different times (exactly the
-//! runs Definition 1's averages care about).
+//! The round engine keeps its per-node halted, sleeping and committed
+//! state columnar: one bit per node, packed 64 to a word. That makes
+//! "skip a fully halted block of 64 nodes" a single word compare in the
+//! sequential activation loop — the dominant win in the long
+//! low-activity tail of algorithms whose nodes finish at very different
+//! times (exactly the runs Definition 1's averages care about).
 
 /// A fixed-length bitset over indices `0..len`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,6 +63,21 @@ impl Bitset {
         self.words[i / 64] |= 1 << (i % 64);
     }
 
+    /// Resets bit `i` to 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len`.
+    #[inline]
+    pub fn clear(&mut self, i: usize) {
+        assert!(
+            i < self.len,
+            "bit {i} out of range for Bitset of {}",
+            self.len
+        );
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
     /// The `w`-th 64-bit word (bit `i` lives in word `i / 64`).
     ///
     /// # Panics
@@ -104,7 +119,40 @@ impl Bitset {
     ///
     /// Panics if `hi > len` (debug builds).
     #[inline]
-    pub fn for_each_zero_in(&self, lo: usize, hi: usize, mut f: impl FnMut(usize)) {
+    pub fn for_each_zero_in(&self, lo: usize, hi: usize, f: impl FnMut(usize)) {
+        self.sweep_zeros(lo, hi, |w| self.words[w], f);
+    }
+
+    /// Calls `f` for every index in `lo..hi` whose bit is zero in both
+    /// `self` and `other`, in ascending order: the sweep of
+    /// [`Bitset::for_each_zero_in`] over the union of two bitsets, at the
+    /// cost of one extra load and OR per word. The engine sweeps its
+    /// halted and sleeping bitsets this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ or `hi > len` (debug builds).
+    #[inline]
+    pub fn for_each_zero_in_union(
+        &self,
+        other: &Bitset,
+        lo: usize,
+        hi: usize,
+        f: impl FnMut(usize),
+    ) {
+        debug_assert_eq!(self.len, other.len, "bitset lengths differ");
+        self.sweep_zeros(lo, hi, |w| self.words[w] | other.words[w], f);
+    }
+
+    /// The zero-bit sweep over the words `word(w)` yields.
+    #[inline(always)]
+    fn sweep_zeros(
+        &self,
+        lo: usize,
+        hi: usize,
+        word: impl Fn(usize) -> u64,
+        mut f: impl FnMut(usize),
+    ) {
         debug_assert!(hi <= self.len, "range {lo}..{hi} out of {}", self.len);
         if lo >= hi {
             return;
@@ -112,23 +160,23 @@ impl Bitset {
         let (first, last) = (lo / 64, (hi - 1) / 64);
         for w in first..=last {
             // Invert: zeros (live nodes) become ones we can count through.
-            let mut word = !self.words[w];
+            let mut bits = !word(w);
             if w == first {
-                word &= u64::MAX << (lo % 64);
+                bits &= u64::MAX << (lo % 64);
             }
             if w == last {
                 let tail = hi - w * 64;
                 if tail < 64 {
-                    word &= (1u64 << tail) - 1;
+                    bits &= (1u64 << tail) - 1;
                 }
             }
-            if word == 0 {
+            if bits == 0 {
                 continue; // 64 halted nodes skipped in one compare
             }
             let base = w * 64;
-            while word != 0 {
-                f(base + word.trailing_zeros() as usize);
-                word &= word - 1;
+            while bits != 0 {
+                f(base + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
         }
     }
@@ -213,6 +261,42 @@ mod tests {
         let mut out = Vec::new();
         b.for_each_zero_in(60, 132, |i| out.push(i));
         assert_eq!(out, vec![60, 61, 62, 63, 128, 129, 130, 131]);
+    }
+
+    #[test]
+    fn clear_resets_one_bit() {
+        let mut b = Bitset::new(70);
+        b.set(3);
+        b.set(66);
+        b.clear(3);
+        b.clear(5); // already zero
+        assert!(!b.get(3) && !b.get(5) && b.get(66));
+        assert_eq!(b.count_ones(), 1);
+    }
+
+    #[test]
+    fn union_sweep_skips_bits_set_in_either() {
+        let mut a = Bitset::new(140);
+        let mut b = Bitset::new(140);
+        for i in 0..64 {
+            a.set(i); // a whole word, from one side
+        }
+        for i in [64, 66, 130] {
+            a.set(i);
+        }
+        for i in [65, 66, 67, 139] {
+            b.set(i);
+        }
+        let mut out = Vec::new();
+        a.for_each_zero_in_union(&b, 60, 140, |i| out.push(i));
+        let want: Vec<usize> = (68..140).filter(|&i| i != 130 && i != 139).collect();
+        assert_eq!(out, want);
+        // With an all-zero partner it is the plain sweep.
+        let zero = Bitset::new(140);
+        let (mut plain, mut union) = (Vec::new(), Vec::new());
+        a.for_each_zero_in(3, 131, |i| plain.push(i));
+        a.for_each_zero_in_union(&zero, 3, 131, |i| union.push(i));
+        assert_eq!(plain, union);
     }
 
     #[test]

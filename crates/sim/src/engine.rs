@@ -10,11 +10,13 @@
 //! # Round anatomy
 //!
 //! Every round is **one** chunked pass over the node array: a
-//! word-parallel sweep of the halted bitset, so cost tracks the **live
-//! frontier** (the paper's Definition 1 is exactly the observation that
-//! most nodes halt long before the worst-case round). The outbox is
-//! double-buffered: round `r` sends into buffer `r & 1` while reading the
-//! other. Activating a live node `v` in round `r` means
+//! word-parallel sweep of the union of the halted and the sleeping
+//! bitsets, so cost tracks the **awake frontier** (the paper's
+//! Definition 1 is exactly the observation that most nodes halt long
+//! before the worst-case round; sleeping nodes are live but skipped).
+//! The outbox is double-buffered: round `r` sends into buffer `r & 1`
+//! while reading the other. Activating an awake node `v` in round `r`
+//! means
 //!
 //! 1. **pull** — `v` takes its inbox out of the previous round's buffer
 //!    into the chunk's scratch vector: it walks its ports in ascending
@@ -26,9 +28,11 @@
 //! 2. **clear** — `v` empties its own arc range of the current buffer
 //!    (what is left there was addressed to halted receivers);
 //! 3. **step** — `init` at round 0, `round` after; sends land in that
-//!    range, commits in per-chunk event buffers, halts in per-chunk halt
-//!    buffers;
-//! 4. **audit** — `v` counts its own sends for the CONGEST audit.
+//!    range, commits in per-chunk event buffers, halts and sleep requests
+//!    ([`Ctx::sleep_until`]) in per-chunk buffers;
+//! 4. **audit** — `v` counts its own sends for the CONGEST audit, and
+//!    (only while some node sleeps) pushes each sleeping receiver of its
+//!    sends onto the chunk's wake list.
 //!
 //! Between rounds the driver applies commit events, records halts, and
 //! clears the spill vectors its receivers just pulled. Delta routing falls
@@ -36,6 +40,16 @@
 //! sweep, and arcs whose sender went quiet hold `None` and cost one
 //! branch. Messages to halted receivers are never pulled; a live sender
 //! clears them two rounds later, and the next run's reset drops the rest.
+//!
+//! The driver then settles the sleep tables: it wakes the receivers on
+//! the wake lists, grants each sleep request whose node was sent no
+//! message this round (a sender saw that node awake and pushed no
+//! wake-up, so the message must be pulled next round), and fires the
+//! round-bucketed timers of the next round. A sleeper therefore never
+//! holds undelivered mail, and a process that keeps
+//! [`Ctx::sleep_until`]'s promise produces the transcript of its twin
+//! that never sleeps. Activations are counted: [`Workspace::stats`]
+//! reports the awake node-rounds next to Σ live.
 //!
 //! The pass is the *same code* on both executors — the sequential loop
 //! is the 1-chunk special case — so executor choice, thread count,
@@ -55,6 +69,7 @@ pub use crate::workspace::Workspace;
 use localavg_graph::rng::Rng;
 use localavg_graph::{Graph, NodeId};
 use std::any::TypeId;
+use std::collections::BTreeMap;
 
 /// Everything one run needs besides the graph and the algorithm's own
 /// parameters: seed, executor, round budget, and transcript policy.
@@ -188,6 +203,7 @@ impl RunSpec {
             pool,
             reuses,
             runs,
+            awake_node_rounds,
         } = ws;
         if *ws_shape != Some(shape) {
             states.clear();
@@ -202,7 +218,9 @@ impl RunSpec {
             .or_insert_with(|| Box::new(RunState::<P>::empty()))
             .downcast_mut::<RunState<P>>()
             .expect("workspace slot keyed by process type");
-        run_with_threads::<P>(g, params, self, threads, state, pool)
+        let transcript = run_with_threads::<P>(g, params, self, threads, state, pool);
+        *awake_node_rounds += state.awake;
+        transcript
     }
 }
 
@@ -240,8 +258,8 @@ pub enum Exec {
 ///   rare second message on one port in a round;
 /// * there is no inbox arena: each activation assembles its inbox in the
 ///   chunk's `scratch` vector and hands it straight to the process;
-/// * `halted_bits` / `committed` — columnar bitsets, letting the pass
-///   skip 64 halted nodes per word compare.
+/// * `halted_bits` / `sleeping` / `committed` — columnar bitsets, letting
+///   the pass skip 64 halted or sleeping nodes per word compare.
 struct RunState<P: Process> {
     processes: Vec<Option<P>>,
     rngs: Vec<Rng>,
@@ -251,6 +269,25 @@ struct RunState<P: Process> {
     committed: Bitset,
     /// Nodes that have not halted yet.
     live: usize,
+    /// Live nodes the pass skips until a timer or a message wakes them;
+    /// written only by the driver, between rounds.
+    sleeping: Bitset,
+    /// Set bits of `sleeping`.
+    sleepers: usize,
+    /// Sleep requests `(node, wake round)` of this round, one buffer per
+    /// executor chunk.
+    sleep_requests: Vec<Vec<(NodeId, Round)>>,
+    /// Sleeping receivers of this round's sends, one buffer per executor
+    /// chunk (a receiver may appear more than once).
+    wakes: Vec<Vec<NodeId>>,
+    /// Timer wake-ups: the nodes to wake at the start of each round.
+    /// Entries go stale when a message wakes a node first; a stale entry
+    /// wakes its node early, which the sleep contract makes harmless.
+    timers: BTreeMap<Round, Vec<NodeId>>,
+    /// Emptied timer buckets, kept for their capacity.
+    spare_buckets: Vec<Vec<NodeId>>,
+    /// Activations of this run: awake node-rounds.
+    awake: u64,
     /// Double-buffered outbox: buffer `b`'s slot of arc `a` is at
     /// `b · Σdeg + a`.
     out_slots: Vec<Option<P::Message>>,
@@ -271,8 +308,8 @@ struct RunState<P: Process> {
     pending_spills: Vec<NodeId>,
     /// Per-chunk inbox scratch: an activation pulls its inbox here.
     scratch: Vec<Vec<Envelope<P::Message>>>,
-    /// Per-chunk CONGEST audit accumulators.
-    audit_parts: Vec<AuditPart>,
+    /// Per-chunk CONGEST audit and activation accumulators.
+    tallies: Vec<ChunkTally>,
     /// Whether the CONGEST audit is recorded (policy [`TranscriptPolicy::Full`]).
     audit: bool,
     /// Whether per-node halt rounds are recorded (policies other than
@@ -285,14 +322,16 @@ struct RunState<P: Process> {
     shadow: crate::shadow::Shadow,
 }
 
-/// CONGEST audit accumulators of one chunk's sends in one round (zero
-/// unless the policy records the audit).
+/// Accumulators of one chunk in one round: the CONGEST audit of its
+/// sends (zero unless the policy records the audit) and its activations.
 #[derive(Debug, Clone, Copy, Default)]
-struct AuditPart {
+struct ChunkTally {
     /// Messages sent by this chunk's nodes.
     messages: usize,
     /// Largest message, in bits.
     max_bits: usize,
+    /// Nodes activated.
+    activations: usize,
 }
 
 impl<P: Process> RunState<P> {
@@ -304,6 +343,13 @@ impl<P: Process> RunState<P> {
             halted_bits: Bitset::new(0),
             committed: Bitset::new(0),
             live: 0,
+            sleeping: Bitset::new(0),
+            sleepers: 0,
+            sleep_requests: Vec::new(),
+            wakes: Vec::new(),
+            timers: BTreeMap::new(),
+            spare_buckets: Vec::new(),
+            awake: 0,
             out_slots: Vec::new(),
             out_spill: Vec::new(),
             events: Vec::new(),
@@ -311,7 +357,7 @@ impl<P: Process> RunState<P> {
             spill_nodes: Vec::new(),
             pending_spills: Vec::new(),
             scratch: Vec::new(),
-            audit_parts: Vec::new(),
+            tallies: Vec::new(),
             audit: true,
             record_halt_rounds: true,
             transcript: Transcript::empty(P::OUTPUT_KIND, 0, 0),
@@ -335,6 +381,21 @@ impl<P: Process> RunState<P> {
         self.halted_bits.clear_and_resize(n);
         self.committed.clear_and_resize(n);
         self.live = n;
+        self.sleeping.clear_and_resize(n);
+        self.sleepers = 0;
+        for list in &mut self.sleep_requests {
+            list.clear();
+        }
+        for list in &mut self.wakes {
+            list.clear();
+        }
+        self.sleep_requests.resize_with(chunks, Vec::new);
+        self.wakes.resize_with(chunks, Vec::new);
+        while let Some((_, mut bucket)) = self.timers.pop_first() {
+            bucket.clear();
+            self.spare_buckets.push(bucket);
+        }
+        self.awake = 0;
         // Both outbox buffers are refilled unconditionally. A completed
         // run leaves behind the messages addressed to halted receivers
         // (nobody pulls them), and a run aborted by a caught panic (e.g.
@@ -366,8 +427,8 @@ impl<P: Process> RunState<P> {
             buf.clear();
         }
         self.scratch.resize_with(chunks, Vec::new);
-        self.audit_parts.clear();
-        self.audit_parts.resize(chunks, AuditPart::default());
+        self.tallies.clear();
+        self.tallies.resize(chunks, ChunkTally::default());
         self.audit = policy.records_audit();
         self.record_halt_rounds = policy.records_halts();
         #[cfg(debug_assertions)]
@@ -415,13 +476,15 @@ impl<P: Process> RunState<P> {
         }
     }
 
-    /// Sums the per-chunk audit accumulators: `(messages, max_bits)`.
-    fn collect_audit(&self) -> (usize, usize) {
+    /// Sums the per-chunk audit accumulators, `(messages, max_bits)`,
+    /// and adds the round's activations to the run's awake count.
+    fn collect_audit(&mut self) -> (usize, usize) {
         let mut messages = 0;
         let mut max_bits = 0;
-        for part in &self.audit_parts {
+        for part in &self.tallies {
             messages += part.messages;
             max_bits = max_bits.max(part.max_bits);
+            self.awake += part.activations as u64;
         }
         (messages, max_bits)
     }
@@ -458,6 +521,70 @@ impl<P: Process> RunState<P> {
         }
     }
 
+    /// Settles the sleep tables after round `round`, in three steps whose
+    /// outcome does not depend on the chunk geometry (each is a set
+    /// operation):
+    ///
+    /// 1. wakes every sleeper a node sent to this round (the wake lists);
+    /// 2. grants each sleep request unless a message of this round is
+    ///    addressed to the node: its sender saw the node awake and pushed
+    ///    no wake-up, so the node must stay awake to pull it;
+    /// 3. fires the timers of round `round + 1`.
+    fn settle_sleep(&mut self, g: &Graph, round: Round, max_rounds: usize) {
+        for list in &mut self.wakes {
+            for u in list.drain(..) {
+                if self.sleeping.get(u) {
+                    self.sleeping.clear(u);
+                    self.sleepers -= 1;
+                }
+            }
+        }
+        let sent = &self.out_slots[(round & 1) * g.degree_sum()..][..g.degree_sum()];
+        for list in &mut self.sleep_requests {
+            for (v, until) in list.drain(..) {
+                let varc = g.csr_offset(v);
+                if (varc..varc + g.degree(v)).any(|a| sent[g.rev_arc(a)].is_some()) {
+                    continue;
+                }
+                debug_assert!(!self.sleeping.get(v), "awake node {v} already sleeps");
+                self.sleeping.set(v);
+                self.sleepers += 1;
+                if until <= max_rounds {
+                    let spare = &mut self.spare_buckets;
+                    self.timers
+                        .entry(until)
+                        .or_insert_with(|| spare.pop().unwrap_or_default())
+                        .push(v);
+                }
+            }
+        }
+        while let Some(entry) = self.timers.first_entry() {
+            if *entry.key() > round + 1 {
+                break;
+            }
+            let mut bucket = entry.remove();
+            for v in bucket.drain(..) {
+                if self.sleeping.get(v) {
+                    self.sleeping.clear(v);
+                    self.sleepers -= 1;
+                }
+            }
+            self.spare_buckets.push(bucket);
+        }
+        #[cfg(debug_assertions)]
+        {
+            let arcs = g.degree_sum();
+            let slots = &self.out_slots;
+            crate::shadow::check_sleepers(
+                g,
+                &self.sleeping,
+                self.sleepers,
+                &self.halted_bits,
+                |arc| slots[arc].is_some() || slots[arcs + arc].is_some(),
+            );
+        }
+    }
+
     fn all_halted(&self) -> bool {
         self.live == 0
     }
@@ -490,16 +617,20 @@ impl<P: Process> RunState<P> {
             chunk,
             audit: self.audit,
             spilled: !self.pending_spills.is_empty(),
+            any_asleep: self.sleepers > 0,
             processes: self.processes.as_mut_ptr(),
             rngs: self.rngs.as_mut_ptr(),
             halted_bits: &self.halted_bits,
+            sleeping: &self.sleeping,
             out_slots: self.out_slots.as_mut_ptr(),
             out_spill: self.out_spill.as_mut_ptr(),
             events: self.events.as_mut_ptr(),
             fresh_halts: self.fresh_halts.as_mut_ptr(),
             spill_nodes: self.spill_nodes.as_mut_ptr(),
             scratch: self.scratch.as_mut_ptr(),
-            audit_parts: self.audit_parts.as_mut_ptr(),
+            tallies: self.tallies.as_mut_ptr(),
+            sleep_requests: self.sleep_requests.as_mut_ptr(),
+            wakes: self.wakes.as_mut_ptr(),
             vol_msgs_sent: self.transcript.node_messages_sent.as_mut_ptr(),
             vol_bits_sent: self.transcript.node_bits_sent.as_mut_ptr(),
             vol_msgs_recv: self.transcript.node_messages_recv.as_mut_ptr(),
@@ -521,8 +652,10 @@ impl<P: Process> RunState<P> {
 ///
 /// * per-**node** columns (`processes`, `rngs`, this round's `out_spill`
 ///   buffer, the volume columns) and per-**chunk** buffers (`events`,
-///   `fresh_halts`, `spill_nodes`, `scratch`, `audit_parts`) are written
-///   only for indices owned by the running chunk;
+///   `fresh_halts`, `spill_nodes`, `scratch`, `tallies`,
+///   `sleep_requests`, `wakes`) are written only for indices owned by the
+///   running chunk — a sender records a sleeping receiver in its *own*
+///   chunk's wake list, never in the receiver's state;
 /// * in this round's `out_slots` buffer, a node writes only its own arc
 ///   range (cleared, then filled by its sends); in the previous round's
 ///   buffer, receiver `v` takes only the slot `rev_arc(v's arc)` of each
@@ -530,13 +663,15 @@ impl<P: Process> RunState<P> {
 ///   buffer this round;
 /// * the previous round's `out_spill` buffer is only read (cloned from)
 ///   during the pass; the driver clears it afterwards;
-/// * `halted_bits` is read-only during the pass (halts are recorded by
-///   the driver between rounds).
+/// * `halted_bits` and `sleeping` are read-only during the pass (halts
+///   and the sleep tables are settled by the driver between rounds).
 ///
 /// Debug builds check the first two points mechanically: every node
 /// claims each `out_slots` index (`buffer · Σdeg + arc`) and per-node
 /// index it writes through [`RoundShared::claim`], and the shadow checker
-/// panics on an index claimed by two chunks in one round.
+/// panics on an index claimed by two chunks in one round. Between rounds
+/// they also check the sleep tables: no sleeper holds undelivered mail,
+/// no halted node sleeps, and the sleeper count matches the bitset.
 struct RoundShared<'a, P: Process> {
     g: &'a Graph,
     spec: &'a RunSpec,
@@ -558,16 +693,22 @@ struct RoundShared<'a, P: Process> {
     /// Whether any sender spilled last round; when false the pull skips
     /// the `out_spill` probe entirely.
     spilled: bool,
+    /// Whether any node sleeps this round; when false senders skip the
+    /// wake-up probe entirely.
+    any_asleep: bool,
     processes: *mut Option<P>,
     rngs: *mut Rng,
     halted_bits: *const Bitset,
+    sleeping: *const Bitset,
     out_slots: *mut Option<P::Message>,
     out_spill: *mut Vec<(u32, P::Message)>,
     events: *mut EventBuf<P>,
     fresh_halts: *mut Vec<NodeId>,
     spill_nodes: *mut Vec<NodeId>,
     scratch: *mut Vec<Envelope<P::Message>>,
-    audit_parts: *mut AuditPart,
+    tallies: *mut ChunkTally,
+    sleep_requests: *mut Vec<(NodeId, Round)>,
+    wakes: *mut Vec<NodeId>,
     /// Per-node message-volume columns of the transcript (length `n` when
     /// `audit`, empty otherwise — dereferenced only under `audit`). Both
     /// the *sent* and the *recv* entry of node `v` are written only by
@@ -688,7 +829,7 @@ impl<P: Process> RoundShared<'_, P> {
     }
 }
 
-/// **The round pass**: activates every live node of chunk `ci` (`init`
+/// **The round pass**: activates every awake node of chunk `ci` (`init`
 /// at round 0) — pull, clear, step, audit, as the module docs lay out.
 /// Clearing before the step is what lets `Ctx::send` read an occupied
 /// slot as a second message on its port, never as a stale one. See
@@ -705,10 +846,14 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
         let fresh = &mut *sh.fresh_halts.add(ci);
         let spills = &mut *sh.spill_nodes.add(ci);
         let inbox = &mut *sh.scratch.add(ci);
-        let part = &mut *sh.audit_parts.add(ci);
-        *part = AuditPart::default();
-        (*sh.halted_bits).for_each_zero_in(lo, hi, |v| {
+        let part = &mut *sh.tallies.add(ci);
+        let sleeps = &mut *sh.sleep_requests.add(ci);
+        let wakes = &mut *sh.wakes.add(ci);
+        *part = ChunkTally::default();
+        let sleeping = &*sh.sleeping;
+        (*sh.halted_bits).for_each_zero_in_union(sleeping, lo, hi, |v| {
             sh.claim(Table::Node, v..v + 1, ci);
+            part.activations += 1;
             inbox.clear();
             if sh.round > 0 {
                 sh.pull(v, ci, inbox);
@@ -724,6 +869,7 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
             debug_assert!(spill.is_empty(), "spill of node {v} not drained");
             let mut sent = 0;
             let mut halted = false;
+            let mut sleep: Round = 0;
             let mut ctx = Ctx {
                 id: v,
                 round: sh.round,
@@ -736,6 +882,7 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
                 sent: &mut sent,
                 events,
                 halted: &mut halted,
+                sleep: &mut sleep,
             };
             let proc_slot = &mut *sh.processes.add(v);
             if sh.round == 0 {
@@ -762,9 +909,24 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
                         *sh.vol_bits_sent.add(v) += bits as u64;
                     }
                 }
+                if sh.any_asleep {
+                    // A sleeper must wake to pull this. Spills ride on
+                    // ports whose slot is occupied, so the slots suffice.
+                    let varc = sh.g.csr_offset(v);
+                    for (p, slot) in out.iter().enumerate() {
+                        if slot.is_some() {
+                            let (u, _) = sh.g.arc(varc + p);
+                            if sleeping.get(u) {
+                                wakes.push(u);
+                            }
+                        }
+                    }
+                }
             }
             if *ctx.halted {
                 fresh.push(v);
+            } else if *ctx.sleep > sh.round + 1 {
+                sleeps.push((v, *ctx.sleep));
             }
         });
     }
@@ -877,6 +1039,7 @@ fn run_with_threads<P: Process>(
         if state.all_halted() {
             break;
         }
+        state.settle_sleep(g, round, spec.max_rounds);
         round += 1;
         assert!(
             round <= spec.max_rounds,
@@ -1729,6 +1892,164 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Halt round of node `v` in the sleep test.
+    fn nap_halt(v: NodeId) -> Round {
+        8 + (v % 4) as Round
+    }
+
+    /// Whether node `v` acts in round `r` of the sleep test: it sends
+    /// its plan in round 0, in one round of five after that, and in its
+    /// halt round.
+    fn nap_busy(v: NodeId, r: Round) -> bool {
+        r == 0 || r == nap_halt(v) || (3 * v + r).is_multiple_of(5)
+    }
+
+    /// Messages `u` sends to neighbor `v` in round `r` of the sleep test:
+    /// zero to three in a busy round before its halt (the second and
+    /// third spill), a farewell to every other neighbor in its halt round.
+    fn nap_sends(u: NodeId, v: NodeId, r: Round) -> usize {
+        if r > nap_halt(u) || !nap_busy(u, r) {
+            0
+        } else if r == nap_halt(u) {
+            (u + v) % 2
+        } else {
+            (u + 2 * v + r) % 4
+        }
+    }
+
+    /// The first round after `r` in which `v` acts.
+    fn nap_next_busy(v: NodeId, r: Round) -> Round {
+        (r + 1..)
+            .find(|&s| nap_busy(v, s))
+            .expect("the halt round is busy")
+    }
+
+    /// Acts on the plan and folds every inbox into an order- and
+    /// round-sensitive checksum; rounds without a plan or a message are
+    /// no-ops. With `Params = true` it sleeps through them until its next
+    /// busy round, which by [`Ctx::sleep_until`]'s contract must leave
+    /// the transcript of the twin run (`false`) untouched. Outputs
+    /// (checksum, messages received).
+    struct Napper {
+        sleepy: bool,
+        sum: u64,
+        received: u64,
+    }
+
+    impl Napper {
+        fn act(&mut self, ctx: &mut Ctx<'_, Self>) {
+            let (u, r) = (ctx.id(), ctx.round());
+            if nap_busy(u, r) {
+                for port in ctx.ports() {
+                    for seq in 0..nap_sends(u, ctx.neighbor_id(port), r) {
+                        ctx.send(port, chatter_msg(u, r, seq));
+                    }
+                }
+            }
+            if r == nap_halt(u) {
+                ctx.commit_node((self.sum, self.received));
+                ctx.halt();
+            } else if self.sleepy {
+                ctx.sleep_until(nap_next_busy(u, r));
+            }
+        }
+    }
+
+    impl Process for Napper {
+        type Message = u64;
+        type NodeOutput = (u64, u64);
+        type EdgeOutput = ();
+        type Params = bool;
+        const OUTPUT_KIND: OutputKind = OutputKind::NodeLabels;
+
+        fn init(sleepy: &bool, ctx: &mut Ctx<'_, Self>) -> Self {
+            let mut node = Napper {
+                sleepy: *sleepy,
+                sum: 0,
+                received: 0,
+            };
+            node.act(ctx);
+            node
+        }
+
+        fn round(&mut self, ctx: &mut Ctx<'_, Self>, inbox: &[Envelope<u64>]) {
+            let r = ctx.round() as u64;
+            for env in inbox {
+                self.sum = self.sum.rotate_left(7) ^ env.msg ^ r << 56 ^ (env.port as u64) << 48;
+                self.received += 1;
+            }
+            self.act(ctx);
+        }
+    }
+
+    #[test]
+    fn sleeping_is_invisible_in_the_transcript() {
+        let mut rng = Rng::seed_from(3);
+        let regular = gen::random_regular(30, 4, &mut rng).expect("4-regular graph");
+        assert!(regular.sorted_port_order().is_some(), "unsorted adjacency");
+        for g in [gen::grid(5, 6), regular] {
+            // The plan, replayed: `v` is awake in round `r` when it acts
+            // or has mail (a sleep request is refused exactly when mail
+            // arrives, and every timer targets a busy round).
+            let got = |v: NodeId, r: Round| {
+                r > 0 && g.neighbor_ids(v).any(|u| nap_sends(u, v, r - 1) > 0)
+            };
+            let awake = |v: NodeId, r: Round| nap_busy(v, r) || got(v, r);
+            let asks =
+                |v: NodeId, r: Round| awake(v, r) && r < nap_halt(v) && nap_next_busy(v, r) > r + 1;
+            let cases = |pred: &dyn Fn(NodeId, NodeId, Round) -> bool| {
+                g.edges().any(|(_, a, b)| {
+                    [(a, b), (b, a)]
+                        .into_iter()
+                        .any(|(u, v)| (0..nap_halt(v)).any(|r| pred(u, v, r)))
+                })
+            };
+            let asleep = |v: NodeId, r: Round| r <= nap_halt(v) && !awake(v, r);
+            assert!(cases(&|_, v, r| nap_busy(v, r + 1)
+                && asleep(v, r)
+                && !got(v, r + 1)));
+            assert!(cases(&|_, v, r| asleep(v, r)
+                && got(v, r + 1)
+                && !nap_busy(v, r + 1)));
+            assert!(cases(&|u, v, r| asks(v, r) && nap_sends(u, v, r) > 0));
+            assert!(cases(&|u, v, r| asleep(v, r) && nap_sends(u, v, r) >= 2));
+            for farewell in [0, 1] {
+                assert!(cases(&|u, v, r| {
+                    r == nap_halt(u) && asleep(v, r) && nap_sends(u, v, r) == farewell
+                }));
+            }
+            let awake_rounds: u64 = g
+                .nodes()
+                .map(|v| (0..=nap_halt(v)).filter(|&r| awake(v, r)).count() as u64)
+                .sum();
+
+            let mut ws = Workspace::new();
+            let twin = RunSpec::new(1).run_in::<Napper>(&g, &false, &mut ws);
+            let live: u64 = g.nodes().map(|v| nap_halt(v) as u64 + 1).sum();
+            assert_eq!(ws.stats().awake_node_rounds, live);
+            assert!(twin.node_messages_recv.iter().all(|&k| k > 0));
+            for chunk in [1, 3, g.n()] {
+                for threads in [1, 2] {
+                    let spec = RunSpec::new(1)
+                        .with_exec(Exec::Parallel { threads })
+                        .with_chunk_nodes(Some(chunk));
+                    let before = ws.stats().awake_node_rounds;
+                    let t = spec.run_in::<Napper>(&g, &true, &mut ws);
+                    assert_eq!(
+                        t, twin,
+                        "transcript drift at chunk={chunk} threads={threads}"
+                    );
+                    assert_eq!(
+                        ws.stats().awake_node_rounds - before,
+                        awake_rounds,
+                        "awake node-rounds at chunk={chunk} threads={threads}"
+                    );
+                }
+            }
+            assert!(awake_rounds < live);
         }
     }
 

@@ -102,6 +102,8 @@ pub struct Ctx<'a, P: Process> {
     /// Set by [`Ctx::halt`]; the engine records the halt after the
     /// activation.
     pub(crate) halted: &'a mut bool,
+    /// Set by [`Ctx::sleep_until`]: the requested wake round, 0 for none.
+    pub(crate) sleep: &'a mut Round,
 }
 
 impl<'a, P: Process> Ctx<'a, P> {
@@ -224,5 +226,39 @@ impl<'a, P: Process> Ctx<'a, P> {
     /// The halt round is recorded as the node's *termination time* (§2).
     pub fn halt(&mut self) {
         *self.halted = true;
+    }
+
+    /// Asks the engine not to activate this node again before round
+    /// `round`, unless a neighbor sends it a message first. A sleeping
+    /// node is skipped by the round pass: no pull, no clear, no `round`
+    /// call. It wakes when `round` comes, or in the round after a
+    /// neighbor sends to it, and then receives that inbox as usual.
+    /// `Round::MAX` (or any round past the run's `max_rounds`) sleeps
+    /// until a message arrives.
+    ///
+    /// Sleeping is not halting: the node stays live, so Definition 1's
+    /// clocks, the live frontier and the transcript do not change. The
+    /// request is an **opt-in promise** by the process, and the engine
+    /// cannot check it:
+    ///
+    /// * every skipped activation would have been a **no-op**: with an
+    ///   empty inbox, `round` would neither change the node's state, send,
+    ///   commit, halt, nor draw from [`Ctx::rng`];
+    /// * **waking early is harmless**: an activation with an empty inbox
+    ///   before `round` (a stale timer, a message-free round after an
+    ///   early wake) behaves like the skipped one would have — typically
+    ///   by asking to sleep again.
+    ///
+    /// Under that promise a run with sleeps is transcript-identical to the
+    /// same process that never sleeps; the engine test
+    /// `sleeping_is_invisible_in_the_transcript` pins this.
+    ///
+    /// The engine grants the request after the round unless the node
+    /// halts in the same activation (halting wins) or a neighbor sent it
+    /// a message in the same round (the message is pulled next round). A
+    /// `round` no later than the next round is no request at all. Later
+    /// calls in one activation replace earlier ones.
+    pub fn sleep_until(&mut self, round: Round) {
+        *self.sleep = round;
     }
 }

@@ -10,6 +10,13 @@
 //! scheduler-adversarial tests (many chunk geometries × thread counts)
 //! drive it. Release builds compile the checker out: only [`Table`]
 //! remains, as the argument of an empty inlined call.
+//!
+//! The sleep tables (the driver's sleeping bitset, its timers and the
+//! per-chunk wake lists) are written by no two chunks: senders record a
+//! sleeping receiver in their own chunk's wake list, and only the driver
+//! writes the bitset, between rounds. What can go wrong there is a lost
+//! wake-up, so [`check_sleepers`] checks the tables' contract after
+//! every round instead: no sleeper holds a message it has not pulled.
 
 /// Which engine arena an index belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,12 +31,58 @@ pub(crate) enum Table {
 }
 
 #[cfg(debug_assertions)]
-pub(crate) use checker::Shadow;
+pub(crate) use checker::{check_sleepers, Shadow};
 
 #[cfg(debug_assertions)]
 mod checker {
     use super::Table;
+    use crate::bitset::Bitset;
+    use localavg_graph::Graph;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Checks the sleep tables between two rounds: `sleepers` counts the
+    /// set bits of `sleeping`, no halted node sleeps, and no message
+    /// addressed to a sleeper waits in the outbox — `mail(arc)` tells
+    /// whether sender-side arc `arc` holds a message in either buffer.
+    /// Such a message would be pulled late or never: a sender that found
+    /// its receiver asleep pushed no wake-up, or the driver granted a
+    /// sleep request despite a message sent in the same round.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `sleep violation` on the first breach.
+    pub(crate) fn check_sleepers(
+        g: &Graph,
+        sleeping: &Bitset,
+        sleepers: usize,
+        halted: &Bitset,
+        mail: impl Fn(usize) -> bool,
+    ) {
+        assert_eq!(
+            sleeping.count_ones(),
+            sleepers,
+            "sleep violation: the sleeper count disagrees with the bitset"
+        );
+        for w in 0..sleeping.word_count() {
+            let mut bits = sleeping.word(w);
+            assert!(
+                bits & halted.word(w) == 0,
+                "sleep violation: a halted node sleeps (word {w})"
+            );
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let varc = g.csr_offset(v);
+                for a in varc..varc + g.degree(v) {
+                    let (u, _) = g.arc(a);
+                    assert!(
+                        !mail(g.rev_arc(a)),
+                        "sleep violation: node {v} sleeps on a message from node {u}"
+                    );
+                }
+            }
+        }
+    }
 
     /// Per-index owner tags of one run's arenas. A tag is
     /// `pass << 32 | (chunk + 1)`; a tag from an older pass means
@@ -122,6 +175,46 @@ mod checker {
             s.begin_pass();
             s.claim(Table::OutSlot, 1, 0);
             s.claim(Table::OutSlot, 1, 5);
+        }
+
+        /// A path 0 - 1 - 2 whose middle node sleeps.
+        fn sleeping_middle() -> (Graph, Bitset, Bitset) {
+            let g = localavg_graph::gen::path(3);
+            let mut sleeping = Bitset::new(3);
+            sleeping.set(1);
+            (g, sleeping, Bitset::new(3))
+        }
+
+        #[test]
+        fn a_sleeper_without_mail_passes() {
+            let (g, sleeping, halted) = sleeping_middle();
+            // Node 1's own sends (its arcs) may hold mail; only arcs
+            // toward node 1 matter.
+            let toward_1: Vec<usize> = (0..g.degree_sum()).filter(|&a| g.arc(a).0 == 1).collect();
+            assert_eq!(toward_1.len(), 2);
+            check_sleepers(&g, &sleeping, 1, &halted, |a| !toward_1.contains(&a));
+        }
+
+        #[test]
+        #[should_panic(expected = "sleep violation: node 1 sleeps on a message from node")]
+        fn a_sleeper_with_mail_panics() {
+            let (g, sleeping, halted) = sleeping_middle();
+            check_sleepers(&g, &sleeping, 1, &halted, |_| true);
+        }
+
+        #[test]
+        #[should_panic(expected = "sleep violation: a halted node sleeps")]
+        fn a_halted_sleeper_panics() {
+            let (g, sleeping, mut halted) = sleeping_middle();
+            halted.set(1);
+            check_sleepers(&g, &sleeping, 1, &halted, |_| false);
+        }
+
+        #[test]
+        #[should_panic(expected = "sleeper count disagrees")]
+        fn a_wrong_sleeper_count_panics() {
+            let (g, sleeping, halted) = sleeping_middle();
+            check_sleepers(&g, &sleeping, 2, &halted, |_| false);
         }
 
         #[test]

@@ -49,6 +49,8 @@ pub struct Workspace {
     pub(crate) reuses: usize,
     /// Total runs served.
     pub(crate) runs: usize,
+    /// Node activations over every completed run: awake node-rounds.
+    pub(crate) awake_node_rounds: u64,
 }
 
 impl Workspace {
@@ -97,6 +99,7 @@ impl Workspace {
             runs: self.runs,
             reuses: self.reuses,
             arenas: self.states.len(),
+            awake_node_rounds: self.awake_node_rounds,
         }
     }
 }
@@ -110,6 +113,13 @@ pub struct WorkspaceStats {
     pub reuses: usize,
     /// Distinct process types currently holding arenas.
     pub arenas: usize,
+    /// Node activations over every completed run: the **awake
+    /// node-rounds**. A live node that sleeps
+    /// ([`Ctx::sleep_until`](crate::process::Ctx::sleep_until)) is not
+    /// activated, so this is at most Σ live over the same runs, the
+    /// node-rounds Definition 1's termination clocks add up to. It is an
+    /// engine cost, not part of any transcript.
+    pub awake_node_rounds: u64,
 }
 
 #[cfg(test)]
@@ -132,11 +142,13 @@ mod tests {
         let mut ws = Workspace::new();
         ws.runs = 5;
         ws.reuses = 3;
+        ws.awake_node_rounds = 40;
         ws.states.insert(TypeId::of::<u32>(), Box::new(1u32));
         let s = ws.stats();
         assert_eq!(s.runs, 5);
         assert_eq!(s.reuses, 3);
         assert_eq!(s.arenas, 1);
+        assert_eq!(s.awake_node_rounds, 40);
     }
 
     #[test]
