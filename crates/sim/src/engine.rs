@@ -851,9 +851,11 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
         let wakes = &mut *sh.wakes.add(ci);
         *part = ChunkTally::default();
         let sleeping = &*sh.sleeping;
+        // A local, so the count can live in a register.
+        let mut activations = 0;
         (*sh.halted_bits).for_each_zero_in_union(sleeping, lo, hi, |v| {
             sh.claim(Table::Node, v..v + 1, ci);
-            part.activations += 1;
+            activations += 1;
             inbox.clear();
             if sh.round > 0 {
                 sh.pull(v, ci, inbox);
@@ -929,6 +931,7 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
                 sleeps.push((v, *ctx.sleep));
             }
         });
+        part.activations = activations;
     }
 }
 
