@@ -41,10 +41,10 @@
 //! branch. Messages to halted receivers are never pulled; a live sender
 //! clears them two rounds later, and the next run's reset drops the rest.
 //!
-//! The driver then settles the sleep tables: it wakes the receivers on
-//! the wake lists, grants each sleep request whose node was sent no
-//! message this round (a sender saw that node awake and pushed no
-//! wake-up, so the message must be pulled next round), and fires the
+//! The driving thread then settles the sleep tables: it wakes the
+//! receivers on the wake lists, grants each sleep request whose node was
+//! sent no message this round (a sender saw that node awake and pushed
+//! no wake-up, so the message must be pulled next round), and fires the
 //! round-bucketed timers of the next round. A sleeper therefore never
 //! holds undelivered mail, and a process that keeps
 //! [`Ctx::sleep_until`]'s promise produces the transcript of its twin
@@ -270,7 +270,7 @@ struct RunState<P: Process> {
     /// Nodes that have not halted yet.
     live: usize,
     /// Live nodes the pass skips until a timer or a message wakes them;
-    /// written only by the driver, between rounds.
+    /// written only by the driving thread, between rounds.
     sleeping: Bitset,
     /// Set bits of `sleeping`.
     sleepers: usize,
@@ -664,7 +664,8 @@ impl<P: Process> RunState<P> {
 /// * the previous round's `out_spill` buffer is only read (cloned from)
 ///   during the pass; the driver clears it afterwards;
 /// * `halted_bits` and `sleeping` are read-only during the pass (halts
-///   and the sleep tables are settled by the driver between rounds).
+///   and the sleep tables are settled by the driving thread between
+///   rounds).
 ///
 /// Debug builds check the first two points mechanically: every node
 /// claims each `out_slots` index (`buffer · Σdeg + arc`) and per-node

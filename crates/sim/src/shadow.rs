@@ -11,9 +11,9 @@
 //! drive it. Release builds compile the checker out: only [`Table`]
 //! remains, as the argument of an empty inlined call.
 //!
-//! The sleep tables (the driver's sleeping bitset, its timers and the
-//! per-chunk wake lists) are written by no two chunks: senders record a
-//! sleeping receiver in their own chunk's wake list, and only the driver
+//! The sleep tables (the sleeping bitset, the timers and the per-chunk
+//! wake lists) are written by no two chunks: senders record a sleeping
+//! receiver in their own chunk's wake list, and only the driving thread
 //! writes the bitset, between rounds. What can go wrong there is a lost
 //! wake-up, so [`check_sleepers`] checks the tables' contract after
 //! every round instead: no sleeper holds a message it has not pulled.
@@ -45,8 +45,8 @@ mod checker {
     /// addressed to a sleeper waits in the outbox — `mail(arc)` tells
     /// whether sender-side arc `arc` holds a message in either buffer.
     /// Such a message would be pulled late or never: a sender that found
-    /// its receiver asleep pushed no wake-up, or the driver granted a
-    /// sleep request despite a message sent in the same round.
+    /// its receiver asleep pushed no wake-up, or a sleep request was
+    /// granted despite a message sent in the same round.
     ///
     /// # Panics
     ///
