@@ -23,13 +23,20 @@
 //! to the string-keyed form the algorithm registry validates.
 //!
 //! The parser below is a deliberately small recursive-descent JSON
-//! reader (the workspace is std-only); it accepts exactly standard JSON
-//! and is shared by the server, the `exp submit` client, and the tests.
+//! reader (the workspace is std-only); it accepts standard JSON nested at
+//! most 64 arrays/objects deep and is shared by the server, the
+//! `exp submit` client, and the tests.
 
 use crate::cell::CellKey;
 use crate::emit::json_escape;
 use localavg_core::algo::TranscriptPolicy;
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. Requests
+/// nest 4 deep; the cap bounds the parser's recursion, so a hostile line
+/// of `[`s is an error instead of a stack overflow that would abort the
+/// daemon.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,11 +62,12 @@ impl Json {
     /// # Errors
     ///
     /// Returns a human-readable message with the byte offset of the
-    /// first violation.
+    /// first violation, including nesting deeper than 64 levels.
     pub fn parse(s: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -124,6 +132,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -152,8 +162,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -162,6 +172,21 @@ impl Parser<'_> {
             Some(b) => Err(format!("unexpected `{}` at byte {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
@@ -560,6 +585,21 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should fail");
         }
+    }
+
+    #[test]
+    fn json_nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "got: {err}");
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "got: {err}");
+        // Deep enough to overflow a default thread stack without the cap.
+        let deep = format!(r#"{{"op": "submit", "cells": {}"#, "[".repeat(100_000));
+        let err = parse_request(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "got: {err}");
+        let objects = r#"{"a": "#.repeat(100_000);
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

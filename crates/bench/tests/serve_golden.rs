@@ -13,7 +13,9 @@
 //!   execute only once (single-flight coalescing);
 //! * `shutdown` stops the daemon cleanly and `run` returns;
 //! * a reused connection answers at loopback speed, not at the pace of
-//!   Nagle's algorithm waiting on a delayed ACK.
+//!   Nagle's algorithm waiting on a delayed ACK;
+//! * a request nested too deep is an error line, not a stack overflow
+//!   that aborts the daemon.
 
 use localavg_bench::cell::CellKey;
 use localavg_bench::serve::{self, Client, ServeConfig};
@@ -307,6 +309,43 @@ fn a_forest_only_algorithm_on_a_cyclic_family_is_an_error_line_not_a_dead_worker
     );
     let done = read_line();
     assert!(done.contains("\"errors\": 0"), "got: {done}");
+    shutdown(handle, addr);
+}
+
+#[test]
+fn a_deeply_nested_request_is_an_error_line_not_a_dead_daemon() {
+    // 100 000 `[`s would overflow the handler thread's stack in a
+    // recursive parser without a depth cap, aborting the whole process.
+    use std::io::{BufRead, BufReader, Write};
+    let (handle, addr) = start_server(2022);
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut read_line = || {
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("daemon answers within the timeout");
+        line.trim_end().to_string()
+    };
+    let deep = format!(r#"{{"op": "submit", "cells": {}"#, "[".repeat(100_000));
+    writeln!(writer, "{deep}").expect("send the deep line");
+    let error = read_line();
+    assert!(error.starts_with("{\"error\""), "got: {error}");
+    assert!(error.contains("nesting deeper than"), "got: {error}");
+    writeln!(writer, r#"{{"op":"ping"}}"#).expect("send ping");
+    assert_eq!(
+        read_line(),
+        serve::protocol::pong_line(),
+        "daemon stopped answering"
+    );
+    Client::connect(addr)
+        .expect("a fresh connection")
+        .ping()
+        .expect("pong");
     shutdown(handle, addr);
 }
 

@@ -1,10 +1,9 @@
 //! [`Algorithm`] implementations for every family in the workspace.
 //!
 //! Each implementation is a zero-sized unit struct wrapping the family
-//! module's `*_spec` entry point and converting its typed `*Run` into the
-//! unified [`AlgoRun`]. The family free functions (`mis::luby`,
-//! `ruling::two_two`, …) stay available for code that wants the typed
-//! outputs directly.
+//! module's crate-private `*_spec` runner, which returns the unified
+//! [`AlgoRun`] directly. These wrappers (reached through
+//! [`super::registry`]) are the only public way to run an algorithm.
 //!
 //! Algorithms with tuning knobs declare them as [`ParamSpec`]s and
 //! validate string assignments in `set_param` — that is what
@@ -74,7 +73,7 @@ impl Algorithm for MisLuby {
         params: &LubyMisParams,
         ws: &mut Workspace,
     ) -> AlgoRun {
-        AlgoRun::from(mis::luby_spec(g, spec, params, ws)).named(self.name())
+        mis::luby_spec(g, spec, params, ws)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -128,7 +127,7 @@ impl Algorithm for MisDegreeGuided {
         params: &DegreeGuidedParams,
         ws: &mut Workspace,
     ) -> AlgoRun {
-        AlgoRun::from(mis::degree_guided_spec(g, spec, params, ws)).named(self.name())
+        mis::degree_guided_spec(g, spec, params, ws)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -198,7 +197,7 @@ impl Algorithm for MisGreedy {
         _params: &(),
         ws: &mut Workspace,
     ) -> AlgoRun {
-        AlgoRun::from(mis::greedy_by_id_spec(g, spec, ws)).named(self.name())
+        mis::greedy_by_id_spec(g, spec, ws)
     }
 }
 
@@ -224,7 +223,7 @@ impl Algorithm for RulingTwoTwo {
         _params: &(),
         ws: &mut Workspace,
     ) -> AlgoRun {
-        AlgoRun::from(ruling::two_two_spec(g, spec, ws)).named(self.name())
+        ruling::two_two_spec(g, spec, ws)
     }
 }
 
@@ -279,7 +278,7 @@ impl Algorithm for RulingDet {
         params: &DetRulingSpec,
         ws: &mut Workspace,
     ) -> AlgoRun {
-        AlgoRun::from(ruling::deterministic_spec(g, spec, params.resolve(g), ws)).named(self.name())
+        ruling::deterministic_spec(g, spec, params.resolve(g), ws)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -376,7 +375,7 @@ impl Algorithm for MatchingLuby {
         params: &LubyMatchParams,
         ws: &mut Workspace,
     ) -> AlgoRun {
-        AlgoRun::from(matching::luby_spec(g, spec, params, ws)).named(self.name())
+        matching::luby_spec(g, spec, params, ws)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -434,7 +433,7 @@ impl Algorithm for MatchingDet {
         _params: &(),
         ws: &mut Workspace,
     ) -> AlgoRun {
-        AlgoRun::from(matching::deterministic_spec(g, spec, ws)).named(self.name())
+        matching::deterministic_spec(g, spec, ws)
     }
 }
 
@@ -464,7 +463,7 @@ impl Algorithm for MatchingGreedy {
         _params: &(),
         ws: &mut Workspace,
     ) -> AlgoRun {
-        AlgoRun::from(matching::greedy_spec(g, spec, ws)).named(self.name())
+        matching::greedy_spec(g, spec, ws)
     }
 }
 
@@ -490,7 +489,7 @@ impl Algorithm for OrientationRand {
         params: &RandOrientParams,
         ws: &mut Workspace,
     ) -> AlgoRun {
-        AlgoRun::from(orientation::randomized_spec(g, spec, params, ws)).named(self.name())
+        orientation::randomized_spec(g, spec, params, ws)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -553,8 +552,7 @@ impl Algorithm for OrientationDet {
         params: &DetOrientParams,
         _ws: &mut Workspace,
     ) -> AlgoRun {
-        AlgoRun::from(orientation::deterministic_with(g, *params, spec.transcript))
-            .named(self.name())
+        orientation::deterministic_with(g, *params, spec.transcript)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -628,7 +626,7 @@ impl Algorithm for ColoringTrial {
         params: &TrialColoringParams,
         ws: &mut Workspace,
     ) -> AlgoRun {
-        AlgoRun::from(coloring::random_trial_spec(g, spec, params, ws)).named(self.name())
+        coloring::random_trial_spec(g, spec, params, ws)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -686,7 +684,7 @@ impl Algorithm for ColoringLinial {
         _params: &(),
         ws: &mut Workspace,
     ) -> AlgoRun {
-        AlgoRun::from(coloring::linial_spec(g, spec, ws)).named(self.name())
+        coloring::linial_spec(g, spec, ws)
     }
 }
 

@@ -84,12 +84,7 @@ pub use impls::{
     RulingDet, RulingTreeRc, RulingTwoTwo,
 };
 
-use crate::coloring::ColoringRun;
-use crate::matching::MatchingRun;
 use crate::metrics::{CompletionTimes, ComplexityReport};
-use crate::mis::MisRun;
-use crate::orientation::OrientationRun;
-use crate::ruling::RulingRun;
 use localavg_graph::analysis::{self, Orientation};
 use localavg_graph::suggest::closest_match;
 use localavg_graph::Graph;
@@ -314,8 +309,7 @@ impl std::error::Error for ViolationError {}
 /// [`CompletionTimes`] / [`crate::metrics::RunAggregate`].
 #[derive(Debug, Clone)]
 pub struct AlgoRun {
-    /// Registry key of the algorithm that produced this run (`""` when the
-    /// run was converted from a legacy `*Run` by hand).
+    /// Registry key of the algorithm that produced this run.
     pub algorithm: &'static str,
     /// Output-erased execution transcript (commit clocks, halt rounds, and
     /// the CONGEST message audit all survive erasure).
@@ -325,10 +319,27 @@ pub struct AlgoRun {
 }
 
 impl AlgoRun {
-    /// Stamps the registry key onto the run (builder style).
-    pub fn named(mut self, name: &'static str) -> Self {
-        self.algorithm = name;
-        self
+    /// Assembles the run of `algorithm` from its output-erased transcript
+    /// and its solution. Every family's runner returns through here, so
+    /// one debug-build check covers them all: the solution must pass
+    /// [`AlgoRun::verify`] on `g`.
+    pub(crate) fn new(
+        algorithm: &'static str,
+        g: &Graph,
+        transcript: Transcript<(), ()>,
+        solution: Solution,
+    ) -> AlgoRun {
+        let run = AlgoRun {
+            algorithm,
+            transcript,
+            solution,
+        };
+        debug_assert_eq!(
+            run.verify(g),
+            Ok(()),
+            "{algorithm} produced an invalid output"
+        );
+        run
     }
 
     /// The problem this run solved.
@@ -414,63 +425,6 @@ impl AlgoRun {
                     Err(ViolationError::NotProperColoring)
                 }
             }
-        }
-    }
-}
-
-impl From<MisRun> for AlgoRun {
-    fn from(run: MisRun) -> Self {
-        AlgoRun {
-            algorithm: "",
-            transcript: run.transcript.into_erased(),
-            solution: Solution::Mis { in_set: run.in_set },
-        }
-    }
-}
-
-impl From<RulingRun> for AlgoRun {
-    fn from(run: RulingRun) -> Self {
-        AlgoRun {
-            algorithm: "",
-            transcript: run.transcript.into_erased(),
-            solution: Solution::RulingSet {
-                in_set: run.in_set,
-                beta: run.beta,
-            },
-        }
-    }
-}
-
-impl From<MatchingRun> for AlgoRun {
-    fn from(run: MatchingRun) -> Self {
-        AlgoRun {
-            algorithm: "",
-            transcript: run.transcript.into_erased(),
-            solution: Solution::Matching {
-                in_matching: run.in_matching,
-            },
-        }
-    }
-}
-
-impl From<OrientationRun> for AlgoRun {
-    fn from(run: OrientationRun) -> Self {
-        AlgoRun {
-            algorithm: "",
-            transcript: run.transcript.into_erased(),
-            solution: Solution::Orientation {
-                orientation: run.orientation,
-            },
-        }
-    }
-}
-
-impl From<ColoringRun> for AlgoRun {
-    fn from(run: ColoringRun) -> Self {
-        AlgoRun {
-            algorithm: "",
-            transcript: run.transcript.into_erased(),
-            solution: Solution::Coloring { colors: run.colors },
         }
     }
 }
@@ -1095,7 +1049,7 @@ mod tests {
         // not a ruling set at all on a nonempty graph.
         let g = gen::path(5);
         let bad = AlgoRun {
-            algorithm: "",
+            algorithm: "ruling/two-two",
             transcript: {
                 let mut t =
                     Transcript::empty(localavg_sim::transcript::OutputKind::NodeLabels, 5, 4);

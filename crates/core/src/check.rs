@@ -715,17 +715,6 @@ pub fn check_metrics(g: &Graph, run: &AlgoRun) -> Result<(), String> {
     Ok(())
 }
 
-/// The full oracle verdict on one run: solution validity plus metrics
-/// agreement (brute-force bounds are separate — they need a size gate).
-///
-/// # Errors
-///
-/// Returns the first failing layer's description.
-pub fn verify_run(g: &Graph, run: &AlgoRun) -> Result<(), String> {
-    verify_solution(g, &run.solution)?;
-    check_metrics(g, run)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -808,7 +797,7 @@ mod tests {
             assert_eq!(run.verify(&g), Ok(()), "{}", algo.name());
             verify_solution(&g, &run.solution)
                 .unwrap_or_else(|e| panic!("oracle rejects {}: {e}", algo.name()));
-            verify_run(&g, &run).unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+            check_metrics(&g, &run).unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
         }
     }
 

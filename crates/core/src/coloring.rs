@@ -1,41 +1,38 @@
 //! Distributed coloring (paper §1.2 context + deterministic subroutines).
 //!
-//! * [`random_trial`] — the classic (Δ+1)-coloring by random color trials
+//! * `"coloring/trial"` — the classic (Δ+1)-coloring by random color trials
 //!   \[Lub93, Joh99\]: every uncolored node proposes a uniform color from
 //!   its remaining palette and keeps it if no neighbor proposed the same.
 //!   Every node succeeds with constant probability per attempt, so the
 //!   node-averaged complexity is O(1) (§1.2) while the worst case is
 //!   Θ(log n) whp — experiment E15 measures the separation.
-//! * [`linial`] — Linial's O(log* n)-round coloring with O(Δ² log² Δ)
+//! * `"coloring/linial"` — Linial's O(log* n)-round coloring with O(Δ² log² Δ)
 //!   colors, used as the deterministic symmetry-breaking workhorse by the
 //!   ruling-set finisher and available standalone here.
+//!
+//! Both run through [`crate::algo::registry`]:
+//!
+//! ```
+//! use localavg_core::algo::{registry, RunSpec};
+//! use localavg_graph::{analysis, gen};
+//!
+//! let g = gen::grid(6, 6);
+//! let trial = registry().get("coloring/trial").expect("registered");
+//! let run = trial.execute(&g, &RunSpec::new(4));
+//! let colors = run.solution.colors().expect("a coloring solution");
+//! assert!(analysis::is_proper_coloring(&g, colors));
+//! assert!(colors.iter().all(|&c| c <= g.max_degree()));
+//! ```
 
+use crate::algo::{AlgoRun, Solution};
 use crate::subroutines::{linial_schedule, LinialStep};
-use localavg_graph::{analysis, Graph};
+use localavg_graph::Graph;
 use localavg_sim::prelude::*;
 
-/// Result of a coloring run.
-#[derive(Debug, Clone)]
-pub struct ColoringRun {
-    /// Full execution transcript.
-    pub transcript: Transcript<u64, ()>,
-    /// The proper coloring produced.
-    pub colors: Vec<usize>,
-}
-
-impl ColoringRun {
-    /// Number of distinct colors used.
-    pub fn palette_size(&self) -> usize {
-        self.colors
-            .iter()
-            .collect::<std::collections::HashSet<_>>()
-            .len()
-    }
-
-    /// Total rounds of the run.
-    pub fn worst_case(&self) -> Round {
-        self.transcript.rounds
-    }
+/// Wraps a finished coloring transcript into the run of `algorithm`.
+fn coloring_run(algorithm: &'static str, g: &Graph, t: Transcript<u64, ()>) -> AlgoRun {
+    let colors: Vec<usize> = t.node_labels().iter().map(|&c| c as usize).collect();
+    AlgoRun::new(algorithm, g, t.into_erased(), Solution::Coloring { colors })
 }
 
 /// Messages of the random-trial process.
@@ -127,43 +124,16 @@ impl Process for RandomTrial {
     }
 }
 
-/// Runs the randomized (Δ+1)-coloring by color trials.
-///
-/// # Example
-///
-/// ```
-/// use localavg_graph::{analysis, gen};
-/// use localavg_core::coloring;
-///
-/// let g = gen::grid(6, 6);
-/// let run = coloring::random_trial(&g, 4);
-/// assert!(analysis::is_proper_coloring(&g, &run.colors));
-/// assert!(run.colors.iter().all(|&c| c <= g.max_degree()));
-/// ```
-pub fn random_trial(g: &Graph, seed: u64) -> ColoringRun {
-    random_trial_spec(
-        g,
-        &RunSpec::new(seed),
-        &TrialColoringParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
-/// [`random_trial`] under an explicit [`RunSpec`], with tunable
-/// parameters and reusable [`Workspace`] arenas.
-pub fn random_trial_spec(
+/// Runs the randomized (Δ+1)-coloring by color trials
+/// (`"coloring/trial"`) under `spec`, reusing the arenas in `ws`.
+pub(crate) fn random_trial_spec(
     g: &Graph,
     spec: &RunSpec,
     params: &TrialColoringParams,
     ws: &mut Workspace,
-) -> ColoringRun {
+) -> AlgoRun {
     let t = spec.run_in::<RandomTrial>(g, params, ws);
-    let colors: Vec<usize> = t.node_labels().iter().map(|&c| c as usize).collect();
-    debug_assert!(analysis::is_proper_coloring(g, &colors));
-    ColoringRun {
-        transcript: t,
-        colors,
-    }
+    coloring_run("coloring/trial", g, t)
 }
 
 /// Messages of the Linial process: bare colors.
@@ -220,32 +190,36 @@ impl Process for LinialColoring {
     }
 }
 
-/// Runs Linial's deterministic O(log* n)-round coloring.
+/// Runs Linial's deterministic O(log* n)-round coloring
+/// (`"coloring/linial"`) under `spec`, reusing the arenas in `ws` (the
+/// seed is ignored).
 ///
 /// The palette size is O(Δ² log² Δ); the round count equals the length of
 /// [`linial_schedule`] — a log*-type schedule all nodes derive from
 /// `(n, Δ)`.
-pub fn linial(g: &Graph) -> ColoringRun {
-    linial_spec(g, &RunSpec::new(0), &mut Workspace::new())
-}
-
-/// [`linial`] under an explicit [`RunSpec`] with reusable [`Workspace`]
-/// arenas (the seed is ignored — deterministic).
-pub fn linial_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> ColoringRun {
+pub(crate) fn linial_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
     let t = spec.run_in::<LinialColoring>(g, &(), ws);
-    let colors: Vec<usize> = t.node_labels().iter().map(|&c| c as usize).collect();
-    debug_assert!(analysis::is_proper_coloring(g, &colors));
-    ColoringRun {
-        transcript: t,
-        colors,
-    }
+    coloring_run("coloring/linial", g, t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::ComplexityReport;
-    use localavg_graph::gen;
+    use localavg_graph::{analysis, gen};
+
+    fn random_trial(g: &Graph, seed: u64) -> AlgoRun {
+        let params = TrialColoringParams::default();
+        random_trial_spec(g, &RunSpec::new(seed), &params, &mut Workspace::new())
+    }
+
+    fn linial(g: &Graph) -> AlgoRun {
+        linial_spec(g, &RunSpec::new(0), &mut Workspace::new())
+    }
+
+    fn colors(run: &AlgoRun) -> &[usize] {
+        run.solution.colors().expect("a coloring solution")
+    }
 
     #[test]
     fn random_trial_on_standard_graphs() {
@@ -259,8 +233,8 @@ mod tests {
         ] {
             let delta = g.max_degree();
             let run = random_trial(&g, 6);
-            assert!(analysis::is_proper_coloring(&g, &run.colors));
-            assert!(run.colors.iter().all(|&c| c <= delta));
+            assert!(analysis::is_proper_coloring(&g, colors(&run)));
+            assert!(colors(&run).iter().all(|&c| c <= delta));
         }
     }
 
@@ -277,7 +251,7 @@ mod tests {
     fn linial_on_standard_graphs() {
         for g in [gen::cycle(64), gen::grid(8, 8), gen::petersen()] {
             let run = linial(&g);
-            assert!(analysis::is_proper_coloring(&g, &run.colors));
+            assert!(analysis::is_proper_coloring(&g, colors(&run)));
         }
     }
 
@@ -286,8 +260,8 @@ mod tests {
         let mut rng = Rng::seed_from(5);
         let g = gen::random_regular(600, 4, &mut rng).unwrap();
         let run = linial(&g);
-        assert!(analysis::is_proper_coloring(&g, &run.colors));
-        let max_color = *run.colors.iter().max().unwrap();
+        assert!(analysis::is_proper_coloring(&g, colors(&run)));
+        let max_color = *colors(&run).iter().max().unwrap();
         assert!(
             max_color < 600,
             "Linial should beat the trivial id coloring: {max_color}"
@@ -299,7 +273,7 @@ mod tests {
     #[test]
     fn linial_deterministic() {
         let g = gen::grid(6, 7);
-        assert_eq!(linial(&g).colors, linial(&g).colors);
+        assert_eq!(linial(&g).solution, linial(&g).solution);
     }
 
     #[test]
@@ -312,19 +286,19 @@ mod tests {
             &TrialColoringParams { extra_colors: 8 },
             &mut Workspace::new(),
         );
-        assert!(analysis::is_proper_coloring(&g, &run.colors));
+        assert!(analysis::is_proper_coloring(&g, colors(&run)));
         // Colors stay within the widened palette Δ+1+extra.
-        assert!(run.colors.iter().all(|&c| c <= g.max_degree() + 8));
+        assert!(colors(&run).iter().all(|&c| c <= g.max_degree() + 8));
         // The widened palette changes the run (different proposals).
         let default = random_trial(&g, 2);
-        assert_ne!(run.colors, default.colors);
+        assert_ne!(run.solution, default.solution);
     }
 
     #[test]
     fn random_trial_empty_graph() {
         let g = Graph::empty(3);
         let run = random_trial(&g, 1);
-        assert_eq!(run.colors.len(), 3);
+        assert_eq!(colors(&run).len(), 3);
         assert!(run.transcript.node_commit_round.iter().all(|&r| r <= 1));
     }
 }

@@ -1,11 +1,11 @@
 //! Maximal matching algorithms (paper §3.2, Theorems 4 and 5).
 //!
-//! * [`luby`] — **Theorem 4**: mark each edge `{u,v}` with probability
+//! * `"matching/luby"` — **Theorem 4**: mark each edge `{u,v}` with probability
 //!   `1/(4(d_u + d_v))`; a marked edge with no other marked incident edge
 //!   joins the matching; matched nodes leave; repeat. The paper shows a
 //!   constant fraction of the *edges* is removed per iteration, so the
 //!   edge-averaged complexity is O(1) while the worst case is O(log n) whp.
-//! * [`deterministic`] — **Theorem 5**: per iteration, build the fractional
+//! * `"matching/det"` — **Theorem 5**: per iteration, build the fractional
 //!   matching `f_e = 1/(d_u + d_v)`, deterministically round it to an
 //!   integral matching carrying a constant fraction of `|E|`, add it, drop
 //!   matched nodes, and repeat. Rounding follows the Fischer/AKO technique:
@@ -16,49 +16,41 @@
 //!   fallback guarantees progress even when rounding stalls. (See DESIGN.md
 //!   for the substitution notes; the measured per-iteration edge-kill ratio
 //!   is reported by experiment E5.)
-//! * [`greedy`] — deterministic local-max-edge-id proposal matching
+//! * `"matching/greedy"` — deterministic local-max-edge-id proposal matching
 //!   (baseline).
 //!
 //! Matching is an *edge-labelling* problem: edges commit `true`/`false`,
 //! nodes commit nothing, and Definition 1 gives `T_v = max` over incident
 //! edge commit times — exactly the accounting the paper's Theorem 4/5
-//! statements average.
+//! statements average. All three run through [`crate::algo::registry`]:
+//!
+//! ```
+//! use localavg_core::algo::{registry, RunSpec};
+//! use localavg_graph::{analysis, gen, rng::Rng};
+//!
+//! let mut rng = Rng::seed_from(8);
+//! let g = gen::random_regular(60, 4, &mut rng).expect("graph");
+//! for name in ["matching/luby", "matching/det", "matching/greedy"] {
+//!     let run = registry().get(name).expect("registered").execute(&g, &RunSpec::new(21));
+//!     let in_matching = run.solution.matching().expect("a matching solution");
+//!     assert!(analysis::is_maximal_matching(&g, in_matching));
+//! }
+//! ```
 
+use crate::algo::{AlgoRun, Solution};
 use crate::subroutines::{ceil_log2, cv_rounds, cv_step, cv_step_root};
-use localavg_graph::{analysis, EdgeId, Graph};
+use localavg_graph::{EdgeId, Graph};
 use localavg_sim::prelude::*;
 
-/// Result of a matching run.
-#[derive(Debug, Clone)]
-pub struct MatchingRun {
-    /// Full execution transcript (per-edge commit rounds).
-    pub transcript: Transcript<(), bool>,
-    /// Indicator per edge id: in the matching or not.
-    pub in_matching: Vec<bool>,
-}
-
-impl MatchingRun {
-    /// Total rounds (worst-case complexity of the run).
-    pub fn worst_case(&self) -> Round {
-        self.transcript.rounds
-    }
-
-    /// Number of matched edges.
-    pub fn size(&self) -> usize {
-        self.in_matching.iter().filter(|&&b| b).count()
-    }
-
-    fn from_transcript(g: &Graph, transcript: Transcript<(), bool>) -> Self {
-        let in_matching = transcript.edge_labels();
-        debug_assert!(
-            analysis::is_maximal_matching(g, &in_matching),
-            "matching algorithm produced an invalid output"
-        );
-        MatchingRun {
-            transcript,
-            in_matching,
-        }
-    }
+/// Wraps a finished matching transcript into the run of `algorithm`.
+fn matching_run(algorithm: &'static str, g: &Graph, t: Transcript<(), bool>) -> AlgoRun {
+    let in_matching = t.edge_labels();
+    AlgoRun::new(
+        algorithm,
+        g,
+        t.into_erased(),
+        Solution::Matching { in_matching },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -224,38 +216,16 @@ impl Process for LubyMatching {
     }
 }
 
-/// Runs Theorem 4's randomized maximal matching (CONGEST).
-///
-/// # Example
-///
-/// ```
-/// use localavg_graph::{analysis, gen, rng::Rng};
-/// use localavg_core::matching;
-///
-/// let mut rng = Rng::seed_from(8);
-/// let g = gen::random_regular(60, 4, &mut rng).expect("graph");
-/// let run = matching::luby(&g, 21);
-/// assert!(analysis::is_maximal_matching(&g, &run.in_matching));
-/// ```
-pub fn luby(g: &Graph, seed: u64) -> MatchingRun {
-    luby_spec(
-        g,
-        &RunSpec::new(seed),
-        &LubyMatchParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
-/// [`luby`] under an explicit [`RunSpec`], with tunable parameters and
-/// reusable [`Workspace`] arenas.
-pub fn luby_spec(
+/// Runs Theorem 4's randomized maximal matching (CONGEST,
+/// `"matching/luby"`) under `spec`, reusing the arenas in `ws`.
+pub(crate) fn luby_spec(
     g: &Graph,
     spec: &RunSpec,
     params: &LubyMatchParams,
     ws: &mut Workspace,
-) -> MatchingRun {
+) -> AlgoRun {
     let t = spec.run_in::<LubyMatching>(g, params, ws);
-    MatchingRun::from_transcript(g, t)
+    matching_run("matching/luby", g, t)
 }
 
 // ---------------------------------------------------------------------------
@@ -342,16 +312,12 @@ impl Process for GreedyMatching {
     }
 }
 
-/// Runs the deterministic greedy proposal matching (baseline).
-pub fn greedy(g: &Graph) -> MatchingRun {
-    greedy_spec(g, &RunSpec::new(0), &mut Workspace::new())
-}
-
-/// [`greedy`] under an explicit [`RunSpec`] with reusable [`Workspace`]
-/// arenas (the seed is ignored — deterministic).
-pub fn greedy_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> MatchingRun {
+/// Runs the deterministic greedy proposal matching baseline
+/// (`"matching/greedy"`) under `spec`, reusing the arenas in `ws` (the
+/// seed is ignored).
+pub(crate) fn greedy_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
     let t = spec.run_in::<GreedyMatching>(g, &(), ws);
-    MatchingRun::from_transcript(g, t)
+    matching_run("matching/greedy", g, t)
 }
 
 // ---------------------------------------------------------------------------
@@ -1035,27 +1001,11 @@ impl Process for DetMatching {
     }
 }
 
-/// Runs Theorem 5's deterministic maximal matching.
-///
-/// # Example
-///
-/// ```
-/// use localavg_graph::{analysis, gen};
-/// use localavg_core::matching;
-///
-/// let g = gen::grid(5, 5);
-/// let run = matching::deterministic(&g);
-/// assert!(analysis::is_maximal_matching(&g, &run.in_matching));
-/// ```
-pub fn deterministic(g: &Graph) -> MatchingRun {
-    deterministic_spec(g, &RunSpec::new(0), &mut Workspace::new())
-}
-
-/// [`deterministic`] under an explicit [`RunSpec`] with reusable
-/// [`Workspace`] arenas (the seed is ignored — deterministic).
-pub fn deterministic_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> MatchingRun {
+/// Runs Theorem 5's deterministic maximal matching (`"matching/det"`)
+/// under `spec`, reusing the arenas in `ws` (the seed is ignored).
+pub(crate) fn deterministic_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
     let t = spec.run_in::<DetMatching>(g, &(), ws);
-    MatchingRun::from_transcript(g, t)
+    matching_run("matching/det", g, t)
 }
 
 /// The fractional matching of Theorem 5's analysis: `f_e = 1/(d_u + d_v)`
@@ -1087,11 +1037,33 @@ pub fn edge_weight(g: &Graph, e: EdgeId) -> usize {
 mod tests {
     use super::*;
     use crate::metrics::ComplexityReport;
-    use localavg_graph::gen;
+    use localavg_graph::{analysis, gen};
 
-    fn check(g: &Graph, run: &MatchingRun) {
+    fn luby(g: &Graph, seed: u64) -> AlgoRun {
+        let params = LubyMatchParams::default();
+        luby_spec(g, &RunSpec::new(seed), &params, &mut Workspace::new())
+    }
+
+    fn greedy(g: &Graph) -> AlgoRun {
+        greedy_spec(g, &RunSpec::new(0), &mut Workspace::new())
+    }
+
+    fn deterministic(g: &Graph) -> AlgoRun {
+        deterministic_spec(g, &RunSpec::new(0), &mut Workspace::new())
+    }
+
+    fn in_matching(run: &AlgoRun) -> &[bool] {
+        run.solution.matching().expect("a matching solution")
+    }
+
+    /// Number of matched edges.
+    fn size(run: &AlgoRun) -> usize {
+        in_matching(run).iter().filter(|&&b| b).count()
+    }
+
+    fn check(g: &Graph, run: &AlgoRun) {
         assert!(
-            analysis::is_maximal_matching(g, &run.in_matching),
+            analysis::is_maximal_matching(g, in_matching(run)),
             "invalid maximal matching"
         );
         assert!(run.transcript.all_edges_committed());
@@ -1172,7 +1144,7 @@ mod tests {
         let g = gen::gnp(70, 0.08, &mut rng);
         let a = greedy(&g);
         let b = greedy(&g);
-        assert_eq!(a.in_matching, b.in_matching);
+        assert_eq!(in_matching(&a), in_matching(&b));
     }
 
     #[test]
@@ -1214,7 +1186,7 @@ mod tests {
     fn deterministic_single_edge() {
         let g = gen::path(2);
         let run = deterministic(&g);
-        assert_eq!(run.in_matching, vec![true]);
+        assert_eq!(in_matching(&run), [true]);
     }
 
     #[test]
@@ -1239,9 +1211,9 @@ mod tests {
         // approximations of each other.
         let mut rng = Rng::seed_from(4);
         let g = gen::random_regular(100, 4, &mut rng).unwrap();
-        let a = luby(&g, 1).size();
-        let b = greedy(&g).size();
-        let c = deterministic(&g).size();
+        let a = size(&luby(&g, 1));
+        let b = size(&greedy(&g));
+        let c = size(&deterministic(&g));
         for (x, y) in [(a, b), (a, c), (b, c)] {
             assert!(x <= 2 * y && y <= 2 * x, "sizes {x} vs {y}");
         }

@@ -2,49 +2,44 @@
 //!
 //! Three algorithms, matching the paper's discussion:
 //!
-//! * [`luby`] — Luby's classic randomized MIS \[Lub86, ABI86\]. Removes a
+//! * `"mis/luby"` — Luby's classic randomized MIS \[Lub86, ABI86\]. Removes a
 //!   constant fraction of *edges* per iteration, so under the relaxed
 //!   one-endpoint edge convention (footnote 2) its edge-averaged complexity
 //!   is O(1); on constant-degree graphs its node-averaged complexity is
 //!   O(1) too (§1.1). On the lower-bound graphs of §4 its node-averaged
 //!   complexity must grow — Theorem 16 — which experiment E9 measures.
-//! * [`degree_guided`] — a desire-level algorithm in the style of
+//! * `"mis/degree-guided"` — a desire-level algorithm in the style of
 //!   Ghaffari \[Gha16\] / \[BYCHGS17\], whose per-node decision probability
 //!   stays constant per O(log Δ)-phase; the paper cites it for the
 //!   O(log Δ / log log Δ) node-averaged upper bound.
-//! * [`greedy_by_id`] — the deterministic local-minimum greedy baseline
+//! * `"mis/greedy"` — the deterministic local-minimum greedy baseline
 //!   (every round, an undecided node with the smallest id in its undecided
 //!   neighborhood joins).
 //!
 //! All three commit node labels (`true` = in the MIS) the moment they are
-//! decided, which is exactly the `T_v` Definition 1 averages.
+//! decided, which is exactly the `T_v` Definition 1 averages. They run
+//! through [`crate::algo::registry`]:
+//!
+//! ```
+//! use localavg_core::algo::{registry, RunSpec};
+//! use localavg_graph::{analysis, gen, rng::Rng};
+//!
+//! let mut rng = Rng::seed_from(3);
+//! let g = gen::random_regular(60, 4, &mut rng).expect("graph");
+//! let luby = registry().get("mis/luby").expect("registered");
+//! let run = luby.execute(&g, &RunSpec::new(42));
+//! let in_set = run.solution.node_set().expect("an MIS solution");
+//! assert!(analysis::is_maximal_independent_set(&g, in_set));
+//! ```
 
-use localavg_graph::{analysis, Graph};
+use crate::algo::{AlgoRun, Solution};
+use localavg_graph::Graph;
 use localavg_sim::prelude::*;
 
-/// Result of an MIS run: the transcript plus the extracted set.
-#[derive(Debug, Clone)]
-pub struct MisRun {
-    /// Full execution transcript (commit rounds per node).
-    pub transcript: Transcript<bool, ()>,
-    /// Indicator: `in_set[v]` iff `v` joined the MIS.
-    pub in_set: Vec<bool>,
-}
-
-impl MisRun {
-    /// Total rounds until every node terminated (worst-case complexity).
-    pub fn worst_case(&self) -> Round {
-        self.transcript.rounds
-    }
-
-    fn from_transcript(g: &Graph, transcript: Transcript<bool, ()>) -> Self {
-        let in_set = transcript.node_labels();
-        debug_assert!(
-            analysis::is_maximal_independent_set(g, &in_set),
-            "MIS algorithm produced an invalid output"
-        );
-        MisRun { transcript, in_set }
-    }
+/// Wraps a finished MIS transcript into the run of `algorithm`.
+fn mis_run(algorithm: &'static str, g: &Graph, t: Transcript<bool, ()>) -> AlgoRun {
+    let in_set = t.node_labels();
+    AlgoRun::new(algorithm, g, t.into_erased(), Solution::Mis { in_set })
 }
 
 /// Messages exchanged by the randomized MIS processes.
@@ -184,33 +179,15 @@ impl Process for LubyMis {
     }
 }
 
-/// Runs Luby's randomized MIS.
-///
-/// # Example
-///
-/// ```
-/// use localavg_graph::{gen, rng::Rng};
-/// use localavg_core::mis;
-///
-/// let mut rng = Rng::seed_from(3);
-/// let g = gen::random_regular(60, 4, &mut rng).expect("graph");
-/// let run = mis::luby(&g, 42);
-/// assert!(localavg_graph::analysis::is_maximal_independent_set(&g, &run.in_set));
-/// ```
-pub fn luby(g: &Graph, seed: u64) -> MisRun {
-    luby_spec(
-        g,
-        &RunSpec::new(seed),
-        &LubyMisParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
-/// [`luby`] under an explicit [`RunSpec`], with tunable parameters and
-/// reusable [`Workspace`] arenas — the primary entry point.
-pub fn luby_spec(g: &Graph, spec: &RunSpec, params: &LubyMisParams, ws: &mut Workspace) -> MisRun {
-    let t = spec.run_in::<LubyMis>(g, params, ws);
-    MisRun::from_transcript(g, t)
+/// Runs Luby's randomized MIS (`"mis/luby"`) under `spec`, reusing the
+/// arenas in `ws`.
+pub(crate) fn luby_spec(
+    g: &Graph,
+    spec: &RunSpec,
+    params: &LubyMisParams,
+    ws: &mut Workspace,
+) -> AlgoRun {
+    mis_run("mis/luby", g, spec.run_in::<LubyMis>(g, params, ws))
 }
 
 // ---------------------------------------------------------------------------
@@ -332,26 +309,16 @@ impl Process for DegreeGuidedMis {
     }
 }
 
-/// Runs the degree-guided (Ghaffari-style) randomized MIS.
-pub fn degree_guided(g: &Graph, seed: u64) -> MisRun {
-    degree_guided_spec(
-        g,
-        &RunSpec::new(seed),
-        &DegreeGuidedParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
-/// [`degree_guided`] under an explicit [`RunSpec`], with tunable
-/// parameters and reusable [`Workspace`] arenas.
-pub fn degree_guided_spec(
+/// Runs the degree-guided (Ghaffari-style) randomized MIS
+/// (`"mis/degree-guided"`) under `spec`, reusing the arenas in `ws`.
+pub(crate) fn degree_guided_spec(
     g: &Graph,
     spec: &RunSpec,
     params: &DegreeGuidedParams,
     ws: &mut Workspace,
-) -> MisRun {
+) -> AlgoRun {
     let t = spec.run_in::<DegreeGuidedMis>(g, params, ws);
-    MisRun::from_transcript(g, t)
+    mis_run("mis/degree-guided", g, t)
 }
 
 // ---------------------------------------------------------------------------
@@ -423,27 +390,39 @@ impl Process for GreedyMis {
     }
 }
 
-/// Runs the deterministic greedy-by-id MIS (baseline).
-pub fn greedy_by_id(g: &Graph) -> MisRun {
-    greedy_by_id_spec(g, &RunSpec::new(0), &mut Workspace::new())
-}
-
-/// [`greedy_by_id`] under an explicit [`RunSpec`] with reusable
-/// [`Workspace`] arenas (the seed is ignored — deterministic).
-pub fn greedy_by_id_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> MisRun {
-    let t = spec.run_in::<GreedyMis>(g, &(), ws);
-    MisRun::from_transcript(g, t)
+/// Runs the deterministic greedy-by-id MIS baseline (`"mis/greedy"`)
+/// under `spec`, reusing the arenas in `ws` (the seed is ignored).
+pub(crate) fn greedy_by_id_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
+    mis_run("mis/greedy", g, spec.run_in::<GreedyMis>(g, &(), ws))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::ComplexityReport;
-    use localavg_graph::gen;
+    use localavg_graph::{analysis, gen};
 
-    fn check_valid(g: &Graph, run: &MisRun) {
+    fn luby(g: &Graph, seed: u64) -> AlgoRun {
+        let params = LubyMisParams::default();
+        luby_spec(g, &RunSpec::new(seed), &params, &mut Workspace::new())
+    }
+
+    fn degree_guided(g: &Graph, seed: u64) -> AlgoRun {
+        let params = DegreeGuidedParams::default();
+        degree_guided_spec(g, &RunSpec::new(seed), &params, &mut Workspace::new())
+    }
+
+    fn greedy_by_id(g: &Graph) -> AlgoRun {
+        greedy_by_id_spec(g, &RunSpec::new(0), &mut Workspace::new())
+    }
+
+    fn in_set(run: &AlgoRun) -> &[bool] {
+        run.solution.node_set().expect("an MIS solution")
+    }
+
+    fn check_valid(g: &Graph, run: &AlgoRun) {
         assert!(
-            analysis::is_maximal_independent_set(g, &run.in_set),
+            analysis::is_maximal_independent_set(g, in_set(run)),
             "invalid MIS"
         );
         assert!(run.transcript.all_nodes_committed());
@@ -469,7 +448,7 @@ mod tests {
     fn luby_isolated_nodes_join_at_round_zero() {
         let g = Graph::empty(5);
         let run = luby(&g, 1);
-        assert!(run.in_set.iter().all(|&b| b));
+        assert!(in_set(&run).iter().all(|&b| b));
         assert!(run.transcript.node_commit_round.iter().all(|&r| r == 0));
     }
 
@@ -481,7 +460,7 @@ mod tests {
         let b = luby(&g, 2);
         check_valid(&g, &a);
         check_valid(&g, &b);
-        assert_ne!(a.in_set, b.in_set, "almost surely different MIS");
+        assert_ne!(in_set(&a), in_set(&b), "almost surely different MIS");
     }
 
     #[test]
@@ -550,7 +529,7 @@ mod tests {
                 expect[v] = true;
             }
         }
-        assert_eq!(run.in_set, expect);
+        assert_eq!(in_set(&run), &expect[..]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! Two algorithms:
 //!
-//! * [`randomized`] — proposal contests in the spirit of \[GS17a\]: every
+//! * `"orientation/rand"` — proposal contests in the spirit of \[GS17a\]: every
 //!   unsatisfied node claims a random unoriented edge each iteration, with
 //!   a *grant rule* that keeps every unsatisfied node at least two
 //!   unoriented edges (so nobody can be starved into a sink). After O(1)
@@ -17,7 +17,7 @@
 //!   structural cycle-orientation rule below, whose cost is charged per
 //!   node as the ball radius actually needed (the LOCAL-model equivalence
 //!   of §2: a T-round algorithm ≡ a function of the radius-T view).
-//! * [`deterministic`] — Theorem 6's algorithm with its contraction-level
+//! * `"orientation/det"` — Theorem 6's algorithm with its contraction-level
 //!   cost accounting implemented exactly as the paper's proof charges it:
 //!   each node picks 3 edges (unreciprocated picks act as the paper's
 //!   *self-loops* = free outs); short cycles (≤ 6r + 1 vedges) take the
@@ -32,27 +32,27 @@
 //! See DESIGN.md ("Theorem 6 contraction levels") for the accounting and
 //! substitution notes: the clustering MIS uses a measured greedy sweep
 //! instead of Linial's constant-heavy O(log* n) procedure.
+//!
+//! Both run through [`crate::algo::registry`]:
+//!
+//! ```
+//! use localavg_core::algo::{registry, RunSpec};
+//! use localavg_graph::{analysis, gen, rng::Rng};
+//!
+//! let mut rng = Rng::seed_from(5);
+//! let g = gen::random_regular(64, 3, &mut rng).expect("graph");
+//! for name in ["orientation/rand", "orientation/det"] {
+//!     let run = registry().get(name).expect("registered").execute(&g, &RunSpec::new(11));
+//!     let orientation = run.solution.orientation().expect("an orientation solution");
+//!     assert!(analysis::is_sinkless_orientation(&g, orientation));
+//! }
+//! ```
 
+use crate::algo::{AlgoRun, Solution};
 use localavg_graph::analysis::Orientation;
 use localavg_graph::{analysis, EdgeId, Graph, NodeId};
 use localavg_sim::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
-
-/// Result of a sinkless orientation run.
-#[derive(Debug, Clone)]
-pub struct OrientationRun {
-    /// Full transcript with per-edge commit clocks.
-    pub transcript: Transcript<(), Orientation>,
-    /// The orientation of every edge.
-    pub orientation: Vec<Orientation>,
-}
-
-impl OrientationRun {
-    /// Total rounds (worst-case complexity of the run).
-    pub fn worst_case(&self) -> Round {
-        self.transcript.rounds
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Shared ledger for structurally-accounted phases
@@ -348,34 +348,6 @@ impl Process for RandOrient {
     }
 }
 
-/// Runs the randomized sinkless orientation: contest phase plus the
-/// structural ball-growing finisher (see module docs).
-///
-/// # Panics
-///
-/// Panics if the graph has minimum degree `< 3` (the problem's domain) or
-/// the produced orientation fails validation.
-///
-/// # Example
-///
-/// ```
-/// use localavg_graph::{analysis, gen, rng::Rng};
-/// use localavg_core::orientation;
-///
-/// let mut rng = Rng::seed_from(5);
-/// let g = gen::random_regular(64, 3, &mut rng).expect("graph");
-/// let run = orientation::randomized(&g, 11);
-/// assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
-/// ```
-pub fn randomized(g: &Graph, seed: u64) -> OrientationRun {
-    randomized_spec(
-        g,
-        &RunSpec::new(seed),
-        &RandOrientParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
 /// Tuning parameters of the randomized orientation (`"orientation/rand"`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RandOrientParams {
@@ -393,15 +365,21 @@ impl Default for RandOrientParams {
     }
 }
 
-/// [`randomized`] under an explicit [`RunSpec`], with tunable parameters
-/// and reusable [`Workspace`] arenas (the workspace serves the contest
-/// phase; the structural finisher allocates its own ledger).
-pub fn randomized_spec(
+/// Runs the randomized sinkless orientation (`"orientation/rand"`):
+/// contest phase plus the structural ball-growing finisher (see module
+/// docs). The workspace serves the contest phase; the finisher allocates
+/// its own ledger.
+///
+/// # Panics
+///
+/// Panics if the graph has minimum degree `< 3` (the problem's domain) or
+/// the produced orientation fails validation.
+pub(crate) fn randomized_spec(
     g: &Graph,
     spec: &RunSpec,
     params: &RandOrientParams,
     ws: &mut Workspace,
-) -> OrientationRun {
+) -> AlgoRun {
     assert!(
         g.n() == 0 || g.min_degree() >= 3,
         "sinkless orientation requires minimum degree 3"
@@ -417,7 +395,7 @@ pub fn randomized_spec(
     }
     let base = t.rounds;
     finish_structurally(g, &mut ledger, base);
-    finalize(g, ledger, spec.transcript)
+    finalize("orientation/rand", g, ledger, spec.transcript)
 }
 
 /// Completes any partial orientation: satisfied-neighbor waves, then the
@@ -597,17 +575,24 @@ fn orient_toward_cycles(g: &Graph, keep: &[bool], ledger: &mut Ledger, base: usi
     }
 }
 
-fn finalize(g: &Graph, ledger: Ledger, policy: TranscriptPolicy) -> OrientationRun {
+fn finalize(
+    algorithm: &'static str,
+    g: &Graph,
+    ledger: Ledger,
+    policy: TranscriptPolicy,
+) -> AlgoRun {
     let t = ledger.into_transcript(g, policy);
     let orientation = t.edge_labels();
     assert!(
         analysis::is_sinkless_orientation(g, &orientation),
         "produced orientation has a sink"
     );
-    OrientationRun {
-        transcript: t,
-        orientation,
-    }
+    AlgoRun::new(
+        algorithm,
+        g,
+        t.into_erased(),
+        Solution::Orientation { orientation },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -705,39 +690,22 @@ impl Default for DetOrientParams {
     }
 }
 
-/// Runs Theorem 6's deterministic sinkless orientation.
+/// Runs Theorem 6's deterministic sinkless orientation
+/// (`"orientation/det"`) under `policy` — the only part of a [`RunSpec`]
+/// that affects a structurally-assembled transcript (there is no round
+/// engine to parallelize or seed). Under an audited policy the transcript
+/// carries a silent audit (peak `Some(0)`); otherwise the audit columns
+/// stay empty, like an engine run under the same policy.
 ///
 /// # Panics
 ///
 /// Panics if the graph is nonempty with minimum degree `< 3`, or if the
 /// produced orientation fails validation.
-///
-/// # Example
-///
-/// ```
-/// use localavg_graph::{analysis, gen, rng::Rng};
-/// use localavg_core::orientation::{deterministic, DetOrientParams};
-///
-/// let mut rng = Rng::seed_from(9);
-/// let g = gen::random_regular(64, 3, &mut rng).expect("graph");
-/// let run = deterministic(&g, DetOrientParams::default());
-/// assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
-/// ```
-pub fn deterministic(g: &Graph, params: DetOrientParams) -> OrientationRun {
-    deterministic_with(g, params, TranscriptPolicy::default())
-}
-
-/// [`deterministic`] under an explicit [`TranscriptPolicy`] — the only
-/// part of a [`RunSpec`] that affects a structurally-assembled transcript
-/// (there is no round engine to parallelize or seed). Under an audited
-/// policy the transcript carries a silent audit (peak `Some(0)`);
-/// otherwise the audit columns stay empty, like an engine run under the
-/// same policy.
-pub fn deterministic_with(
+pub(crate) fn deterministic_with(
     g: &Graph,
     params: DetOrientParams,
     policy: TranscriptPolicy,
-) -> OrientationRun {
+) -> AlgoRun {
     assert!(
         g.n() == 0 || g.min_degree() >= 3,
         "sinkless orientation requires minimum degree 3"
@@ -761,7 +729,7 @@ pub fn deterministic_with(
             ledger.set(e, Orientation::away_from(g, e, u.max(v)), c);
         }
     }
-    finalize(g, ledger, policy)
+    finalize("orientation/det", g, ledger, policy)
 }
 
 /// Level 0 of Theorem 6: every node picks its 3 smallest incident edges
@@ -1696,6 +1664,19 @@ mod tests {
     use crate::metrics::ComplexityReport;
     use localavg_graph::gen;
 
+    fn randomized(g: &Graph, seed: u64) -> AlgoRun {
+        let params = RandOrientParams::default();
+        randomized_spec(g, &RunSpec::new(seed), &params, &mut Workspace::new())
+    }
+
+    fn deterministic(g: &Graph, params: DetOrientParams) -> AlgoRun {
+        deterministic_with(g, params, TranscriptPolicy::default())
+    }
+
+    fn orientation(run: &AlgoRun) -> &[Orientation] {
+        run.solution.orientation().expect("an orientation solution")
+    }
+
     fn regular3(n: usize, seed: u64) -> Graph {
         let mut rng = Rng::seed_from(seed);
         gen::random_regular(n, 3, &mut rng).expect("3-regular graph")
@@ -1892,7 +1873,7 @@ mod tests {
         let run = randomized(&gen::petersen(), 3);
         assert!(analysis::is_sinkless_orientation(
             &gen::petersen(),
-            &run.orientation
+            orientation(&run)
         ));
     }
 
@@ -1901,7 +1882,7 @@ mod tests {
         for seed in 0..5 {
             let g = regular3(60, seed);
             let run = randomized(&g, seed * 7 + 1);
-            assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
+            assert!(analysis::is_sinkless_orientation(&g, orientation(&run)));
             assert!(run.transcript.all_edges_committed());
         }
     }
@@ -1911,7 +1892,7 @@ mod tests {
         let mut rng = Rng::seed_from(5);
         let g = gen::random_regular(80, 6, &mut rng).unwrap();
         let run = randomized(&g, 9);
-        assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
+        assert!(analysis::is_sinkless_orientation(&g, orientation(&run)));
     }
 
     #[test]
@@ -1932,7 +1913,7 @@ mod tests {
     fn deterministic_on_petersen() {
         let g = gen::petersen();
         let run = deterministic(&g, DetOrientParams::default());
-        assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
+        assert!(analysis::is_sinkless_orientation(&g, orientation(&run)));
     }
 
     #[test]
@@ -1940,7 +1921,7 @@ mod tests {
         for n in [4usize, 6, 9] {
             let g = gen::complete(n);
             let run = deterministic(&g, DetOrientParams::default());
-            assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
+            assert!(analysis::is_sinkless_orientation(&g, orientation(&run)));
         }
     }
 
@@ -1950,7 +1931,7 @@ mod tests {
             let g = regular3(64, seed + 20);
             let run = deterministic(&g, DetOrientParams::default());
             assert!(
-                analysis::is_sinkless_orientation(&g, &run.orientation),
+                analysis::is_sinkless_orientation(&g, orientation(&run)),
                 "seed {seed}"
             );
         }
@@ -1960,7 +1941,7 @@ mod tests {
     fn deterministic_on_larger_3regular() {
         let g = regular3(600, 77);
         let run = deterministic(&g, DetOrientParams::default());
-        assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
+        assert!(analysis::is_sinkless_orientation(&g, orientation(&run)));
         let r = ComplexityReport::from_run(&g, &run.transcript);
         assert!(
             r.node_averaged <= r.rounds as f64,
@@ -1973,7 +1954,7 @@ mod tests {
         let mut rng = Rng::seed_from(31);
         let g = gen::random_regular(90, 5, &mut rng).unwrap();
         let run = deterministic(&g, DetOrientParams::default());
-        assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
+        assert!(analysis::is_sinkless_orientation(&g, orientation(&run)));
     }
 
     #[test]
@@ -1981,7 +1962,7 @@ mod tests {
         let g = regular3(48, 3);
         let a = deterministic(&g, DetOrientParams::default());
         let b = deterministic(&g, DetOrientParams::default());
-        assert_eq!(a.orientation, b.orientation);
+        assert_eq!(a.solution, b.solution);
         assert_eq!(
             a.transcript.edge_commit_round,
             b.transcript.edge_commit_round
@@ -1994,7 +1975,7 @@ mod tests {
         // exercises the short-cycle preferred-orientation rule.
         let g = gen::hypercube(4);
         let run = deterministic(&g, DetOrientParams::default());
-        assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
+        assert!(analysis::is_sinkless_orientation(&g, orientation(&run)));
     }
 
     #[test]
@@ -2007,8 +1988,8 @@ mod tests {
     fn empty_graph_ok() {
         let g = Graph::empty(0);
         let run = deterministic(&g, DetOrientParams::default());
-        assert!(run.orientation.is_empty());
+        assert!(orientation(&run).is_empty());
         let run2 = randomized(&g, 1);
-        assert!(run2.orientation.is_empty());
+        assert!(orientation(&run2).is_empty());
     }
 }

@@ -4,13 +4,13 @@
 //! members are within distance `β` of every node \[AGLP89\]; an MIS is a
 //! (2,1)-ruling set.
 //!
-//! * [`two_two`] — **Theorem 2**, implemented verbatim: each active node
+//! * `"ruling/two-two"` — **Theorem 2**, implemented verbatim: each active node
 //!   marks itself with probability `1/(deg(v)+1)`; a marked node joins if
 //!   it has no marked *higher-priority* neighbor (priority = lexicographic
 //!   (degree, id)); everything within distance 2 of the new members is
 //!   deleted; recurse. The paper proves a constant fraction of nodes is
 //!   deleted per iteration, giving node-averaged complexity O(1).
-//! * [`deterministic`] — **Theorem 3**: O(log Δ) iterations of a
+//! * `"ruling/det"` — **Theorem 3**: O(log Δ) iterations of a
 //!   dominating-set step that (empirically, and by \[KP98\]'s guarantee
 //!   for the paper's subroutine) halves the active nodes in O(log* n)
 //!   rounds, followed by a Linial-coloring MIS finisher on the few
@@ -22,30 +22,31 @@
 //! remove the dominated nodes, and finish with an MIS of the remaining
 //! pseudo-forest (computed by Cole–Vishkin 6-coloring of pointer chains in
 //! O(log* n) rounds plus a 6-phase color sweep).
+//!
+//! Both run through [`crate::algo::registry`]; a run reports the β it
+//! guarantees in its [`Solution::RulingSet`]:
+//!
+//! ```
+//! use localavg_core::algo::{registry, RunSpec, Solution};
+//! use localavg_graph::{analysis, gen, rng::Rng};
+//!
+//! let mut rng = Rng::seed_from(2);
+//! let g = gen::random_regular(64, 4, &mut rng).expect("graph");
+//! for name in ["ruling/two-two", "ruling/det"] {
+//!     let run = registry().get(name).expect("registered").execute(&g, &RunSpec::new(5));
+//!     let Solution::RulingSet { in_set, beta } = &run.solution else {
+//!         panic!("{name} returns a ruling set");
+//!     };
+//!     assert!(analysis::is_ruling_set(&g, in_set, 2, *beta));
+//! }
+//! ```
 
+use crate::algo::{AlgoRun, Solution};
 use crate::subroutines::{
     ceil_log2, cv_rounds, cv_step, cv_step_root, linial_schedule, LinialStep,
 };
-use localavg_graph::{analysis, Graph};
+use localavg_graph::Graph;
 use localavg_sim::prelude::*;
-
-/// Result of a ruling set run.
-#[derive(Debug, Clone)]
-pub struct RulingRun {
-    /// Full execution transcript.
-    pub transcript: Transcript<bool, ()>,
-    /// Indicator of ruling set membership.
-    pub in_set: Vec<bool>,
-    /// The β this run guarantees (2 for Theorem 2; `2T+1` for Theorem 3).
-    pub beta: usize,
-}
-
-impl RulingRun {
-    /// Total rounds (worst-case complexity of the run).
-    pub fn worst_case(&self) -> Round {
-        self.transcript.rounds
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Theorem 2: randomized (2,2)-ruling set
@@ -171,34 +172,13 @@ impl Process for TwoTwoRuling {
     }
 }
 
-/// Runs Theorem 2's randomized (2,2)-ruling set algorithm (CONGEST).
-///
-/// # Example
-///
-/// ```
-/// use localavg_graph::{analysis, gen, rng::Rng};
-/// use localavg_core::ruling;
-///
-/// let mut rng = Rng::seed_from(2);
-/// let g = gen::random_regular(64, 4, &mut rng).expect("graph");
-/// let run = ruling::two_two(&g, 5);
-/// assert!(analysis::is_ruling_set(&g, &run.in_set, 2, 2));
-/// ```
-pub fn two_two(g: &Graph, seed: u64) -> RulingRun {
-    two_two_spec(g, &RunSpec::new(seed), &mut Workspace::new())
-}
-
-/// [`two_two`] under an explicit [`RunSpec`] with reusable [`Workspace`]
-/// arenas.
-pub fn two_two_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> RulingRun {
+/// Runs Theorem 2's randomized (2,2)-ruling set algorithm (CONGEST,
+/// `"ruling/two-two"`) under `spec`, reusing the arenas in `ws`.
+pub(crate) fn two_two_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
     let t = spec.run_in::<TwoTwoRuling>(g, &(), ws);
     let in_set = t.node_labels();
-    debug_assert!(analysis::is_ruling_set(g, &in_set, 2, 2));
-    RulingRun {
-        transcript: t,
-        in_set,
-        beta: 2,
-    }
+    let solution = Solution::RulingSet { in_set, beta: 2 };
+    AlgoRun::new("ruling/two-two", g, t.into_erased(), solution)
 }
 
 // ---------------------------------------------------------------------------
@@ -616,48 +596,44 @@ impl Process for DetRuling {
     }
 }
 
-/// Runs Theorem 3's deterministic ruling set.
+/// Runs Theorem 3's deterministic ruling set (`"ruling/det"`) under
+/// `spec`, reusing the arenas in `ws` (the seed is ignored).
 ///
 /// Returns a (2, β)-ruling set with `β = 2 * params.iterations + 1`.
-///
-/// # Example
-///
-/// ```
-/// use localavg_graph::{analysis, gen};
-/// use localavg_core::ruling::{deterministic, DetRulingParams};
-///
-/// let g = gen::grid(8, 8);
-/// let run = deterministic(&g, DetRulingParams::for_log_delta(&g));
-/// assert!(analysis::is_ruling_set(&g, &run.in_set, 2, run.beta));
-/// ```
-pub fn deterministic(g: &Graph, params: DetRulingParams) -> RulingRun {
-    deterministic_spec(g, &RunSpec::new(0), params, &mut Workspace::new())
-}
-
-/// [`deterministic`] under an explicit [`RunSpec`] with reusable
-/// [`Workspace`] arenas (the seed is ignored — deterministic).
-pub fn deterministic_spec(
+pub(crate) fn deterministic_spec(
     g: &Graph,
     spec: &RunSpec,
     params: DetRulingParams,
     ws: &mut Workspace,
-) -> RulingRun {
+) -> AlgoRun {
     let t = spec.run_in::<DetRuling>(g, &(params, g.max_degree()), ws);
     let in_set = t.node_labels();
     let beta = 2 * params.iterations + 1;
-    debug_assert!(analysis::is_ruling_set(g, &in_set, 2, beta));
-    RulingRun {
-        transcript: t,
-        in_set,
-        beta,
-    }
+    let solution = Solution::RulingSet { in_set, beta };
+    AlgoRun::new("ruling/det", g, t.into_erased(), solution)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::ComplexityReport;
-    use localavg_graph::gen;
+    use localavg_graph::{analysis, gen};
+
+    fn two_two(g: &Graph, seed: u64) -> AlgoRun {
+        two_two_spec(g, &RunSpec::new(seed), &mut Workspace::new())
+    }
+
+    fn deterministic(g: &Graph, params: DetRulingParams) -> AlgoRun {
+        deterministic_spec(g, &RunSpec::new(0), params, &mut Workspace::new())
+    }
+
+    /// The ruling set and its β.
+    fn ruled(run: &AlgoRun) -> (&[bool], usize) {
+        match &run.solution {
+            Solution::RulingSet { in_set, beta } => (in_set, *beta),
+            other => panic!("not a ruling set: {other:?}"),
+        }
+    }
 
     #[test]
     fn two_two_on_standard_graphs() {
@@ -671,7 +647,7 @@ mod tests {
         ] {
             let run = two_two(&g, 3);
             assert!(
-                analysis::is_ruling_set(&g, &run.in_set, 2, 2),
+                analysis::is_ruling_set(&g, ruled(&run).0, 2, 2),
                 "invalid (2,2)-ruling set"
             );
         }
@@ -683,7 +659,7 @@ mod tests {
             let mut rng = Rng::seed_from(seed);
             let g = gen::gnp(120, 0.05, &mut rng);
             let run = two_two(&g, seed * 11 + 1);
-            assert!(analysis::is_ruling_set(&g, &run.in_set, 2, 2));
+            assert!(analysis::is_ruling_set(&g, ruled(&run).0, 2, 2));
         }
     }
 
@@ -719,10 +695,10 @@ mod tests {
     fn two_two_empty_and_singleton() {
         let g = Graph::empty(1);
         let run = two_two(&g, 1);
-        assert_eq!(run.in_set, vec![true]);
+        assert_eq!(ruled(&run).0, [true]);
         let g0 = Graph::empty(0);
         let run0 = two_two(&g0, 1);
-        assert!(run0.in_set.is_empty());
+        assert!(ruled(&run0).0.is_empty());
     }
 
     #[test]
@@ -737,10 +713,10 @@ mod tests {
         ] {
             let params = DetRulingParams::for_log_delta(&g);
             let run = deterministic(&g, params);
+            let (in_set, beta) = ruled(&run);
             assert!(
-                analysis::is_ruling_set(&g, &run.in_set, 2, run.beta),
-                "invalid (2,{})-ruling set",
-                run.beta
+                analysis::is_ruling_set(&g, in_set, 2, beta),
+                "invalid (2,{beta})-ruling set"
             );
         }
     }
@@ -751,7 +727,8 @@ mod tests {
             let mut rng = Rng::seed_from(seed + 100);
             let g = gen::gnp(90, 0.06, &mut rng);
             let run = deterministic(&g, DetRulingParams::for_log_delta(&g));
-            assert!(analysis::is_ruling_set(&g, &run.in_set, 2, run.beta));
+            let (in_set, beta) = ruled(&run);
+            assert!(analysis::is_ruling_set(&g, in_set, 2, beta));
         }
     }
 
@@ -761,9 +738,10 @@ mod tests {
         let g = gen::random_regular(128, 4, &mut rng).unwrap();
         let params = DetRulingParams::for_log_log_n(&g);
         let run = deterministic(&g, params);
-        assert!(analysis::is_ruling_set(&g, &run.in_set, 2, run.beta));
+        let (in_set, beta) = ruled(&run);
+        assert!(analysis::is_ruling_set(&g, in_set, 2, beta));
         // β = O(log log n), far below the log Δ variant on high-degree graphs.
-        assert!(run.beta <= 2 * (3 * 3 + 1) + 1);
+        assert!(beta <= 2 * (3 * 3 + 1) + 1);
     }
 
     #[test]
@@ -772,7 +750,7 @@ mod tests {
         let params = DetRulingParams::for_log_delta(&g);
         let a = deterministic(&g, params);
         let b = deterministic(&g, params);
-        assert_eq!(a.in_set, b.in_set);
+        assert_eq!(a.solution, b.solution);
         assert_eq!(
             a.transcript.node_commit_round,
             b.transcript.node_commit_round

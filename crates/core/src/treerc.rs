@@ -18,13 +18,13 @@
 //! Theorems 2–3 specialized to trees — while the worst-case clock stays
 //! `Θ(log n)` (the last surviving nodes). Three problems are implemented:
 //!
-//! * [`mis_spec`] — greedy MIS in removal order. Average clock `O(1)`.
-//! * [`ruling_spec`] — a (2,2)-ruling set: an MIS of the induced subgraph
+//! * `"mis/tree-rc"` — greedy MIS in removal order. Average clock `O(1)`.
+//! * `"ruling/tree-rc"` — a (2,2)-ruling set: an MIS of the induced subgraph
 //!   `H = G[deg ≥ 2]`, with degree-≤ 1 nodes committing "out" at round 2
 //!   (maximality on `H` guarantees a set node within distance 2 without the
 //!   low-degree node ever learning which one). The flattest average of the
 //!   three.
-//! * [`coloring_spec`] — proper 3-coloring by greedy first-free color in
+//! * `"coloring/tree-rc"` — proper 3-coloring by greedy first-free color in
 //!   *reverse* removal order (top of the decomposition first). Every node
 //!   sees at most 2 earlier-colored neighbors, so 3 colors suffice; the
 //!   reverse order makes every clock `Θ(depth)`, so the average matches the
@@ -43,12 +43,13 @@
 //! # Example
 //!
 //! ```
-//! use localavg_core::algo::{RunSpec, Workspace};
-//! use localavg_core::{treerc, verify};
+//! use localavg_core::algo::{registry, RunSpec};
+//! use localavg_core::verify;
 //! use localavg_graph::{gen, rng::Rng};
 //!
 //! let g = gen::random_tree(200, &mut Rng::seed_from(7));
-//! let run = treerc::mis_spec(&g, &RunSpec::new(7), &mut Workspace::new()).unwrap();
+//! let mis = registry().get("mis/tree-rc").expect("registered");
+//! let run = mis.execute(&g, &RunSpec::new(7));
 //! assert!(verify::is_maximal_independent_set(
 //!     &g,
 //!     run.solution.node_set().unwrap()
@@ -117,11 +118,7 @@ fn structural_run(
     if policy.records_audit() {
         t.record_silent_audit();
     }
-    AlgoRun {
-        algorithm: name,
-        transcript: t,
-        solution,
-    }
+    AlgoRun::new(name, g, t, solution)
 }
 
 /// Greedy MIS in rake-and-compress removal order (`"mis/tree-rc"`).
@@ -137,7 +134,11 @@ fn structural_run(
 /// # Errors
 ///
 /// Returns [`NotATree`] when `g` contains a cycle.
-pub fn mis_spec(g: &Graph, spec: &RunSpec, _ws: &mut Workspace) -> Result<AlgoRun, NotATree> {
+pub(crate) fn mis_spec(
+    g: &Graph,
+    spec: &RunSpec,
+    _ws: &mut Workspace,
+) -> Result<AlgoRun, NotATree> {
     let d = RcDecomposition::compute(g, spec.seed)?;
     let order = d.removal_order();
     let mut in_set = vec![false; g.n()];
@@ -171,7 +172,11 @@ pub fn mis_spec(g: &Graph, spec: &RunSpec, _ws: &mut Workspace) -> Result<AlgoRu
 /// # Errors
 ///
 /// Returns [`NotATree`] when `g` contains a cycle.
-pub fn ruling_spec(g: &Graph, spec: &RunSpec, _ws: &mut Workspace) -> Result<AlgoRun, NotATree> {
+pub(crate) fn ruling_spec(
+    g: &Graph,
+    spec: &RunSpec,
+    _ws: &mut Workspace,
+) -> Result<AlgoRun, NotATree> {
     let d = RcDecomposition::compute(g, spec.seed)?;
     let deg: Vec<usize> = g.degrees().collect();
     let in_h = |v: usize| deg[v] >= 2;
@@ -233,7 +238,11 @@ pub fn ruling_spec(g: &Graph, spec: &RunSpec, _ws: &mut Workspace) -> Result<Alg
 /// # Errors
 ///
 /// Returns [`NotATree`] when `g` contains a cycle.
-pub fn coloring_spec(g: &Graph, spec: &RunSpec, _ws: &mut Workspace) -> Result<AlgoRun, NotATree> {
+pub(crate) fn coloring_spec(
+    g: &Graph,
+    spec: &RunSpec,
+    _ws: &mut Workspace,
+) -> Result<AlgoRun, NotATree> {
     let d = RcDecomposition::compute(g, spec.seed)?;
     let mut order = d.removal_order();
     order.reverse();

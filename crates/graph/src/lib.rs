@@ -9,10 +9,8 @@
 //! * [`gen`] — deterministic and randomized graph generators (paths, cycles,
 //!   trees, d-regular graphs, G(n,p), bipartite/biregular graphs, grids,
 //!   hypercubes, ...), all driven by the reproducible [`rng::Rng`].
-//! * [`transform`] — structural transforms used throughout the paper: the
-//!   *line graph* (maximal matching = MIS on the line graph, §1.1), the
-//!   *power graph* `G^k` (clustering in Theorem 6), induced subgraphs and
-//!   disjoint unions.
+//! * [`transform`] — structural transforms: the *line graph* (maximal
+//!   matching = MIS on the line graph, §1.1) and induced subgraphs.
 //! * [`lift`] — random lifts of order `q` in the sense of Amit–Linial–Matoušek
 //!   \[ALM02\], the key tool of the paper's §4.5 (Lemma 12).
 //! * [`decomp`] — deterministic rake-and-compress decompositions of trees
@@ -25,7 +23,6 @@
 //! * [`rng`] — a self-contained, cross-platform-stable pseudorandom number
 //!   generator (SplitMix64-seeded xoshiro256++) so that every simulation in
 //!   the workspace is bit-reproducible from a single master seed.
-//! * [`dot`] — Graphviz DOT export for figures (used to regenerate Figure 1).
 //!
 //! # Example
 //!
@@ -47,7 +44,6 @@
 
 pub mod analysis;
 pub mod decomp;
-pub mod dot;
 pub mod gen;
 pub mod graph;
 pub mod io;

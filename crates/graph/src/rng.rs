@@ -101,12 +101,6 @@ impl Rng {
         result
     }
 
-    /// Returns the next 32 random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform integer in `0..bound`.
     ///
     /// Uses Lemire's multiply-shift rejection method (unbiased).

@@ -3,13 +3,9 @@
 //! * [`line_graph`] — the paper (§1.1) reduces maximal matching to MIS on
 //!   the line graph: the edge-averaged complexity of maximal matching on
 //!   `G` equals the node-averaged complexity of MIS on `L(G)`.
-//! * [`power_graph`] — `G^k` connects nodes at distance `<= k`; Theorem 6
-//!   clusters via an MIS of `G^{2r+1}`.
 //! * [`induced_subgraph`] — restriction to a node subset (used when the
 //!   algorithms "remove decided nodes and recurse", e.g. Theorem 2).
-//! * [`disjoint_union`] — parallel composition of instances.
 
-use crate::analysis::{bfs_distances, UNREACHED};
 use crate::graph::{EdgeId, Graph, GraphBuilder, NodeId};
 
 /// The line graph `L(G)`: one node per edge of `G`; two nodes adjacent iff
@@ -41,26 +37,6 @@ pub fn line_graph(g: &Graph) -> Graph {
     lg.build()
 }
 
-/// The `k`-th power `G^k`: nodes of `G`, edges between distinct nodes at
-/// distance `1..=k` in `G`.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn power_graph(g: &Graph, k: usize) -> Graph {
-    assert!(k >= 1, "power_graph requires k >= 1");
-    let mut pg = GraphBuilder::new(g.n());
-    for v in g.nodes() {
-        let dist = bfs_distances(g, v, k);
-        for u in g.nodes() {
-            if u > v && dist[u] != UNREACHED && dist[u] <= k {
-                pg.add_edge(v, u).expect("power graph edge");
-            }
-        }
-    }
-    pg.build()
-}
-
 /// Induced subgraph on `keep` (indicator per node).
 ///
 /// Returns the subgraph together with the mapping from new node ids to
@@ -87,19 +63,6 @@ pub fn induced_subgraph(g: &Graph, keep: &[bool]) -> (Graph, Vec<NodeId>, Vec<Op
         }
     }
     (sub.build(), new_to_old, edge_map)
-}
-
-/// Disjoint union `G ⊔ H`; the nodes of `h` are shifted by `g.n()` and the
-/// edges of `h` by `g.m()`.
-pub fn disjoint_union(g: &Graph, h: &Graph) -> Graph {
-    let mut u = GraphBuilder::with_edge_capacity(g.n() + h.n(), g.m() + h.m());
-    for (_, a, b) in g.edges() {
-        u.add_edge(a, b).expect("union edge");
-    }
-    for (_, a, b) in h.edges() {
-        u.add_edge(g.n() + a, g.n() + b).expect("union edge");
-    }
-    u.build()
 }
 
 #[cfg(test)]
@@ -137,27 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn power_of_path() {
-        let g = gen::path(6);
-        let p2 = power_graph(&g, 2);
-        assert_eq!(p2.m(), 5 + 4); // distance-1 and distance-2 pairs
-        assert!(p2.has_edge(0, 2));
-        assert!(!p2.has_edge(0, 3));
-        let p_big = power_graph(&g, 10);
-        assert_eq!(p_big.m(), 6 * 5 / 2); // complete
-    }
-
-    #[test]
-    fn power_one_is_identity_shape() {
-        let g = gen::petersen();
-        let p1 = power_graph(&g, 1);
-        assert_eq!(p1.m(), g.m());
-        for (_, u, v) in g.edges() {
-            assert!(p1.has_edge(u, v));
-        }
-    }
-
-    #[test]
     fn induced_subgraph_maps() {
         let g = gen::cycle(5);
         let keep = vec![true, true, false, true, true];
@@ -176,18 +118,5 @@ mod tests {
         let (sub, map, _) = induced_subgraph(&g, &[false; 4]);
         assert_eq!(sub.n(), 0);
         assert!(map.is_empty());
-    }
-
-    #[test]
-    fn union_counts() {
-        let g = gen::path(3);
-        let h = gen::cycle(4);
-        let u = disjoint_union(&g, &h);
-        assert_eq!(u.n(), 7);
-        assert_eq!(u.m(), 2 + 4);
-        assert!(u.has_edge(3, 4));
-        assert!(!u.has_edge(2, 3));
-        let (_, c) = analysis::components(&u);
-        assert_eq!(c, 2);
     }
 }

@@ -62,7 +62,7 @@
 use crate::bitset::Bitset;
 use crate::message::{Envelope, MessageSize};
 use crate::pool::WorkerPool;
-use crate::process::{Ctx, Event, EventBuf, Knowledge, Process};
+use crate::process::{Ctx, Event, EventBuf, Process};
 use crate::shadow::Table;
 use crate::transcript::{Round, Transcript, TranscriptPolicy, UNCOMMITTED};
 pub use crate::workspace::Workspace;
@@ -100,8 +100,6 @@ pub struct RunSpec {
     pub max_rounds: usize,
     /// How much ledger the transcript retains.
     pub transcript: TranscriptPolicy,
-    /// Initial knowledge configuration.
-    pub knowledge: Knowledge,
     /// Explicit scheduler chunk size (nodes per chunk); `None` — the
     /// default — picks a balanced chunk geometry. Setting this *forces*
     /// the chunked code path even below [`PARALLEL_MIN_NODES`] — the
@@ -113,15 +111,14 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// Creates a spec with the given seed and defaults: sequential
-    /// executor, 1,000,000-round cap, [`TranscriptPolicy::Full`], full
-    /// neighbor knowledge, default chunk geometry.
+    /// executor, 1,000,000-round cap, [`TranscriptPolicy::Full`], default
+    /// chunk geometry.
     pub fn new(seed: u64) -> Self {
         RunSpec {
             seed,
             exec: Exec::Sequential,
             max_rounds: 1_000_000,
             transcript: TranscriptPolicy::Full,
-            knowledge: Knowledge::default(),
             chunk_nodes: None,
         }
     }
@@ -151,13 +148,6 @@ impl RunSpec {
     #[must_use]
     pub fn with_transcript(mut self, policy: TranscriptPolicy) -> Self {
         self.transcript = policy;
-        self
-    }
-
-    /// Sets the knowledge configuration.
-    #[must_use]
-    pub fn with_knowledge(mut self, knowledge: Knowledge) -> Self {
-        self.knowledge = knowledge;
         self
     }
 
@@ -591,11 +581,9 @@ impl<P: Process> RunState<P> {
 
     /// Bundles this round's shared state for the chunk pass (see
     /// [`RoundShared`]).
-    #[allow(clippy::too_many_arguments)]
     fn round_shared<'a>(
         &mut self,
         g: &'a Graph,
-        spec: &'a RunSpec,
         params: &'a P::Params,
         order: Option<&'a [u32]>,
         round: Round,
@@ -606,7 +594,6 @@ impl<P: Process> RunState<P> {
         self.shadow.begin_pass();
         RoundShared {
             g,
-            spec,
             params,
             order,
             round,
@@ -675,7 +662,6 @@ impl<P: Process> RunState<P> {
 /// no halted node sleeps, and the sleeper count matches the bitset.
 struct RoundShared<'a, P: Process> {
     g: &'a Graph,
-    spec: &'a RunSpec,
     params: &'a P::Params,
     /// Receiver-side port permutation (ascending neighbor id); `None`
     /// when adjacency is already sorted.
@@ -877,7 +863,6 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
                 id: v,
                 round: sh.round,
                 graph: sh.g,
-                knowledge: sh.spec.knowledge,
                 max_degree: sh.max_degree,
                 rng: &mut *sh.rngs.add(v),
                 out_slots: out,
@@ -1026,7 +1011,7 @@ fn run_with_threads<P: Process>(
     let mut round: Round = 0;
     loop {
         {
-            let sh = state.round_shared(g, spec, params, order, round, max_degree, chunk);
+            let sh = state.round_shared(g, params, order, round, max_degree, chunk);
             dispatch(pool, workers, chunks, &|ci| step_chunk::<P>(&sh, ci));
         }
         state.apply_events(round);
@@ -1305,32 +1290,6 @@ mod tests {
     }
 
     #[test]
-    fn knowledge_gating() {
-        struct NosyProcess;
-        impl Process for NosyProcess {
-            type Message = ();
-            type NodeOutput = ();
-            type EdgeOutput = ();
-            type Params = ();
-            const OUTPUT_KIND: OutputKind = OutputKind::NodeLabels;
-            fn init(_: &(), ctx: &mut Ctx<'_, Self>) -> Self {
-                let _ = ctx.neighbor_id(0); // should panic without knowledge
-                NosyProcess
-            }
-            fn round(&mut self, _: &mut Ctx<'_, Self>, _: &[Envelope<()>]) {}
-        }
-        let g = gen::path(2);
-        let spec = RunSpec::new(1).with_knowledge(Knowledge {
-            neighbor_ids: false,
-            neighbor_degrees: false,
-        });
-        let result = std::panic::catch_unwind(|| {
-            let _ = run::<NosyProcess>(&spec, &g, &());
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
     fn empty_graph_trivial_run() {
         let g = Graph::empty(0);
         let t = run::<CoinFlip>(&RunSpec::new(1), &g, &());
@@ -1340,27 +1299,21 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let nothing_known = Knowledge {
-            neighbor_ids: false,
-            neighbor_degrees: false,
-        };
         let spec = RunSpec::new(3)
             .with_seed(4)
             .with_exec(Exec::Parallel { threads: 2 })
             .with_max_rounds(99)
             .with_transcript(TranscriptPolicy::None)
-            .with_knowledge(nothing_known)
             .with_chunk_nodes(Some(5));
         assert_eq!(spec.seed, 4);
         assert_eq!(spec.exec, Exec::Parallel { threads: 2 });
         assert_eq!(spec.max_rounds, 99);
         assert_eq!(spec.transcript, TranscriptPolicy::None);
-        assert_eq!(spec.knowledge, nothing_known);
         assert_eq!(spec.chunk_nodes, Some(5));
     }
 
     /// The defaults of `RunSpec::new`: one sequential executor, the full
-    /// transcript, full knowledge, no forced chunking. (`RunSpec` also
+    /// transcript, no forced chunking. (`RunSpec` also
     /// holds what the former `SimConfig` carried, hence the name.)
     #[test]
     fn run_spec_builders_and_sim_config() {
@@ -1369,7 +1322,6 @@ mod tests {
         assert_eq!(defaults.exec, Exec::Sequential);
         assert_eq!(defaults.max_rounds, 1_000_000);
         assert_eq!(defaults.transcript, TranscriptPolicy::Full);
-        assert_eq!(defaults.knowledge, Knowledge::default());
         assert_eq!(defaults.chunk_nodes, None);
         // Each setter changes its own field only.
         let spec = defaults.with_max_rounds(50);

@@ -5,8 +5,8 @@
 //! * Time is divided into synchronous **rounds**; in every round each node
 //!   may send an arbitrary message to each neighbor and receives the
 //!   messages sent to it in the previous round ([`engine`]).
-//! * Every node holds a unique id, knows `n` and `Δ`, and (configurably)
-//!   learns its neighbors' ids and degrees — see [`process::Knowledge`].
+//! * Every node holds a unique id, knows `n` and `Δ`, and knows its
+//!   neighbors' ids from round 0 ([`process::Ctx::neighbor_id`]).
 //! * Nodes **commit** to outputs: a node commits its own label
 //!   ([`process::Ctx::commit_node`]) and/or labels of incident edges
 //!   ([`process::Ctx::commit_edge`]). The engine keeps a *ledger* of commit
@@ -78,7 +78,7 @@ pub mod workspace;
 pub mod prelude {
     pub use crate::engine::{Exec, RunSpec};
     pub use crate::message::{Envelope, MessageSize};
-    pub use crate::process::{Ctx, Knowledge, Process};
+    pub use crate::process::{Ctx, Process};
     pub use crate::transcript::{OutputKind, Round, Transcript, TranscriptPolicy, UNCOMMITTED};
     pub use crate::workspace::Workspace;
     pub use localavg_graph::rng::Rng;

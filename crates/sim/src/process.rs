@@ -6,29 +6,6 @@ use crate::transcript::{OutputKind, Round};
 use localavg_graph::rng::Rng;
 use localavg_graph::{EdgeId, Graph, NodeId};
 
-/// What a node knows at time 0, besides its own id, its degree, `n`, and Δ.
-///
-/// The paper's LOCAL model gives nodes unique O(log n)-bit ids; neighbor
-/// ids/degrees are learnable in one round, so granting them initially only
-/// shifts round counts by an additive constant. The default grants both
-/// (and the experiments note this convention).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Knowledge {
-    /// Nodes know the ids of their neighbors (per port).
-    pub neighbor_ids: bool,
-    /// Nodes know the degrees of their neighbors (per port).
-    pub neighbor_degrees: bool,
-}
-
-impl Default for Knowledge {
-    fn default() -> Self {
-        Knowledge {
-            neighbor_ids: true,
-            neighbor_degrees: true,
-        }
-    }
-}
-
 /// A distributed algorithm, instantiated once per node.
 ///
 /// The engine calls [`Process::init`] at round 0 (a node may already send
@@ -89,7 +66,6 @@ pub struct Ctx<'a, P: Process> {
     pub(crate) id: NodeId,
     pub(crate) round: Round,
     pub(crate) graph: &'a Graph,
-    pub(crate) knowledge: Knowledge,
     pub(crate) max_degree: usize,
     pub(crate) rng: &'a mut Rng,
     /// This node's arc slots of the current outbox buffer (length = degree).
@@ -137,32 +113,15 @@ impl<'a, P: Process> Ctx<'a, P> {
         0..self.degree()
     }
 
-    /// The id of the neighbor behind `port`.
+    /// The id of the neighbor behind `port`. Nodes know their
+    /// neighbors' ids from round 0: they are learnable in one round, so
+    /// granting them shifts round counts by an additive constant at most.
     ///
     /// # Panics
     ///
-    /// Panics if the run was configured without neighbor-id knowledge, or
-    /// if `port >= degree`.
+    /// Panics if `port >= degree`.
     pub fn neighbor_id(&self, port: usize) -> NodeId {
-        assert!(
-            self.knowledge.neighbor_ids,
-            "neighbor ids are not part of the configured initial knowledge"
-        );
         self.graph.neighbor(self.id, port).0
-    }
-
-    /// The degree of the neighbor behind `port`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run was configured without neighbor-degree knowledge.
-    pub fn neighbor_degree(&self, port: usize) -> usize {
-        assert!(
-            self.knowledge.neighbor_degrees,
-            "neighbor degrees are not part of the configured initial knowledge"
-        );
-        let (u, _) = self.graph.neighbor(self.id, port);
-        self.graph.degree(u)
     }
 
     /// The edge id of the edge behind `port` (useful for edge outputs).

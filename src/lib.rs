@@ -7,7 +7,7 @@
 //! The workspace layers, bottom to top:
 //!
 //! * [`graph`] ([`localavg_graph`]) — graph substrate: structures,
-//!   generators, lifts, line/power graphs, analysis and validators.
+//!   generators, lifts, line graphs, analysis and validators.
 //! * [`sim`] ([`localavg_sim`]) — the synchronous LOCAL/CONGEST round
 //!   engine with per-node/per-edge commit-time tracking (Definition 1).
 //! * [`core`] ([`localavg_core`]) — every algorithm in the paper: Luby and

@@ -458,17 +458,6 @@ fn graph_file_round_trips_byte_identically() {
     assert!(again == bytes, "re-encoding differs from the on-disk bytes");
 }
 
-#[test]
-fn power_graph_contains_original() {
-    for (i, (g, _)) in cases(10, 32, 8).into_iter().enumerate() {
-        let k = 1 + i % 3;
-        let p = transform::power_graph(&g, k);
-        for (_, u, v) in g.edges() {
-            assert!(p.has_edge(u, v));
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Rake-and-compress decomposition properties (PR 9)
 // ---------------------------------------------------------------------------

@@ -67,6 +67,7 @@ fn every_registered_algorithm_runs_on_a_path() {
         for r in &runs {
             r.verify(&g)
                 .unwrap_or_else(|e| panic!("{} invalid on the path: {e}", algo.name()));
+            assert_eq!(r.algorithm, algo.name());
         }
         check_inequality_chain(&g, &runs);
     }
