@@ -1,9 +1,10 @@
 //! [`Algorithm`] implementations for every family in the workspace.
 //!
 //! Each implementation is a zero-sized unit struct wrapping the family
-//! module's crate-private `*_spec` runner, which returns the unified
-//! [`AlgoRun`] directly. These wrappers (reached through
-//! [`super::registry`]) are the only public way to run an algorithm.
+//! module's crate-private runner, named after the algorithm (`mis::luby`,
+//! `treerc::mis`, ...), which returns the unified [`AlgoRun`] directly.
+//! These wrappers (reached through [`super::registry`]) are the only
+//! public way to run an algorithm.
 //!
 //! Algorithms with tuning knobs declare them as [`ParamSpec`]s and
 //! validate string assignments in `set_param` — that is what
@@ -73,7 +74,7 @@ impl Algorithm for MisLuby {
         params: &LubyMisParams,
         ws: &mut Workspace,
     ) -> AlgoRun {
-        mis::luby_spec(g, spec, params, ws)
+        mis::luby(g, spec, params, ws)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -127,7 +128,7 @@ impl Algorithm for MisDegreeGuided {
         params: &DegreeGuidedParams,
         ws: &mut Workspace,
     ) -> AlgoRun {
-        mis::degree_guided_spec(g, spec, params, ws)
+        mis::degree_guided(g, spec, params, ws)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -197,7 +198,7 @@ impl Algorithm for MisGreedy {
         _params: &(),
         ws: &mut Workspace,
     ) -> AlgoRun {
-        mis::greedy_by_id_spec(g, spec, ws)
+        mis::greedy_by_id(g, spec, ws)
     }
 }
 
@@ -223,7 +224,7 @@ impl Algorithm for RulingTwoTwo {
         _params: &(),
         ws: &mut Workspace,
     ) -> AlgoRun {
-        ruling::two_two_spec(g, spec, ws)
+        ruling::two_two(g, spec, ws)
     }
 }
 
@@ -278,7 +279,7 @@ impl Algorithm for RulingDet {
         params: &DetRulingSpec,
         ws: &mut Workspace,
     ) -> AlgoRun {
-        ruling::deterministic_spec(g, spec, params.resolve(g), ws)
+        ruling::deterministic(g, spec, params.resolve(g), ws)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -375,7 +376,7 @@ impl Algorithm for MatchingLuby {
         params: &LubyMatchParams,
         ws: &mut Workspace,
     ) -> AlgoRun {
-        matching::luby_spec(g, spec, params, ws)
+        matching::luby(g, spec, params, ws)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -433,7 +434,7 @@ impl Algorithm for MatchingDet {
         _params: &(),
         ws: &mut Workspace,
     ) -> AlgoRun {
-        matching::deterministic_spec(g, spec, ws)
+        matching::deterministic(g, spec, ws)
     }
 }
 
@@ -463,7 +464,7 @@ impl Algorithm for MatchingGreedy {
         _params: &(),
         ws: &mut Workspace,
     ) -> AlgoRun {
-        matching::greedy_spec(g, spec, ws)
+        matching::greedy(g, spec, ws)
     }
 }
 
@@ -489,7 +490,7 @@ impl Algorithm for OrientationRand {
         params: &RandOrientParams,
         ws: &mut Workspace,
     ) -> AlgoRun {
-        orientation::randomized_spec(g, spec, params, ws)
+        orientation::randomized(g, spec, params, ws)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -552,7 +553,7 @@ impl Algorithm for OrientationDet {
         params: &DetOrientParams,
         _ws: &mut Workspace,
     ) -> AlgoRun {
-        orientation::deterministic_with(g, *params, spec.transcript)
+        orientation::deterministic(g, *params, spec.transcript)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -626,7 +627,7 @@ impl Algorithm for ColoringTrial {
         params: &TrialColoringParams,
         ws: &mut Workspace,
     ) -> AlgoRun {
-        coloring::random_trial_spec(g, spec, params, ws)
+        coloring::random_trial(g, spec, params, ws)
     }
 
     fn param_specs(&self) -> &'static [ParamSpec] {
@@ -684,7 +685,7 @@ impl Algorithm for ColoringLinial {
         _params: &(),
         ws: &mut Workspace,
     ) -> AlgoRun {
-        coloring::linial_spec(g, spec, ws)
+        coloring::linial(g, spec, ws)
     }
 }
 
@@ -726,7 +727,7 @@ impl Algorithm for MisTreeRc {
         _params: &(),
         ws: &mut Workspace,
     ) -> AlgoRun {
-        expect_tree(self.name(), treerc::mis_spec(g, spec, ws))
+        expect_tree(self.name(), treerc::mis(g, spec, ws))
     }
 }
 
@@ -756,7 +757,7 @@ impl Algorithm for RulingTreeRc {
         _params: &(),
         ws: &mut Workspace,
     ) -> AlgoRun {
-        expect_tree(self.name(), treerc::ruling_spec(g, spec, ws))
+        expect_tree(self.name(), treerc::ruling(g, spec, ws))
     }
 }
 
@@ -786,7 +787,7 @@ impl Algorithm for ColoringTreeRc {
         _params: &(),
         ws: &mut Workspace,
     ) -> AlgoRun {
-        expect_tree(self.name(), treerc::coloring_spec(g, spec, ws))
+        expect_tree(self.name(), treerc::coloring(g, spec, ws))
     }
 }
 

@@ -17,11 +17,11 @@
 //! use localavg_graph::{analysis, gen};
 //!
 //! let g = gen::grid(6, 6);
-//! let trial = registry().get("coloring/trial").expect("registered");
-//! let run = trial.execute(&g, &RunSpec::new(4));
-//! let colors = run.solution.colors().expect("a coloring solution");
-//! assert!(analysis::is_proper_coloring(&g, colors));
-//! assert!(colors.iter().all(|&c| c <= g.max_degree()));
+//! for name in ["coloring/trial", "coloring/linial"] {
+//!     let run = registry().get(name).expect("registered").execute(&g, &RunSpec::new(4));
+//!     let colors = run.solution.colors().expect("a coloring solution");
+//!     assert!(analysis::is_proper_coloring(&g, colors));
+//! }
 //! ```
 
 use crate::algo::{AlgoRun, Solution};
@@ -126,7 +126,21 @@ impl Process for RandomTrial {
 
 /// Runs the randomized (Δ+1)-coloring by color trials
 /// (`"coloring/trial"`) under `spec`, reusing the arenas in `ws`.
-pub(crate) fn random_trial_spec(
+///
+/// # Example
+///
+/// ```
+/// use localavg_core::algo::{registry, RunSpec};
+/// use localavg_graph::{analysis, gen};
+///
+/// let g = gen::grid(6, 6);
+/// let trial = registry().get("coloring/trial").expect("registered");
+/// let run = trial.execute(&g, &RunSpec::new(4));
+/// let colors = run.solution.colors().expect("a coloring solution");
+/// assert!(analysis::is_proper_coloring(&g, colors));
+/// assert!(colors.iter().all(|&c| c <= g.max_degree()));
+/// ```
+pub(crate) fn random_trial(
     g: &Graph,
     spec: &RunSpec,
     params: &TrialColoringParams,
@@ -197,7 +211,7 @@ impl Process for LinialColoring {
 /// The palette size is O(Δ² log² Δ); the round count equals the length of
 /// [`linial_schedule`] — a log*-type schedule all nodes derive from
 /// `(n, Δ)`.
-pub(crate) fn linial_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
+pub(crate) fn linial(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
     let t = spec.run_in::<LinialColoring>(g, &(), ws);
     coloring_run("coloring/linial", g, t)
 }
@@ -210,11 +224,11 @@ mod tests {
 
     fn random_trial(g: &Graph, seed: u64) -> AlgoRun {
         let params = TrialColoringParams::default();
-        random_trial_spec(g, &RunSpec::new(seed), &params, &mut Workspace::new())
+        super::random_trial(g, &RunSpec::new(seed), &params, &mut Workspace::new())
     }
 
     fn linial(g: &Graph) -> AlgoRun {
-        linial_spec(g, &RunSpec::new(0), &mut Workspace::new())
+        super::linial(g, &RunSpec::new(0), &mut Workspace::new())
     }
 
     fn colors(run: &AlgoRun) -> &[usize] {
@@ -280,7 +294,7 @@ mod tests {
     fn random_trial_extra_colors_widen_the_palette() {
         let mut rng = Rng::seed_from(9);
         let g = gen::random_regular(120, 4, &mut rng).unwrap();
-        let run = random_trial_spec(
+        let run = super::random_trial(
             &g,
             &RunSpec::new(2),
             &TrialColoringParams { extra_colors: 8 },

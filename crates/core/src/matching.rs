@@ -218,7 +218,21 @@ impl Process for LubyMatching {
 
 /// Runs Theorem 4's randomized maximal matching (CONGEST,
 /// `"matching/luby"`) under `spec`, reusing the arenas in `ws`.
-pub(crate) fn luby_spec(
+///
+/// # Example
+///
+/// ```
+/// use localavg_core::algo::{registry, RunSpec};
+/// use localavg_graph::{analysis, gen, rng::Rng};
+///
+/// let mut rng = Rng::seed_from(8);
+/// let g = gen::random_regular(60, 4, &mut rng).expect("graph");
+/// let luby = registry().get("matching/luby").expect("registered");
+/// let run = luby.execute(&g, &RunSpec::new(21));
+/// let in_matching = run.solution.matching().expect("a matching solution");
+/// assert!(analysis::is_maximal_matching(&g, in_matching));
+/// ```
+pub(crate) fn luby(
     g: &Graph,
     spec: &RunSpec,
     params: &LubyMatchParams,
@@ -315,7 +329,7 @@ impl Process for GreedyMatching {
 /// Runs the deterministic greedy proposal matching baseline
 /// (`"matching/greedy"`) under `spec`, reusing the arenas in `ws` (the
 /// seed is ignored).
-pub(crate) fn greedy_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
+pub(crate) fn greedy(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
     let t = spec.run_in::<GreedyMatching>(g, &(), ws);
     matching_run("matching/greedy", g, t)
 }
@@ -1003,7 +1017,22 @@ impl Process for DetMatching {
 
 /// Runs Theorem 5's deterministic maximal matching (`"matching/det"`)
 /// under `spec`, reusing the arenas in `ws` (the seed is ignored).
-pub(crate) fn deterministic_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
+///
+/// # Example
+///
+/// ```
+/// use localavg_core::algo::{registry, RunSpec};
+/// use localavg_graph::{analysis, gen};
+///
+/// let g = gen::grid(5, 5);
+/// let det = registry().get("matching/det").expect("registered");
+/// let run = det.execute(&g, &RunSpec::new(0));
+/// let in_matching = run.solution.matching().expect("a matching solution");
+/// assert!(analysis::is_maximal_matching(&g, in_matching));
+/// let reseeded = det.execute(&g, &RunSpec::new(1));
+/// assert_eq!(reseeded.solution.matching(), Some(in_matching));
+/// ```
+pub(crate) fn deterministic(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
     let t = spec.run_in::<DetMatching>(g, &(), ws);
     matching_run("matching/det", g, t)
 }
@@ -1041,15 +1070,15 @@ mod tests {
 
     fn luby(g: &Graph, seed: u64) -> AlgoRun {
         let params = LubyMatchParams::default();
-        luby_spec(g, &RunSpec::new(seed), &params, &mut Workspace::new())
+        super::luby(g, &RunSpec::new(seed), &params, &mut Workspace::new())
     }
 
     fn greedy(g: &Graph) -> AlgoRun {
-        greedy_spec(g, &RunSpec::new(0), &mut Workspace::new())
+        super::greedy(g, &RunSpec::new(0), &mut Workspace::new())
     }
 
     fn deterministic(g: &Graph) -> AlgoRun {
-        deterministic_spec(g, &RunSpec::new(0), &mut Workspace::new())
+        super::deterministic(g, &RunSpec::new(0), &mut Workspace::new())
     }
 
     fn in_matching(run: &AlgoRun) -> &[bool] {

@@ -26,10 +26,11 @@
 //!
 //! let mut rng = Rng::seed_from(3);
 //! let g = gen::random_regular(60, 4, &mut rng).expect("graph");
-//! let luby = registry().get("mis/luby").expect("registered");
-//! let run = luby.execute(&g, &RunSpec::new(42));
-//! let in_set = run.solution.node_set().expect("an MIS solution");
-//! assert!(analysis::is_maximal_independent_set(&g, in_set));
+//! for name in ["mis/luby", "mis/degree-guided", "mis/greedy"] {
+//!     let run = registry().get(name).expect("registered").execute(&g, &RunSpec::new(7));
+//!     let in_set = run.solution.node_set().expect("an MIS solution");
+//!     assert!(analysis::is_maximal_independent_set(&g, in_set));
+//! }
 //! ```
 
 use crate::algo::{AlgoRun, Solution};
@@ -181,7 +182,21 @@ impl Process for LubyMis {
 
 /// Runs Luby's randomized MIS (`"mis/luby"`) under `spec`, reusing the
 /// arenas in `ws`.
-pub(crate) fn luby_spec(
+///
+/// # Example
+///
+/// ```
+/// use localavg_core::algo::{registry, RunSpec};
+/// use localavg_graph::{analysis, gen, rng::Rng};
+///
+/// let mut rng = Rng::seed_from(3);
+/// let g = gen::random_regular(60, 4, &mut rng).expect("graph");
+/// let luby = registry().get("mis/luby").expect("registered");
+/// let run = luby.execute(&g, &RunSpec::new(42));
+/// let in_set = run.solution.node_set().expect("an MIS solution");
+/// assert!(analysis::is_maximal_independent_set(&g, in_set));
+/// ```
+pub(crate) fn luby(
     g: &Graph,
     spec: &RunSpec,
     params: &LubyMisParams,
@@ -311,7 +326,7 @@ impl Process for DegreeGuidedMis {
 
 /// Runs the degree-guided (Ghaffari-style) randomized MIS
 /// (`"mis/degree-guided"`) under `spec`, reusing the arenas in `ws`.
-pub(crate) fn degree_guided_spec(
+pub(crate) fn degree_guided(
     g: &Graph,
     spec: &RunSpec,
     params: &DegreeGuidedParams,
@@ -392,7 +407,7 @@ impl Process for GreedyMis {
 
 /// Runs the deterministic greedy-by-id MIS baseline (`"mis/greedy"`)
 /// under `spec`, reusing the arenas in `ws` (the seed is ignored).
-pub(crate) fn greedy_by_id_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
+pub(crate) fn greedy_by_id(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
     mis_run("mis/greedy", g, spec.run_in::<GreedyMis>(g, &(), ws))
 }
 
@@ -404,16 +419,16 @@ mod tests {
 
     fn luby(g: &Graph, seed: u64) -> AlgoRun {
         let params = LubyMisParams::default();
-        luby_spec(g, &RunSpec::new(seed), &params, &mut Workspace::new())
+        super::luby(g, &RunSpec::new(seed), &params, &mut Workspace::new())
     }
 
     fn degree_guided(g: &Graph, seed: u64) -> AlgoRun {
         let params = DegreeGuidedParams::default();
-        degree_guided_spec(g, &RunSpec::new(seed), &params, &mut Workspace::new())
+        super::degree_guided(g, &RunSpec::new(seed), &params, &mut Workspace::new())
     }
 
     fn greedy_by_id(g: &Graph) -> AlgoRun {
-        greedy_by_id_spec(g, &RunSpec::new(0), &mut Workspace::new())
+        super::greedy_by_id(g, &RunSpec::new(0), &mut Workspace::new())
     }
 
     fn in_set(run: &AlgoRun) -> &[bool] {
@@ -560,7 +575,7 @@ mod tests {
         let mut rng = Rng::seed_from(30);
         let g = gen::random_regular(200, 4, &mut rng).unwrap();
         let default = luby(&g, 5);
-        let aggressive = luby_spec(
+        let aggressive = super::luby(
             &g,
             &RunSpec::new(5),
             &LubyMisParams { mark_factor: 1.0 },
@@ -578,7 +593,7 @@ mod tests {
         let mut rng = Rng::seed_from(31);
         let g = gen::random_regular(200, 6, &mut rng).unwrap();
         let default = degree_guided(&g, 4);
-        let cautious = degree_guided_spec(
+        let cautious = super::degree_guided(
             &g,
             &RunSpec::new(4),
             &DegreeGuidedParams {

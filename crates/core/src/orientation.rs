@@ -374,7 +374,21 @@ impl Default for RandOrientParams {
 ///
 /// Panics if the graph has minimum degree `< 3` (the problem's domain) or
 /// the produced orientation fails validation.
-pub(crate) fn randomized_spec(
+///
+/// # Example
+///
+/// ```
+/// use localavg_core::algo::{registry, RunSpec};
+/// use localavg_graph::{analysis, gen, rng::Rng};
+///
+/// let mut rng = Rng::seed_from(5);
+/// let g = gen::random_regular(64, 3, &mut rng).expect("graph");
+/// let rand = registry().get("orientation/rand").expect("registered");
+/// let run = rand.execute(&g, &RunSpec::new(11));
+/// let orientation = run.solution.orientation().expect("an orientation solution");
+/// assert!(analysis::is_sinkless_orientation(&g, orientation));
+/// ```
+pub(crate) fn randomized(
     g: &Graph,
     spec: &RunSpec,
     params: &RandOrientParams,
@@ -701,7 +715,23 @@ impl Default for DetOrientParams {
 ///
 /// Panics if the graph is nonempty with minimum degree `< 3`, or if the
 /// produced orientation fails validation.
-pub(crate) fn deterministic_with(
+///
+/// # Example
+///
+/// ```
+/// use localavg_core::algo::{registry, RunSpec};
+/// use localavg_graph::{analysis, gen, rng::Rng};
+///
+/// let mut rng = Rng::seed_from(9);
+/// let g = gen::random_regular(64, 3, &mut rng).expect("graph");
+/// let det = registry().get("orientation/det").expect("registered");
+/// let run = det.execute(&g, &RunSpec::new(0));
+/// let orientation = run.solution.orientation().expect("an orientation solution");
+/// assert!(analysis::is_sinkless_orientation(&g, orientation));
+/// let reseeded = det.execute(&g, &RunSpec::new(1));
+/// assert_eq!(reseeded.solution.orientation(), Some(orientation));
+/// ```
+pub(crate) fn deterministic(
     g: &Graph,
     params: DetOrientParams,
     policy: TranscriptPolicy,
@@ -1666,11 +1696,11 @@ mod tests {
 
     fn randomized(g: &Graph, seed: u64) -> AlgoRun {
         let params = RandOrientParams::default();
-        randomized_spec(g, &RunSpec::new(seed), &params, &mut Workspace::new())
+        super::randomized(g, &RunSpec::new(seed), &params, &mut Workspace::new())
     }
 
     fn deterministic(g: &Graph, params: DetOrientParams) -> AlgoRun {
-        deterministic_with(g, params, TranscriptPolicy::default())
+        super::deterministic(g, params, TranscriptPolicy::default())
     }
 
     fn orientation(run: &AlgoRun) -> &[Orientation] {

@@ -174,7 +174,21 @@ impl Process for TwoTwoRuling {
 
 /// Runs Theorem 2's randomized (2,2)-ruling set algorithm (CONGEST,
 /// `"ruling/two-two"`) under `spec`, reusing the arenas in `ws`.
-pub(crate) fn two_two_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
+///
+/// # Example
+///
+/// ```
+/// use localavg_core::algo::{registry, RunSpec};
+/// use localavg_graph::{analysis, gen, rng::Rng};
+///
+/// let mut rng = Rng::seed_from(2);
+/// let g = gen::random_regular(64, 4, &mut rng).expect("graph");
+/// let two_two = registry().get("ruling/two-two").expect("registered");
+/// let run = two_two.execute(&g, &RunSpec::new(5));
+/// let in_set = run.solution.node_set().expect("a ruling set solution");
+/// assert!(analysis::is_ruling_set(&g, in_set, 2, 2));
+/// ```
+pub(crate) fn two_two(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
     let t = spec.run_in::<TwoTwoRuling>(g, &(), ws);
     let in_set = t.node_labels();
     let solution = Solution::RulingSet { in_set, beta: 2 };
@@ -600,7 +614,24 @@ impl Process for DetRuling {
 /// `spec`, reusing the arenas in `ws` (the seed is ignored).
 ///
 /// Returns a (2, β)-ruling set with `β = 2 * params.iterations + 1`.
-pub(crate) fn deterministic_spec(
+///
+/// # Example
+///
+/// ```
+/// use localavg_core::algo::{registry, RunSpec, Solution};
+/// use localavg_core::ruling::DetRulingParams;
+/// use localavg_graph::{analysis, gen};
+///
+/// let g = gen::grid(8, 8);
+/// let det = registry().get("ruling/det").expect("registered");
+/// let run = det.execute(&g, &RunSpec::new(0));
+/// let Solution::RulingSet { in_set, beta } = &run.solution else {
+///     panic!("ruling/det returns a ruling set");
+/// };
+/// assert_eq!(*beta, 2 * DetRulingParams::for_log_delta(&g).iterations + 1);
+/// assert!(analysis::is_ruling_set(&g, in_set, 2, *beta));
+/// ```
+pub(crate) fn deterministic(
     g: &Graph,
     spec: &RunSpec,
     params: DetRulingParams,
@@ -620,11 +651,11 @@ mod tests {
     use localavg_graph::{analysis, gen};
 
     fn two_two(g: &Graph, seed: u64) -> AlgoRun {
-        two_two_spec(g, &RunSpec::new(seed), &mut Workspace::new())
+        super::two_two(g, &RunSpec::new(seed), &mut Workspace::new())
     }
 
     fn deterministic(g: &Graph, params: DetRulingParams) -> AlgoRun {
-        deterministic_spec(g, &RunSpec::new(0), params, &mut Workspace::new())
+        super::deterministic(g, &RunSpec::new(0), params, &mut Workspace::new())
     }
 
     /// The ruling set and its β.

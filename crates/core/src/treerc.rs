@@ -134,11 +134,7 @@ fn structural_run(
 /// # Errors
 ///
 /// Returns [`NotATree`] when `g` contains a cycle.
-pub(crate) fn mis_spec(
-    g: &Graph,
-    spec: &RunSpec,
-    _ws: &mut Workspace,
-) -> Result<AlgoRun, NotATree> {
+pub(crate) fn mis(g: &Graph, spec: &RunSpec, _ws: &mut Workspace) -> Result<AlgoRun, NotATree> {
     let d = RcDecomposition::compute(g, spec.seed)?;
     let order = d.removal_order();
     let mut in_set = vec![false; g.n()];
@@ -172,11 +168,7 @@ pub(crate) fn mis_spec(
 /// # Errors
 ///
 /// Returns [`NotATree`] when `g` contains a cycle.
-pub(crate) fn ruling_spec(
-    g: &Graph,
-    spec: &RunSpec,
-    _ws: &mut Workspace,
-) -> Result<AlgoRun, NotATree> {
+pub(crate) fn ruling(g: &Graph, spec: &RunSpec, _ws: &mut Workspace) -> Result<AlgoRun, NotATree> {
     let d = RcDecomposition::compute(g, spec.seed)?;
     let deg: Vec<usize> = g.degrees().collect();
     let in_h = |v: usize| deg[v] >= 2;
@@ -238,7 +230,7 @@ pub(crate) fn ruling_spec(
 /// # Errors
 ///
 /// Returns [`NotATree`] when `g` contains a cycle.
-pub(crate) fn coloring_spec(
+pub(crate) fn coloring(
     g: &Graph,
     spec: &RunSpec,
     _ws: &mut Workspace,
@@ -297,7 +289,7 @@ mod tests {
     #[test]
     fn mis_is_valid_and_complete_on_the_zoo() {
         for (name, g) in tree_zoo() {
-            let run = mis_spec(&g, &RunSpec::new(3), &mut Workspace::new()).unwrap();
+            let run = mis(&g, &RunSpec::new(3), &mut Workspace::new()).unwrap();
             check::verify_solution(&g, &run.solution).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(
                 run.transcript.is_complete(),
@@ -309,7 +301,7 @@ mod tests {
     #[test]
     fn ruling_set_is_a_two_two_ruling_set_on_the_zoo() {
         for (name, g) in tree_zoo() {
-            let run = ruling_spec(&g, &RunSpec::new(3), &mut Workspace::new()).unwrap();
+            let run = ruling(&g, &RunSpec::new(3), &mut Workspace::new()).unwrap();
             check::verify_solution(&g, &run.solution).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
@@ -317,7 +309,7 @@ mod tests {
     #[test]
     fn coloring_is_a_proper_three_coloring_on_the_zoo() {
         for (name, g) in tree_zoo() {
-            let run = coloring_spec(&g, &RunSpec::new(3), &mut Workspace::new()).unwrap();
+            let run = coloring(&g, &RunSpec::new(3), &mut Workspace::new()).unwrap();
             check::verify_solution(&g, &run.solution).unwrap_or_else(|e| panic!("{name}: {e}"));
             if let Solution::Coloring { colors } = &run.solution {
                 assert!(colors.iter().all(|&c| c < 3), "{name}: palette exceeds 3");
@@ -328,18 +320,18 @@ mod tests {
     #[test]
     fn cycles_are_rejected_with_the_typed_error() {
         let g = gen::cycle(12);
-        let err = mis_spec(&g, &RunSpec::new(0), &mut Workspace::new()).unwrap_err();
+        let err = mis(&g, &RunSpec::new(0), &mut Workspace::new()).unwrap_err();
         assert_eq!(err.nodes, 12);
-        assert!(ruling_spec(&g, &RunSpec::new(0), &mut Workspace::new()).is_err());
-        assert!(coloring_spec(&g, &RunSpec::new(0), &mut Workspace::new()).is_err());
+        assert!(ruling(&g, &RunSpec::new(0), &mut Workspace::new()).is_err());
+        assert!(coloring(&g, &RunSpec::new(0), &mut Workspace::new()).is_err());
     }
 
     #[test]
     fn transcripts_are_deterministic_in_the_seed_only() {
         let mut rng = Rng::seed_from(5);
         let g = gen::random_tree(140, &mut rng);
-        let base = mis_spec(&g, &RunSpec::new(9), &mut Workspace::new()).unwrap();
-        let chunked = mis_spec(
+        let base = mis(&g, &RunSpec::new(9), &mut Workspace::new()).unwrap();
+        let chunked = mis(
             &g,
             &RunSpec::new(9).with_chunk_nodes(Some(1)),
             &mut Workspace::new(),
@@ -347,7 +339,7 @@ mod tests {
         .unwrap();
         assert_eq!(base.transcript, chunked.transcript);
         assert_eq!(base.solution, chunked.solution);
-        let reseeded = mis_spec(&g, &RunSpec::new(10), &mut Workspace::new()).unwrap();
+        let reseeded = mis(&g, &RunSpec::new(10), &mut Workspace::new()).unwrap();
         assert_eq!(reseeded.transcript.rounds, reseeded.transcript.rounds);
         check::verify_solution(&g, &reseeded.solution).unwrap();
     }
@@ -355,7 +347,7 @@ mod tests {
     #[test]
     fn mis_average_is_far_below_the_worst_case_on_long_paths() {
         let g = gen::path(4096);
-        let run = mis_spec(&g, &RunSpec::new(1), &mut Workspace::new()).unwrap();
+        let run = mis(&g, &RunSpec::new(1), &mut Workspace::new()).unwrap();
         let t = CompletionTimes::from_transcript(&g, &run.transcript);
         let avg = t.node_mean();
         let worst = run.transcript.rounds as f64;
@@ -366,7 +358,7 @@ mod tests {
     #[test]
     fn ruling_low_degree_nodes_commit_at_round_two() {
         let g = gen::star(64);
-        let run = ruling_spec(&g, &RunSpec::new(2), &mut Workspace::new()).unwrap();
+        let run = ruling(&g, &RunSpec::new(2), &mut Workspace::new()).unwrap();
         for v in 1..64 {
             assert_eq!(run.transcript.node_commit_round[v], 2, "leaf {v}");
         }
