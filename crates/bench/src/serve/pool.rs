@@ -23,8 +23,10 @@
 //! catches the panic and replies with a per-cell error line, and the
 //! leader's cache reservation is abandoned by a drop guard, so
 //! duplicates waiting on it wake up and retry instead of blocking
-//! forever. The worker keeps its [`Workspace`]: the engine's reset path
-//! is built to recover from a run aborted mid-round.
+//! forever. A generator that panics mid-build releases its
+//! [`GraphStore`] slot the same way. The worker keeps its
+//! [`Workspace`]: the engine's reset path is built to recover from a
+//! run aborted mid-round.
 
 use super::cache::{Acquire, CellCache};
 use super::protocol::ServeStats;
@@ -120,18 +122,18 @@ impl GraphStore {
             }
         }
         drop(slots);
-        let built = cell::build_instance(&key.family, key.n, master_seed).map(Arc::new);
-        let mut slots = self.slots.lock().expect("graph store poisoned");
-        match &built {
-            Ok(g) => {
-                slots.insert(store_key, GraphSlot::Ready(Arc::clone(g)));
-            }
-            Err(_) => {
-                slots.remove(&store_key);
-            }
+        // Settles the `Building` slot on every path out of here.
+        let mut build = Builder {
+            store: self,
+            key: store_key,
+            graph: None,
+        };
+        #[cfg(test)]
+        if key.family == PANIC_FAMILY {
+            panic!("test-only panicking build");
         }
-        drop(slots);
-        self.built.notify_all();
+        let built = cell::build_instance(&key.family, key.n, master_seed).map(Arc::new);
+        build.graph = built.as_ref().ok().map(Arc::clone);
         built
     }
 
@@ -143,6 +145,32 @@ impl GraphStore {
     /// Whether no instance has been built yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// A [`GraphStore`] builder's `Building` slot, settled when dropped:
+/// `Ready` with `graph` if the builder set it, otherwise (a build error,
+/// or a panic unwinding through the generator) removed. Either way the
+/// waiters wake up: they take the graph or retry the build.
+struct Builder<'a> {
+    store: &'a GraphStore,
+    key: (String, usize),
+    graph: Option<Arc<Graph>>,
+}
+
+impl Drop for Builder<'_> {
+    fn drop(&mut self) {
+        let mut slots = self.store.slots.lock().expect("graph store poisoned");
+        match self.graph.take() {
+            Some(g) => {
+                slots.insert(self.key.clone(), GraphSlot::Ready(g));
+            }
+            None => {
+                slots.remove(&self.key);
+            }
+        }
+        drop(slots);
+        self.store.built.notify_all();
     }
 }
 
@@ -294,6 +322,11 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
 /// panic-recovery tests drive the worker path through.
 #[cfg(test)]
 const PANIC_SEED: u64 = u64::MAX;
+
+/// A family whose build panics in test builds only: the seam the
+/// [`GraphStore`] recovery test drives the builder path through.
+#[cfg(test)]
+const PANIC_FAMILY: &str = "test/panicking-build";
 
 /// Runs one cell end to end — registry resolution, the domain predicate
 /// on the family's declared guarantee (before anything is built), the
@@ -485,6 +518,42 @@ mod tests {
         let s = p.stats();
         assert_eq!((s.served, s.errors, s.executed), (3, 2, 1));
         assert_eq!(s.entries, 1, "the panicked cell is not cached");
+    }
+
+    #[test]
+    fn a_panicking_build_releases_its_waiters() {
+        use std::sync::mpsc::RecvTimeoutError;
+        use std::time::Duration;
+        let store = Arc::new(GraphStore::new());
+        let (tx, rx) = channel();
+        let bad = CellKey::new(PANIC_FAMILY, 32, 0, "mis/luby");
+        // Two requests for the same pair. Whether the second arrives
+        // while the first builds (it waits on the slot) or after (it
+        // finds the slot), an unsettled `Building` slot hangs it, so
+        // neither order needs forcing.
+        let requests: Vec<_> = (0..2)
+            .map(|_| {
+                let (store, tx, key) = (Arc::clone(&store), tx.clone(), bad.clone());
+                std::thread::spawn(move || {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| store.get(&key, 7)));
+                    tx.send(outcome.is_err()).expect("the test thread listens");
+                })
+            })
+            .collect();
+        for _ in 0..2 {
+            match rx.recv_timeout(Duration::from_secs(20)) {
+                Ok(panicked) => assert!(panicked, "the panicking build panics"),
+                Err(RecvTimeoutError::Timeout) => panic!("a waiter on a panicked build hangs"),
+                Err(e) => panic!("a request thread died: {e}"),
+            }
+        }
+        for r in requests {
+            r.join().expect("the request thread caught its panic");
+        }
+        assert!(store.is_empty(), "a panicked build leaves no slot behind");
+        let good = CellKey::new("regular/4", 32, 0, "mis/luby");
+        assert!(store.get(&good, 7).is_ok());
+        assert_eq!(store.len(), 1);
     }
 
     #[test]

@@ -65,6 +65,7 @@ impl Json {
     /// first violation, including nesting deeper than 64 levels.
     pub fn parse(s: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
             depth: 0,
@@ -130,6 +131,8 @@ impl Json {
 }
 
 struct Parser<'a> {
+    src: &'a str,
+    /// `src` as bytes: every token but a string's characters is ASCII.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects open around the current position.
@@ -254,10 +257,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar. The input is a `&str`, so
+                    // decoding one `char` at `pos` needs no re-validation
+                    // of the rest of the line (which made this quadratic).
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("invalid UTF-8 in string")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -393,6 +400,9 @@ pub fn parse_cell(v: &Json) -> Result<CellKey, String> {
         .with_policy(policy))
 }
 
+/// Longest prefix of an unknown `op` that its error message echoes.
+const OP_ECHO_BYTES: usize = 64;
+
 /// Parses one request line.
 ///
 /// # Errors
@@ -420,9 +430,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "stats" => Ok(Request::Stats),
         "ping" => Ok(Request::Ping),
         "shutdown" => Ok(Request::Shutdown),
-        other => Err(format!(
-            "unknown op `{other}` (expected `submit`, `stats`, `ping`, or `shutdown`)"
-        )),
+        other => {
+            // Echo at most `OP_ECHO_BYTES` of an unknown op back.
+            let cut = other.floor_char_boundary(OP_ECHO_BYTES);
+            let more = if cut < other.len() { "…" } else { "" };
+            Err(format!(
+                "unknown op `{}{more}` (expected `submit`, `stats`, `ping`, or `shutdown`)",
+                &other[..cut]
+            ))
+        }
     }
 }
 
@@ -600,6 +616,31 @@ mod tests {
         assert!(err.contains("nesting deeper than"), "got: {err}");
         let objects = r#"{"a": "#.repeat(100_000);
         assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn a_megabyte_string_parses_in_linear_time() {
+        // Quadratic decoding took ~30 s on this input; linear takes ms.
+        let payload = "aé€𝄞".repeat(1 << 18);
+        assert!(payload.len() >= 1 << 20);
+        let line = format!("{{\"op\": \"{payload}\"}}");
+        let started = std::time::Instant::now();
+        let v = Json::parse(&line).unwrap();
+        let took = started.elapsed();
+        assert_eq!(v.get("op").and_then(Json::as_str), Some(payload.as_str()));
+        assert!(took.as_secs() < 5, "1 MiB string took {took:?}");
+        // The error echoes a bounded, char-aligned prefix of the op.
+        let err = parse_request(&line).unwrap_err();
+        let echoed = err
+            .strip_prefix("unknown op `")
+            .and_then(|rest| rest.split_once('`'))
+            .map(|(op, _)| op)
+            .unwrap();
+        assert!(echoed.len() <= OP_ECHO_BYTES + "…".len(), "{err}");
+        assert!(payload.starts_with(echoed.trim_end_matches('…')));
+        assert!(echoed.ends_with('…'));
+        let short = parse_request(r#"{"op": "frobnicate"}"#).unwrap_err();
+        assert!(short.starts_with("unknown op `frobnicate` ("), "{short}");
     }
 
     #[test]

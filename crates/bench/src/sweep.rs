@@ -18,8 +18,11 @@
 //!   once up front, so every algorithm and every seed of a group runs on
 //!   the same topology (that is what makes the per-group
 //!   [`RunAggregate`] an estimate of Appendix A's expected complexities);
-//! * results are written into a slot indexed by cell position and
-//!   serialized in expansion order, so thread interleaving never shows.
+//! * workers claim cells largest instance first (the slowest cells
+//!   start early instead of forming the sweep's tail), but results are
+//!   written into a slot indexed by cell position and serialized in
+//!   expansion order, so neither the claim order nor thread interleaving
+//!   shows.
 //!
 //! Deterministic algorithms ignore their seed, so the sweep collapses
 //! their seed axis to a single run per group.
@@ -600,6 +603,11 @@ pub fn run_with_file(
 
     let threads = threads.clamp(1, cells.len().max(1));
     let slots: Vec<Mutex<Option<Outcome>>> = cells.iter().map(|_| Mutex::new(None)).collect();
+    let weights: Vec<usize> = cells
+        .iter()
+        .map(|c| instance(c.generator, c.n).degree_sum())
+        .collect();
+    let order = dispatch_order(&weights);
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..threads {
@@ -607,11 +615,7 @@ pub fn run_with_file(
                 // One workspace per worker: cells for the same instance
                 // and algorithm reuse arenas instead of reallocating.
                 let mut ws = Workspace::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
+                while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
                     let cell = cells[i];
                     let g = instance(cell.generator, cell.n);
                     let algo = algos.get(cell.algorithm).expect("validated key");
@@ -690,6 +694,18 @@ pub fn run_with_file(
         cells: outcomes.into_iter().map(|o| o.result).collect(),
         groups,
     })
+}
+
+/// The order sweep workers claim cells in: indices into `weights` (one
+/// per cell, its instance's `degree_sum`), heaviest first. The largest
+/// instances hold the slowest cells; started last, one of them would
+/// keep a worker busy after the others ran dry. The sort is stable, so
+/// ties keep expansion order. Only the claim order changes: results
+/// land in their expansion-order slots.
+fn dispatch_order(weights: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
+    order
 }
 
 #[cfg(test)]
@@ -918,6 +934,32 @@ mod tests {
                 g.algorithm, g.generator
             );
         }
+    }
+
+    #[test]
+    fn dispatch_order_is_a_stable_largest_first_permutation() {
+        assert_eq!(dispatch_order(&[]), Vec::<usize>::new());
+        assert_eq!(dispatch_order(&[3, 9, 3, 1, 9]), vec![1, 4, 0, 2, 3]);
+        // On a real grid: every cell once, heaviest instance first, and
+        // expansion order within each instance.
+        let cells = tiny_spec().cells().unwrap();
+        let weights: Vec<usize> = cells
+            .iter()
+            .map(|c| {
+                cell::build_instance(c.generator, c.n, 7)
+                    .unwrap()
+                    .degree_sum()
+            })
+            .collect();
+        let order = dispatch_order(&weights);
+        let mut seen = order.clone();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..cells.len()).collect::<Vec<_>>());
+        for w in order.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            assert!(weights[a] > weights[b] || (weights[a] == weights[b] && a < b));
+        }
+        assert!(weights[order[0]] > weights[order[cells.len() - 1]]);
     }
 
     #[test]

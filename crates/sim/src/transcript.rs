@@ -313,39 +313,9 @@ impl<NO, EO> Transcript<NO, EO> {
     /// was committed, so completeness checks and all of Definition 1's
     /// completion-time accounting keep working. This is what lets
     /// heterogeneous algorithm families share one result type
-    /// (`localavg_core::algo::AlgoRun`).
-    pub fn erased(&self) -> Transcript<(), ()> {
-        Transcript {
-            kind: self.kind,
-            rounds: self.rounds,
-            node_output: self
-                .node_output
-                .iter()
-                .map(|o| o.as_ref().map(|_| ()))
-                .collect(),
-            edge_output: self
-                .edge_output
-                .iter()
-                .map(|o| o.as_ref().map(|_| ()))
-                .collect(),
-            node_commit_round: self.node_commit_round.clone(),
-            edge_commit_round: self.edge_commit_round.clone(),
-            node_halt_round: self.node_halt_round.clone(),
-            live_after_round: self.live_after_round.clone(),
-            max_message_bits: self.max_message_bits.clone(),
-            messages_sent: self.messages_sent,
-            node_messages_sent: self.node_messages_sent.clone(),
-            node_bits_sent: self.node_bits_sent.clone(),
-            node_messages_recv: self.node_messages_recv.clone(),
-            node_bits_recv: self.node_bits_recv.clone(),
-        }
-    }
-
-    /// Consuming variant of [`Transcript::erased`]: the ledger columns
-    /// (commit/halt clocks, audit) are *moved*, not cloned — only the two
-    /// output vectors are re-mapped. This is the conversion the unified
-    /// `AlgoRun` result type uses, so erasing a transcript costs two
-    /// allocations instead of six.
+    /// (`localavg_core::algo::AlgoRun`). The ledger columns (commit/halt
+    /// clocks, audit) are *moved*, not cloned; only the two output
+    /// vectors are re-mapped.
     pub fn into_erased(self) -> Transcript<(), ()> {
         Transcript {
             kind: self.kind,
@@ -517,20 +487,20 @@ mod tests {
         t.node_messages_recv = vec![2, 4];
         t.node_bits_recv = vec![16, 24];
         t.rounds = 5;
-        let by_ref = t.erased();
-        let by_move = t.into_erased();
-        assert_eq!(by_move.node_commit_round, by_ref.node_commit_round);
-        assert_eq!(by_move.edge_commit_round, by_ref.edge_commit_round);
-        assert_eq!(by_move.node_halt_round, by_ref.node_halt_round);
-        assert_eq!(by_move.live_after_round, by_ref.live_after_round);
-        assert_eq!(by_move.live_after_round, vec![2, 1, 0]);
-        assert_eq!(by_move.max_message_bits, by_ref.max_message_bits);
-        assert_eq!(by_move.messages_sent, by_ref.messages_sent);
-        assert_eq!(by_move.node_messages_sent, by_ref.node_messages_sent);
-        assert_eq!(by_move.node_bits_sent, vec![24, 16]);
-        assert_eq!(by_move.node_messages_recv, by_ref.node_messages_recv);
-        assert_eq!(by_move.node_bits_recv, vec![16, 24]);
-        assert_eq!(by_move.node_output, vec![Some(()), None]);
-        assert_eq!(by_move.edge_output, vec![Some(())]);
+        let erased = t.into_erased();
+        assert_eq!(erased.kind, OutputKind::Both);
+        assert_eq!(erased.rounds, 5);
+        assert_eq!(erased.node_commit_round, vec![1, 2]);
+        assert_eq!(erased.edge_commit_round, vec![3]);
+        assert_eq!(erased.node_halt_round, vec![4, 5]);
+        assert_eq!(erased.live_after_round, vec![2, 1, 0]);
+        assert_eq!(erased.max_message_bits, vec![8, 16]);
+        assert_eq!(erased.messages_sent, 6);
+        assert_eq!(erased.node_messages_sent, vec![4, 2]);
+        assert_eq!(erased.node_bits_sent, vec![24, 16]);
+        assert_eq!(erased.node_messages_recv, vec![2, 4]);
+        assert_eq!(erased.node_bits_recv, vec![16, 24]);
+        assert_eq!(erased.node_output, vec![Some(()), None]);
+        assert_eq!(erased.edge_output, vec![Some(())]);
     }
 }
