@@ -34,7 +34,7 @@
 
 use crate::generators;
 use crate::sweep::SweepError;
-use localavg_core::algo::{registry, AlgoRun, DynAlgorithm, RunSpec, TranscriptPolicy, Workspace};
+use localavg_core::algo::{registry, AlgoRun, Algorithm, RunSpec, TranscriptPolicy, Workspace};
 use localavg_core::metrics::CompletionTimes;
 use localavg_graph::gen::NamedGenerator;
 use localavg_graph::rng::{splitmix64, Rng};
@@ -208,7 +208,7 @@ impl fmt::Display for CellKey {
 
 /// Looks up an algorithm registry key ([`SweepError::UnknownAlgorithm`]
 /// on a miss).
-pub fn lookup_algorithm(name: &str) -> Result<&'static dyn DynAlgorithm, SweepError> {
+pub fn lookup_algorithm(name: &str) -> Result<&'static Algorithm, SweepError> {
     registry()
         .get(name)
         .ok_or_else(|| SweepError::UnknownAlgorithm {
@@ -219,10 +219,7 @@ pub fn lookup_algorithm(name: &str) -> Result<&'static dyn DynAlgorithm, SweepEr
 
 /// [`lookup_algorithm`], then `params` applied over the defaults
 /// ([`SweepError::Param`] when the algorithm rejects one).
-pub fn resolve_algorithm(
-    name: &str,
-    params: &[(&str, &str)],
-) -> Result<Box<dyn DynAlgorithm>, SweepError> {
+pub fn resolve_algorithm(name: &str, params: &[(&str, &str)]) -> Result<Algorithm, SweepError> {
     lookup_algorithm(name)?
         .with_params(params)
         .map_err(|e| SweepError::Param {
@@ -258,7 +255,7 @@ pub fn build_instance(name: &str, n: usize, master_seed: u64) -> Result<Graph, S
 /// more ([`SweepError::MinDegree`]), or it is forest-only and `forest()`
 /// is false ([`SweepError::NotATree`]; only then is `forest` called).
 pub fn check_domain(
-    algo: &dyn DynAlgorithm,
+    algo: &Algorithm,
     generator: &str,
     n: usize,
     min_degree: usize,
@@ -324,7 +321,7 @@ pub struct CellOutcome {
 /// of `generator`), `algo` under `spec` in `ws`, verification
 /// ([`SweepError::InvalidOutput`]), and the cell's metrics.
 pub fn execute(
-    algo: &dyn DynAlgorithm,
+    algo: &Algorithm,
     generator: &str,
     g: &Graph,
     spec: &RunSpec,

@@ -9,7 +9,7 @@
 //! produces the EXPERIMENTS.md numbers.
 
 use crate::table::{f2, Table};
-use localavg_core::algo::{registry, AlgoRun, Algorithm, DetRulingSpec, RulingDet, RunSpec};
+use localavg_core::algo::{registry, AlgoRun, Algorithm, RunSpec};
 use localavg_core::metrics::{CompletionTimes, RunAggregate};
 use localavg_core::subroutines::log_star;
 use localavg_graph::rng::Rng;
@@ -51,7 +51,7 @@ fn regular(n: usize, d: usize, seed: u64) -> Graph {
 
 /// Looks an algorithm up by registry key (experiments only reference
 /// algorithms through their string keys).
-fn algo(name: &str) -> &'static dyn localavg_core::algo::DynAlgorithm {
+fn algo(name: &str) -> &'static Algorithm {
     registry()
         .get(name)
         .unwrap_or_else(|| panic!("algorithm {name} not registered"))
@@ -153,11 +153,11 @@ pub fn e3_det_ruling(scale: Scale) -> Table {
             continue;
         }
         let g = regular(n, d, 7);
-        for (name, spec) in [
-            ("log Δ", DetRulingSpec::LogDelta),
-            ("log log n", DetRulingSpec::LogLogN),
-        ] {
-            let run = RulingDet.execute_with(&g, &RunSpec::new(0), &spec);
+        for (name, variant) in [("log Δ", "log-delta"), ("log log n", "log-log-n")] {
+            let run = algo("ruling/det")
+                .with_params(&[("variant", variant)])
+                .expect("a registered variant")
+                .execute(&g, &RunSpec::new(0));
             run.verify(&g).expect("valid ruling set");
             let beta = match run.solution {
                 localavg_core::algo::Solution::RulingSet { beta, .. } => beta,

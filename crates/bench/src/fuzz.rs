@@ -56,7 +56,7 @@
 use crate::cell::{self, CellKey, CellOutcome};
 use crate::sweep::SweepError;
 use localavg_core::algo::{
-    registry, DynAlgorithm, Exec, RunSpec, Solution, TranscriptPolicy, Workspace,
+    registry, Algorithm, Exec, RunSpec, Solution, TranscriptPolicy, Workspace,
 };
 use localavg_core::check;
 use localavg_core::metrics::Distribution;
@@ -394,8 +394,7 @@ impl Session {
         // The domain check on the built graph, the run, and leg 1's fast
         // validator.
         let CellOutcome { run, times, .. } =
-            cell::execute(&*algo, generator, g, &fast_spec, workspace)
-                .map_err(|e| e.to_string())?;
+            cell::execute(&algo, generator, g, &fast_spec, workspace).map_err(|e| e.to_string())?;
 
         // 1. Both validators accept.
         check::verify_solution(g, &run.solution)
@@ -528,18 +527,14 @@ impl Session {
 /// with the algorithms whose domain requirement the family guarantees.
 /// Pairs with no eligible algorithm are dropped here, so sampling can
 /// never land on an empty choice.
-type Domain = Vec<(&'static str, usize, Vec<&'static dyn DynAlgorithm>)>;
+type Domain = Vec<(&'static str, usize, Vec<&'static Algorithm>)>;
 
-fn sample_domain(
-    spec: &FuzzSpec,
-    gens: &[&'static str],
-    algos: &[&'static dyn DynAlgorithm],
-) -> Domain {
+fn sample_domain(spec: &FuzzSpec, gens: &[&'static str], algos: &[&'static Algorithm]) -> Domain {
     let mut domain = Vec::new();
     for &generator in gens {
         let fam = cell::family(generator).expect("validated");
         for &n in &spec.sizes {
-            let eligible: Vec<&'static dyn DynAlgorithm> = algos
+            let eligible: Vec<&'static Algorithm> = algos
                 .iter()
                 .copied()
                 .filter(|&a| {
@@ -777,7 +772,7 @@ mod tests {
         assert!(!report.per_algorithm.is_empty());
     }
 
-    fn resolve(spec: &FuzzSpec) -> (Vec<&'static str>, Vec<&'static dyn DynAlgorithm>) {
+    fn resolve(spec: &FuzzSpec) -> (Vec<&'static str>, Vec<&'static Algorithm>) {
         let gens = spec
             .generators
             .iter()

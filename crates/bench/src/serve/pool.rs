@@ -364,12 +364,12 @@ fn serve_cell(
         .collect();
     let algo = cell::resolve_algorithm(&key.algo, &kvs)?;
     let family = cell::family(&key.family)?;
-    cell::check_domain(&*algo, &key.family, key.n, family.min_degree(key.n), || {
+    cell::check_domain(&algo, &key.family, key.n, family.min_degree(key.n), || {
         family.is_tree()
     })?;
     let g = graphs.fetch(key, master_seed)?;
     let spec = RunSpec::new(key.algo_seed(master_seed)).with_transcript(key.policy);
-    let m = cell::execute(&*algo, &key.family, &g, &spec, ws)?.metrics;
+    let m = cell::execute(&algo, &key.family, &g, &spec, ws)?.metrics;
     Ok(cell_json(&key.algo, &key.family, key.n, key.seed, &m))
 }
 

@@ -25,12 +25,21 @@
 //! The parser below is a deliberately small recursive-descent JSON
 //! reader (the workspace is std-only); it accepts standard JSON nested at
 //! most 64 arrays/objects deep and is shared by the server, the
-//! `exp submit` client, and the tests.
+//! `exp submit` client, and the tests. The server reads request lines of
+//! at most [`MAX_REQUEST_BYTES`].
 
 use crate::cell::CellKey;
 use crate::emit::json_escape;
 use localavg_core::algo::TranscriptPolicy;
 use std::fmt::Write as _;
+
+/// The longest request line the daemon reads, in bytes before its
+/// `'\n'`. A longer line gets one `{"error": …}` line and its connection
+/// is closed, so a client that never sends a newline cannot grow a
+/// handler's buffer without bound. The largest line the workspace's own
+/// client sends, `exp submit --scale full`, is far below it (DESIGN.md
+/// §9).
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// The deepest array/object nesting [`Json::parse`] accepts. Requests
 /// nest 4 deep; the cap bounds the parser's recursion, so a hostile line
@@ -201,20 +210,68 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a number by JSON's grammar, `-?(0|[1-9][0-9]*)(.[0-9]+)?
+    /// ([eE][+-]?[0-9]+)?`, to a finite `f64`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
+        let invalid = |p: &Self| {
+            let text = std::str::from_utf8(&p.bytes[start..p.pos]).expect("ascii");
+            format!("invalid number `{text}` at byte {start}")
+        };
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while self.peek().is_some_and(|b| {
-            b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-'
-        }) {
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(invalid(self)),
+        }
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            if self.digits() == 0 {
+                return Err(invalid(self));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(invalid(self));
+            }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+        let x: f64 = text.parse().expect("the grammar is a subset of Rust's");
+        if x.is_finite() {
+            Ok(Json::Num(x))
+        } else {
+            Err(format!("number `{text}` at byte {start} is out of range"))
+        }
+    }
+
+    /// Consumes a run of ASCII digits; returns how many.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// The 4 hex digits after the `u` at `pos` of a `\u` escape; leaves
+    /// `pos` on the last digit.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+        self.pos += 4;
+        let hex = std::str::from_utf8(digits).expect("ascii");
+        Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -239,22 +296,32 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err("truncated \\u escape".to_string());
+                            let at = self.pos - 1;
+                            let lone = || format!("lone surrogate escape at byte {at}");
+                            let mut code = self.hex4()?;
+                            // A high surrogate and the low one in the
+                            // `\u` escape right after it encode one scalar.
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+                            {
+                                self.pos += 2;
+                                let low = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(lone());
+                                }
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            // Surrogate pairs are not needed by this
-                            // protocol (registry keys are ASCII); map
-                            // lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
+                            out.push(char::from_u32(code).ok_or_else(lone)?);
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
+                }
+                Some(b) if b < 0x20 => {
+                    return Err(format!(
+                        "unescaped control character in string at byte {}",
+                        self.pos
+                    ))
                 }
                 Some(_) => {
                     // Consume one UTF-8 scalar. The input is a `&str`, so
@@ -601,6 +668,67 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should fail");
         }
+    }
+
+    #[test]
+    fn json_unicode_escapes_take_exactly_four_hex_digits_and_pair_surrogates() {
+        let parse = |s: &str| Json::parse(s).map(|j| j.as_str().map(str::to_string));
+        assert_eq!(parse(r#""\u0041\u00e9""#), Ok(Some("Aé".to_string())));
+        assert_eq!(
+            parse(r#""\ud83d\ude00""#),
+            Ok(Some("\u{1F600}".to_string()))
+        );
+        assert_eq!(
+            parse(r#""\uD83D\uDE00!""#),
+            Ok(Some("\u{1F600}!".to_string()))
+        );
+        // `u32::from_str_radix` alone would read `+041` as 0x41.
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004""#,
+            r#""\u00g1""#,
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "`{bad}` should fail");
+        }
+    }
+
+    #[test]
+    fn json_strings_reject_raw_control_characters() {
+        assert!(Json::parse("\"a\tb\"").is_err());
+        assert!(Json::parse("\"a\nb\"").is_err());
+        assert_eq!(
+            Json::parse(r#""a\tb""#).unwrap(),
+            Json::Str("a\tb".to_string())
+        );
+    }
+
+    #[test]
+    fn json_numbers_follow_the_json_grammar_and_stay_finite() {
+        for (text, x) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-2.5e1", -25.0),
+            ("1E+2", 100.0),
+            ("1e-2", 0.01),
+            ("1e-400", 0.0),
+        ] {
+            assert_eq!(Json::parse(text), Ok(Json::Num(x)), "`{text}`");
+        }
+        for bad in [
+            "1.", "01", "-01", "-.5", ".5", "+1", "-", "1e", "1e+", "1.e5", "0x10", "1e400",
+            "-1e400", "[1.]", "[01]",
+        ] {
+            assert!(Json::parse(bad).is_err(), "`{bad}` should fail");
+        }
+        assert!(Json::parse("1e400").unwrap_err().contains("out of range"));
     }
 
     #[test]

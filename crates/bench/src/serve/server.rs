@@ -32,11 +32,11 @@
 use super::pool::{Job, JobReply, Pool};
 use super::protocol::{
     self, done_line, error_line, ok_line, parse_request, pong_line, stats_line,
-    submit_request_json, Json, Request, ServeStats,
+    submit_request_json, Json, Request, ServeStats, MAX_REQUEST_BYTES,
 };
 use crate::cell::CellKey;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -152,18 +152,27 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    // One byte past the cap tells a full-length line from an over-long one.
+    let limit = MAX_REQUEST_BYTES as u64 + 1;
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader).take(limit).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        if line.len() as u64 == limit && line.last() != Some(&b'\n') {
+            let message = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+            let _ = send_line(&mut writer, &error_line(None, &message));
+            break;
+        }
+        let request = std::str::from_utf8(&line)
+            .map_err(|_| "request line is not valid UTF-8".to_string())
+            .map(str::trim);
+        if request == Ok("") {
             continue;
         }
-        let keep_going = match parse_request(trimmed) {
+        let keep_going = match request.and_then(parse_request) {
             Err(e) => send_line(&mut writer, &error_line(None, &e)).is_ok(),
             Ok(Request::Ping) => send_line(&mut writer, &pong_line()).is_ok(),
             Ok(Request::Stats) => send_line(&mut writer, &stats_line(&shared.pool.stats())).is_ok(),

@@ -29,7 +29,7 @@
 
 use crate::cell::{self, CellKey, CellMetrics};
 use crate::generators;
-use localavg_core::algo::{registry, DynAlgorithm, RunSpec};
+use localavg_core::algo::{registry, Algorithm, RunSpec};
 use localavg_core::metrics::{CompletionTimes, Distribution, RunAggregate};
 use localavg_graph::analysis::{topology_stats, TopologyStats};
 use localavg_graph::gen::NamedGenerator;
@@ -503,14 +503,14 @@ pub fn algo_seed(master: u64, cell: &SweepCell) -> u64 {
 }
 
 /// Builds the configured algorithm table for a spec, once per spec:
-/// every algorithm key mapped to a `DynAlgorithm` with the spec's
+/// every algorithm key mapped to an [`Algorithm`] with the spec's
 /// [`ParamOverride`]s applied (defaults when none name it).
 ///
 /// # Errors
 ///
 /// Fails on overrides naming algorithms outside the spec and on
 /// key/value pairs the algorithm's validation rejects.
-fn configure(spec: &SweepSpec) -> Result<BTreeMap<String, Box<dyn DynAlgorithm>>, SweepError> {
+fn configure(spec: &SweepSpec) -> Result<BTreeMap<String, Algorithm>, SweepError> {
     let (algorithms, params) = (&spec.algorithms, &spec.params);
     for p in params {
         if !algorithms.contains(&p.algorithm) {
@@ -522,7 +522,7 @@ fn configure(spec: &SweepSpec) -> Result<BTreeMap<String, Box<dyn DynAlgorithm>>
             });
         }
     }
-    let mut algos: BTreeMap<String, Box<dyn DynAlgorithm>> = BTreeMap::new();
+    let mut algos: BTreeMap<String, Algorithm> = BTreeMap::new();
     for name in algorithms {
         let kvs: Vec<(&str, &str)> = params
             .iter()
@@ -620,7 +620,7 @@ pub fn run_with_file(
                     let g = instance(cell.generator, cell.n);
                     let algo = algos.get(cell.algorithm).expect("validated key");
                     let run_spec = RunSpec::new(algo_seed(spec.master_seed, &cell));
-                    let out = cell::execute(&**algo, cell.generator, g, &run_spec, &mut ws)
+                    let out = cell::execute(algo, cell.generator, g, &run_spec, &mut ws)
                         .unwrap_or_else(|e| panic!("{}: {e}", cell.key()));
                     let audited = out.run.transcript.audited();
                     *slots[i].lock().expect("result slot") = Some(Outcome {

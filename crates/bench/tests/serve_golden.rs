@@ -15,7 +15,10 @@
 //! * a reused connection answers at loopback speed, not at the pace of
 //!   Nagle's algorithm waiting on a delayed ACK;
 //! * a request nested too deep is an error line, not a stack overflow
-//!   that aborts the daemon.
+//!   that aborts the daemon;
+//! * a request line over `MAX_REQUEST_BYTES` is an error line that
+//!   closes only its own connection, and a line that is not UTF-8 is an
+//!   error line on a connection that stays open.
 
 use localavg_bench::cell::CellKey;
 use localavg_bench::serve::{self, Client, ServeConfig};
@@ -341,6 +344,64 @@ fn a_deeply_nested_request_is_an_error_line_not_a_dead_daemon() {
         read_line(),
         serve::protocol::pong_line(),
         "daemon stopped answering"
+    );
+    Client::connect(addr)
+        .expect("a fresh connection")
+        .ping()
+        .expect("pong");
+    shutdown(handle, addr);
+}
+
+#[test]
+fn a_line_that_is_not_utf8_is_an_error_line() {
+    use std::io::{BufRead, BufReader, Write};
+    let (handle, addr) = start_server(2022);
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    writer
+        .write_all(b"{\"op\": \"\xff\"}\n{\"op\": \"ping\"}\n")
+        .expect("send two lines");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("an error line");
+    assert!(line.contains("not valid UTF-8"), "got: {line}");
+    line.clear();
+    reader.read_line(&mut line).expect("a pong");
+    assert_eq!(line.trim_end(), serve::protocol::pong_line());
+    shutdown(handle, addr);
+}
+
+#[test]
+fn an_over_long_line_closes_only_its_connection() {
+    // One byte past the cap and no newline: the daemon must stop reading,
+    // answer with one error line and close this connection, while a fresh
+    // connection is still served.
+    use serve::protocol::MAX_REQUEST_BYTES;
+    use std::io::{BufRead, BufReader, Write};
+    let (handle, addr) = start_server(2022);
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    writer
+        .write_all(&vec![b'a'; MAX_REQUEST_BYTES + 1])
+        .expect("send the over-long line");
+    let mut reader = BufReader::new(stream);
+    let mut error = String::new();
+    reader
+        .read_line(&mut error)
+        .expect("daemon answers within the timeout");
+    assert!(error.starts_with("{\"error\""), "got: {error}");
+    assert!(error.contains("longer than"), "got: {error}");
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).expect("a clean close"),
+        0,
+        "the connection stays open: {rest}"
     );
     Client::connect(addr)
         .expect("a fresh connection")

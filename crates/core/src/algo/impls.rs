@@ -1,18 +1,20 @@
-//! [`Algorithm`] implementations for every family in the workspace.
+//! The one [`Algorithm`] type: a closed enum over every algorithm in the
+//! workspace.
 //!
-//! Each implementation is a zero-sized unit struct wrapping the family
-//! module's crate-private runner, named after the algorithm (`mis::luby`,
-//! `treerc::mis`, ...), which returns the unified [`AlgoRun`] directly.
-//! These wrappers (reached through [`super::registry`]) are the only
-//! public way to run an algorithm.
+//! Each variant carries its algorithm's typed parameters and dispatches
+//! to the family module's crate-private runner, named after the
+//! algorithm (`mis::luby`, `treerc::mis`, ...), which returns the
+//! unified [`AlgoRun`] directly. The registry entries (reached through
+//! [`super::registry`]) and the copies [`Algorithm::with_params`] makes
+//! of them are the only public way to run an algorithm.
 //!
 //! Algorithms with tuning knobs declare them as [`ParamSpec`]s and
-//! validate string assignments in `set_param` — that is what
-//! `DynAlgorithm::with_params` (and `exp --param family/name:key=value`)
+//! validate string assignments in the private `set_param` — that is what
+//! [`Algorithm::with_params`] (and `exp --param family/name:key=value`)
 //! dispatches through. Defaults are always the paper's constants, so a
 //! parameterless run is byte-identical to the pre-parameter engine.
 
-use super::{AlgoRun, Algorithm, ParamError, ParamSpec, Problem, RunSpec, Workspace};
+use super::{AlgoRun, ParamError, ParamSpec, Problem, RunSpec, Workspace};
 use crate::coloring::TrialColoringParams;
 use crate::matching::LubyMatchParams;
 use crate::mis::{DegreeGuidedParams, LubyMisParams};
@@ -22,217 +24,62 @@ use crate::{coloring, matching, mis, orientation, ruling, treerc};
 use localavg_graph::decomp::NotATree;
 use localavg_graph::Graph;
 
-/// Parses a float parameter in `(0, hi]`.
-fn parse_unit_factor(
-    algorithm: &'static str,
-    key: &str,
-    value: &str,
-    hi: f64,
-    expected: &'static str,
-) -> Result<f64, ParamError> {
-    value
-        .parse::<f64>()
-        .ok()
-        .filter(|f| f.is_finite() && *f > 0.0 && *f <= hi)
-        .ok_or_else(|| ParamError::invalid(algorithm, key, value, expected))
-}
+/// One registered algorithm together with its parameters: a
+/// [`super::registry`] entry (the paper's defaults) or an owned copy
+/// configured by [`Algorithm::with_params`].
+///
+/// The set of algorithms is closed; every method dispatches on the
+/// private variant once per call, never per round.
+#[derive(Debug, Clone)]
+pub struct Algorithm(Variant);
 
-/// Parses an unsigned integer parameter with a lower bound.
-fn parse_count(
-    algorithm: &'static str,
-    key: &str,
-    value: &str,
-    min: usize,
-    expected: &'static str,
-) -> Result<usize, ParamError> {
-    value
-        .parse::<usize>()
-        .ok()
-        .filter(|&v| v >= min)
-        .ok_or_else(|| ParamError::invalid(algorithm, key, value, expected))
-}
-
-/// Luby's randomized MIS (`"mis/luby"`, §3.1).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MisLuby;
-
-impl Algorithm for MisLuby {
-    type Params = LubyMisParams;
-
-    fn name(&self) -> &'static str {
-        "mis/luby"
-    }
-
-    fn problem(&self) -> Problem {
-        Problem::Mis
-    }
-
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        params: &LubyMisParams,
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        mis::luby(g, spec, params, ws)
-    }
-
-    fn param_specs(&self) -> &'static [ParamSpec] {
-        &[ParamSpec {
-            key: "mark-factor",
-            default: "0.5",
-            doc: "mark probability numerator, p_v = mark-factor/deg(v); a float in (0, 1]",
-        }]
-    }
-
-    fn set_param(
-        &self,
-        params: &mut LubyMisParams,
-        key: &str,
-        value: &str,
-    ) -> Result<(), ParamError> {
-        match key {
-            "mark-factor" => {
-                params.mark_factor =
-                    parse_unit_factor(self.name(), key, value, 1.0, "a float in (0, 1]")?;
-                Ok(())
-            }
-            _ => Err(ParamError::unknown_key(
-                self.name(),
-                key,
-                self.param_specs(),
-            )),
-        }
-    }
-}
-
-/// Ghaffari-style degree-guided MIS (`"mis/degree-guided"`, §3.1).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MisDegreeGuided;
-
-impl Algorithm for MisDegreeGuided {
-    type Params = DegreeGuidedParams;
-
-    fn name(&self) -> &'static str {
-        "mis/degree-guided"
-    }
-
-    fn problem(&self) -> Problem {
-        Problem::Mis
-    }
-
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        params: &DegreeGuidedParams,
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        mis::degree_guided(g, spec, params, ws)
-    }
-
-    fn param_specs(&self) -> &'static [ParamSpec] {
-        &[
-            ParamSpec {
-                key: "initial-desire",
-                default: "0.5",
-                doc: "starting desire level p_v; a float in (0, 0.5]",
-            },
-            ParamSpec {
-                key: "mass-threshold",
-                default: "2.0",
-                doc: "neighborhood desire mass above which p_v halves; a positive float",
-            },
-        ]
-    }
-
-    fn set_param(
-        &self,
-        params: &mut DegreeGuidedParams,
-        key: &str,
-        value: &str,
-    ) -> Result<(), ParamError> {
-        match key {
-            "initial-desire" => {
-                params.initial_desire =
-                    parse_unit_factor(self.name(), key, value, 0.5, "a float in (0, 0.5]")?;
-                Ok(())
-            }
-            "mass-threshold" => {
-                params.mass_threshold =
-                    parse_unit_factor(self.name(), key, value, f64::INFINITY, "a positive float")?;
-                Ok(())
-            }
-            _ => Err(ParamError::unknown_key(
-                self.name(),
-                key,
-                self.param_specs(),
-            )),
-        }
-    }
-}
-
-/// Deterministic greedy-by-id MIS baseline (`"mis/greedy"`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MisGreedy;
-
-impl Algorithm for MisGreedy {
-    type Params = ();
-
-    fn name(&self) -> &'static str {
-        "mis/greedy"
-    }
-
-    fn problem(&self) -> Problem {
-        Problem::Mis
-    }
-
-    fn deterministic(&self) -> bool {
-        true
-    }
-
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        _params: &(),
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        mis::greedy_by_id(g, spec, ws)
-    }
-}
-
-/// Theorem 2's randomized (2,2)-ruling set (`"ruling/two-two"`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RulingTwoTwo;
-
-impl Algorithm for RulingTwoTwo {
-    type Params = ();
-
-    fn name(&self) -> &'static str {
-        "ruling/two-two"
-    }
-
-    fn problem(&self) -> Problem {
-        Problem::RulingSet
-    }
-
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        _params: &(),
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        ruling::two_two(g, spec, ws)
-    }
+/// One variant per registry key, carrying that algorithm's typed
+/// parameters.
+#[derive(Debug, Clone)]
+enum Variant {
+    /// Luby's randomized MIS (`"mis/luby"`, §3.1).
+    MisLuby(LubyMisParams),
+    /// Ghaffari-style degree-guided MIS (`"mis/degree-guided"`, §3.1).
+    MisDegreeGuided(DegreeGuidedParams),
+    /// Deterministic greedy-by-id MIS baseline (`"mis/greedy"`).
+    MisGreedy,
+    /// Theorem 2's randomized (2,2)-ruling set (`"ruling/two-two"`).
+    RulingTwoTwo,
+    /// Theorem 3's deterministic (2,β)-ruling set (`"ruling/det"`).
+    RulingDet(DetRulingSpec),
+    /// Theorem 4's randomized maximal matching (`"matching/luby"`).
+    MatchingLuby(LubyMatchParams),
+    /// Theorem 5's deterministic maximal matching (`"matching/det"`).
+    MatchingDet,
+    /// Deterministic proposal-matching baseline (`"matching/greedy"`).
+    MatchingGreedy,
+    /// Randomized sinkless orientation (`"orientation/rand"`,
+    /// \[GS17a\]-style).
+    OrientationRand(RandOrientParams),
+    /// Theorem 6's deterministic sinkless orientation
+    /// (`"orientation/det"`). Its transcript is assembled structurally
+    /// (no round engine), so `spec.exec` and the workspace have no
+    /// effect; the transcript policy only decides whether the (silent)
+    /// CONGEST audit columns are stamped.
+    OrientationDet(DetOrientParams),
+    /// Randomized (Δ+1)-coloring by color trials (`"coloring/trial"`,
+    /// §1.2).
+    ColoringTrial(TrialColoringParams),
+    /// Linial's deterministic O(log* n) coloring (`"coloring/linial"`).
+    ColoringLinial,
+    /// Rake-and-compress greedy MIS on forests (`"mis/tree-rc"`).
+    MisTreeRc,
+    /// Rake-and-compress (2,2)-ruling set on forests (`"ruling/tree-rc"`).
+    RulingTreeRc,
+    /// Rake-and-compress 3-coloring on forests (`"coloring/tree-rc"`).
+    ColoringTreeRc,
 }
 
 /// How `"ruling/det"` chooses Theorem 3's iteration count. The
-/// graph-dependent variants are resolved against the input graph inside
-/// `execute_with_in`, which is what lets `Default` stay graph-agnostic.
+/// graph-dependent variants are resolved against the input graph at
+/// execution, which is what lets `Default` stay graph-agnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DetRulingSpec {
+enum DetRulingSpec {
     /// Theorem 3's (2, O(log Δ)) variant (the default).
     #[default]
     LogDelta,
@@ -244,7 +91,7 @@ pub enum DetRulingSpec {
 
 impl DetRulingSpec {
     /// Resolves the spec to concrete parameters for `g`.
-    pub fn resolve(&self, g: &Graph) -> DetRulingParams {
+    fn resolve(&self, g: &Graph) -> DetRulingParams {
         match self {
             DetRulingSpec::LogDelta => DetRulingParams::for_log_delta(g),
             DetRulingSpec::LogLogN => DetRulingParams::for_log_log_n(g),
@@ -253,443 +100,88 @@ impl DetRulingSpec {
     }
 }
 
-/// Theorem 3's deterministic (2,β)-ruling set (`"ruling/det"`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RulingDet;
+const MIS_LUBY_PARAMS: &[ParamSpec] = &[ParamSpec {
+    key: "mark-factor",
+    default: "0.5",
+    doc: "mark probability numerator, p_v = mark-factor/deg(v); a float in (0, 1]",
+}];
 
-impl Algorithm for RulingDet {
-    type Params = DetRulingSpec;
+const MIS_DEGREE_GUIDED_PARAMS: &[ParamSpec] = &[
+    ParamSpec {
+        key: "initial-desire",
+        default: "0.5",
+        doc: "starting desire level p_v; a float in (0, 0.5]",
+    },
+    ParamSpec {
+        key: "mass-threshold",
+        default: "2.0",
+        doc: "neighborhood desire mass above which p_v halves; a positive float",
+    },
+];
 
-    fn name(&self) -> &'static str {
-        "ruling/det"
-    }
+const RULING_DET_PARAMS: &[ParamSpec] = &[
+    ParamSpec {
+        key: "variant",
+        default: "log-delta",
+        doc: "iteration policy: `log-delta` (Theorem 3a) or `log-log-n` (Theorem 3b)",
+    },
+    ParamSpec {
+        key: "iterations",
+        default: "(variant)",
+        doc: "fixed halving-iteration count T (yields a (2, 2T+1)-ruling set); an integer >= 1",
+    },
+];
 
-    fn problem(&self) -> Problem {
-        Problem::RulingSet
-    }
+const MATCHING_LUBY_PARAMS: &[ParamSpec] = &[ParamSpec {
+    key: "mark-factor",
+    default: "0.25",
+    doc: "edge-mark probability numerator, p_e = mark-factor/(d_u+d_v); a float in (0, 1]",
+}];
 
-    fn deterministic(&self) -> bool {
-        true
-    }
+const ORIENTATION_RAND_PARAMS: &[ParamSpec] = &[ParamSpec {
+    key: "contest-iterations",
+    default: "8",
+    doc: "proposal-contest iterations before the structural finisher; an integer >= 1",
+}];
 
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        params: &DetRulingSpec,
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        ruling::deterministic(g, spec, params.resolve(g), ws)
-    }
+const ORIENTATION_DET_PARAMS: &[ParamSpec] = &[
+    ParamSpec {
+        key: "r",
+        default: "2",
+        doc: "the paper's constant r (short cycles of <= 6r + 1 vedges, cluster radius 2r+1); an integer >= 2",
+    },
+    ParamSpec {
+        key: "finish-threshold",
+        default: "48",
+        doc: "virtual graphs at most this large go straight to the ball-growing finisher; an integer >= 4",
+    },
+    ParamSpec {
+        key: "max-depth",
+        default: "12",
+        doc: "hard cap on contraction-recursion depth; an integer >= 1",
+    },
+];
 
-    fn param_specs(&self) -> &'static [ParamSpec] {
-        &[
-            ParamSpec {
-                key: "variant",
-                default: "log-delta",
-                doc: "iteration policy: `log-delta` (Theorem 3a) or `log-log-n` (Theorem 3b)",
-            },
-            ParamSpec {
-                key: "iterations",
-                default: "(variant)",
-                doc: "fixed halving-iteration count T (yields a (2, 2T+1)-ruling set); an integer >= 1",
-            },
-        ]
-    }
+const COLORING_TRIAL_PARAMS: &[ParamSpec] = &[ParamSpec {
+    key: "extra-colors",
+    default: "0",
+    doc: "palette slots beyond the guaranteed Δ+1; a non-negative integer",
+}];
 
-    fn set_param(
-        &self,
-        params: &mut DetRulingSpec,
-        key: &str,
-        value: &str,
-    ) -> Result<(), ParamError> {
-        // `variant` and `iterations` both choose the whole spec; a
-        // silent overwrite would make repeated --param flags
-        // order-dependent, so contradictory pairs are rejected.
-        match key {
-            "variant" => {
-                if matches!(params, DetRulingSpec::Fixed(_)) {
-                    return Err(ParamError::invalid(
-                        self.name(),
-                        key,
-                        value,
-                        "no `variant` on top of an explicit `iterations` \
-                         (the two are mutually exclusive)",
-                    ));
-                }
-                *params = match value {
-                    "log-delta" => DetRulingSpec::LogDelta,
-                    "log-log-n" => DetRulingSpec::LogLogN,
-                    _ => {
-                        return Err(ParamError::invalid(
-                            self.name(),
-                            key,
-                            value,
-                            "`log-delta` or `log-log-n`",
-                        ))
-                    }
-                };
-                Ok(())
-            }
-            "iterations" => {
-                if matches!(params, DetRulingSpec::LogLogN) {
-                    return Err(ParamError::invalid(
-                        self.name(),
-                        key,
-                        value,
-                        "no `iterations` on top of an explicit `variant` \
-                         (the two are mutually exclusive)",
-                    ));
-                }
-                let iterations = parse_count(self.name(), key, value, 1, "an integer >= 1")?;
-                *params = DetRulingSpec::Fixed(DetRulingParams { iterations });
-                Ok(())
-            }
-            _ => Err(ParamError::unknown_key(
-                self.name(),
-                key,
-                self.param_specs(),
-            )),
-        }
-    }
+/// Parses a float in `(0, hi]`.
+fn unit_factor(value: &str, hi: f64) -> Option<f64> {
+    value
+        .parse::<f64>()
+        .ok()
+        .filter(|f| f.is_finite() && *f > 0.0 && *f <= hi)
 }
 
-/// Theorem 4's randomized maximal matching (`"matching/luby"`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MatchingLuby;
-
-impl Algorithm for MatchingLuby {
-    type Params = LubyMatchParams;
-
-    fn name(&self) -> &'static str {
-        "matching/luby"
-    }
-
-    fn problem(&self) -> Problem {
-        Problem::MaximalMatching
-    }
-
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        params: &LubyMatchParams,
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        matching::luby(g, spec, params, ws)
-    }
-
-    fn param_specs(&self) -> &'static [ParamSpec] {
-        &[ParamSpec {
-            key: "mark-factor",
-            default: "0.25",
-            doc: "edge-mark probability numerator, p_e = mark-factor/(d_u+d_v); a float in (0, 1]",
-        }]
-    }
-
-    fn set_param(
-        &self,
-        params: &mut LubyMatchParams,
-        key: &str,
-        value: &str,
-    ) -> Result<(), ParamError> {
-        match key {
-            "mark-factor" => {
-                params.mark_factor =
-                    parse_unit_factor(self.name(), key, value, 1.0, "a float in (0, 1]")?;
-                Ok(())
-            }
-            _ => Err(ParamError::unknown_key(
-                self.name(),
-                key,
-                self.param_specs(),
-            )),
-        }
-    }
+/// Parses an unsigned integer of at least `min`.
+fn count(value: &str, min: usize) -> Option<usize> {
+    value.parse::<usize>().ok().filter(|&v| v >= min)
 }
 
-/// Theorem 5's deterministic maximal matching (`"matching/det"`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MatchingDet;
-
-impl Algorithm for MatchingDet {
-    type Params = ();
-
-    fn name(&self) -> &'static str {
-        "matching/det"
-    }
-
-    fn problem(&self) -> Problem {
-        Problem::MaximalMatching
-    }
-
-    fn deterministic(&self) -> bool {
-        true
-    }
-
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        _params: &(),
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        matching::deterministic(g, spec, ws)
-    }
-}
-
-/// Deterministic proposal-matching baseline (`"matching/greedy"`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MatchingGreedy;
-
-impl Algorithm for MatchingGreedy {
-    type Params = ();
-
-    fn name(&self) -> &'static str {
-        "matching/greedy"
-    }
-
-    fn problem(&self) -> Problem {
-        Problem::MaximalMatching
-    }
-
-    fn deterministic(&self) -> bool {
-        true
-    }
-
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        _params: &(),
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        matching::greedy(g, spec, ws)
-    }
-}
-
-/// Randomized sinkless orientation (`"orientation/rand"`, \[GS17a\]-style).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OrientationRand;
-
-impl Algorithm for OrientationRand {
-    type Params = RandOrientParams;
-
-    fn name(&self) -> &'static str {
-        "orientation/rand"
-    }
-
-    fn problem(&self) -> Problem {
-        Problem::SinklessOrientation
-    }
-
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        params: &RandOrientParams,
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        orientation::randomized(g, spec, params, ws)
-    }
-
-    fn param_specs(&self) -> &'static [ParamSpec] {
-        &[ParamSpec {
-            key: "contest-iterations",
-            default: "8",
-            doc: "proposal-contest iterations before the structural finisher; an integer >= 1",
-        }]
-    }
-
-    fn set_param(
-        &self,
-        params: &mut RandOrientParams,
-        key: &str,
-        value: &str,
-    ) -> Result<(), ParamError> {
-        match key {
-            "contest-iterations" => {
-                params.contest_iterations =
-                    parse_count(self.name(), key, value, 1, "an integer >= 1")?;
-                Ok(())
-            }
-            _ => Err(ParamError::unknown_key(
-                self.name(),
-                key,
-                self.param_specs(),
-            )),
-        }
-    }
-}
-
-/// Theorem 6's deterministic sinkless orientation (`"orientation/det"`).
-///
-/// The transcript is assembled structurally (no round engine), so
-/// `spec.exec` and the workspace have no effect on this algorithm; the
-/// transcript policy only decides whether the (silent) CONGEST audit
-/// columns are stamped.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OrientationDet;
-
-impl Algorithm for OrientationDet {
-    type Params = DetOrientParams;
-
-    fn name(&self) -> &'static str {
-        "orientation/det"
-    }
-
-    fn problem(&self) -> Problem {
-        Problem::SinklessOrientation
-    }
-
-    fn deterministic(&self) -> bool {
-        true
-    }
-
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        params: &DetOrientParams,
-        _ws: &mut Workspace,
-    ) -> AlgoRun {
-        orientation::deterministic(g, *params, spec.transcript)
-    }
-
-    fn param_specs(&self) -> &'static [ParamSpec] {
-        &[
-            ParamSpec {
-                key: "r",
-                default: "2",
-                doc: "the paper's constant r (short cycles of <= 6r + 1 vedges, cluster radius 2r+1); an integer >= 2",
-            },
-            ParamSpec {
-                key: "finish-threshold",
-                default: "48",
-                doc: "virtual graphs at most this large go straight to the ball-growing finisher; an integer >= 4",
-            },
-            ParamSpec {
-                key: "max-depth",
-                default: "12",
-                doc: "hard cap on contraction-recursion depth; an integer >= 1",
-            },
-        ]
-    }
-
-    fn set_param(
-        &self,
-        params: &mut DetOrientParams,
-        key: &str,
-        value: &str,
-    ) -> Result<(), ParamError> {
-        match key {
-            "r" => {
-                params.r = parse_count(self.name(), key, value, 2, "an integer >= 2")?;
-                Ok(())
-            }
-            "finish-threshold" => {
-                params.finish_threshold =
-                    parse_count(self.name(), key, value, 4, "an integer >= 4")?;
-                Ok(())
-            }
-            "max-depth" => {
-                params.max_depth = parse_count(self.name(), key, value, 1, "an integer >= 1")?;
-                Ok(())
-            }
-            _ => Err(ParamError::unknown_key(
-                self.name(),
-                key,
-                self.param_specs(),
-            )),
-        }
-    }
-}
-
-/// Randomized (Δ+1)-coloring by color trials (`"coloring/trial"`, §1.2).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ColoringTrial;
-
-impl Algorithm for ColoringTrial {
-    type Params = TrialColoringParams;
-
-    fn name(&self) -> &'static str {
-        "coloring/trial"
-    }
-
-    fn problem(&self) -> Problem {
-        Problem::Coloring
-    }
-
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        params: &TrialColoringParams,
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        coloring::random_trial(g, spec, params, ws)
-    }
-
-    fn param_specs(&self) -> &'static [ParamSpec] {
-        &[ParamSpec {
-            key: "extra-colors",
-            default: "0",
-            doc: "palette slots beyond the guaranteed Δ+1; a non-negative integer",
-        }]
-    }
-
-    fn set_param(
-        &self,
-        params: &mut TrialColoringParams,
-        key: &str,
-        value: &str,
-    ) -> Result<(), ParamError> {
-        match key {
-            "extra-colors" => {
-                params.extra_colors =
-                    parse_count(self.name(), key, value, 0, "a non-negative integer")?;
-                Ok(())
-            }
-            _ => Err(ParamError::unknown_key(
-                self.name(),
-                key,
-                self.param_specs(),
-            )),
-        }
-    }
-}
-
-/// Linial's deterministic O(log* n) coloring (`"coloring/linial"`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ColoringLinial;
-
-impl Algorithm for ColoringLinial {
-    type Params = ();
-
-    fn name(&self) -> &'static str {
-        "coloring/linial"
-    }
-
-    fn problem(&self) -> Problem {
-        Problem::Coloring
-    }
-
-    fn deterministic(&self) -> bool {
-        true
-    }
-
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        _params: &(),
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        coloring::linial(g, spec, ws)
-    }
-}
-
-/// Panic message shared by the `*/tree-rc` wrappers when the tree-domain
+/// Panic message shared by the `*/tree-rc` variants when the tree-domain
 /// filters were bypassed and a cyclic graph reached a tree algorithm.
 fn expect_tree(name: &'static str, result: Result<AlgoRun, NotATree>) -> AlgoRun {
     result.unwrap_or_else(|e| {
@@ -701,100 +193,243 @@ fn expect_tree(name: &'static str, result: Result<AlgoRun, NotATree>) -> AlgoRun
     })
 }
 
-/// Rake-and-compress greedy MIS on forests (`"mis/tree-rc"`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MisTreeRc;
-
-impl Algorithm for MisTreeRc {
-    type Params = ();
-
-    fn name(&self) -> &'static str {
-        "mis/tree-rc"
+impl Algorithm {
+    /// Every algorithm with its default parameters, in registry order.
+    pub(super) fn all() -> Vec<Algorithm> {
+        use Variant::*;
+        [
+            MisLuby(LubyMisParams::default()),
+            MisDegreeGuided(DegreeGuidedParams::default()),
+            MisGreedy,
+            RulingTwoTwo,
+            RulingDet(DetRulingSpec::default()),
+            MatchingLuby(LubyMatchParams::default()),
+            MatchingDet,
+            MatchingGreedy,
+            OrientationRand(RandOrientParams::default()),
+            OrientationDet(DetOrientParams::default()),
+            ColoringTrial(TrialColoringParams::default()),
+            ColoringLinial,
+            MisTreeRc,
+            RulingTreeRc,
+            ColoringTreeRc,
+        ]
+        .into_iter()
+        .map(Algorithm)
+        .collect()
     }
 
-    fn problem(&self) -> Problem {
-        Problem::Mis
+    /// Stable registry key, e.g. `"mis/luby"`.
+    pub fn name(&self) -> &'static str {
+        match self.0 {
+            Variant::MisLuby(_) => "mis/luby",
+            Variant::MisDegreeGuided(_) => "mis/degree-guided",
+            Variant::MisGreedy => "mis/greedy",
+            Variant::RulingTwoTwo => "ruling/two-two",
+            Variant::RulingDet(_) => "ruling/det",
+            Variant::MatchingLuby(_) => "matching/luby",
+            Variant::MatchingDet => "matching/det",
+            Variant::MatchingGreedy => "matching/greedy",
+            Variant::OrientationRand(_) => "orientation/rand",
+            Variant::OrientationDet(_) => "orientation/det",
+            Variant::ColoringTrial(_) => "coloring/trial",
+            Variant::ColoringLinial => "coloring/linial",
+            Variant::MisTreeRc => "mis/tree-rc",
+            Variant::RulingTreeRc => "ruling/tree-rc",
+            Variant::ColoringTreeRc => "coloring/tree-rc",
+        }
     }
 
-    fn requires_tree(&self) -> bool {
-        true
+    /// The problem this algorithm solves.
+    pub fn problem(&self) -> Problem {
+        match self.0 {
+            Variant::MisLuby(_)
+            | Variant::MisDegreeGuided(_)
+            | Variant::MisGreedy
+            | Variant::MisTreeRc => Problem::Mis,
+            Variant::RulingTwoTwo | Variant::RulingDet(_) | Variant::RulingTreeRc => {
+                Problem::RulingSet
+            }
+            Variant::MatchingLuby(_) | Variant::MatchingDet | Variant::MatchingGreedy => {
+                Problem::MaximalMatching
+            }
+            Variant::OrientationRand(_) | Variant::OrientationDet(_) => {
+                Problem::SinklessOrientation
+            }
+            Variant::ColoringTrial(_) | Variant::ColoringLinial | Variant::ColoringTreeRc => {
+                Problem::Coloring
+            }
+        }
     }
 
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        _params: &(),
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        expect_tree(self.name(), treerc::mis(g, spec, ws))
-    }
-}
-
-/// Rake-and-compress (2,2)-ruling set on forests (`"ruling/tree-rc"`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RulingTreeRc;
-
-impl Algorithm for RulingTreeRc {
-    type Params = ();
-
-    fn name(&self) -> &'static str {
-        "ruling/tree-rc"
+    /// Whether the run is a pure function of the graph (the seed is
+    /// ignored).
+    pub fn deterministic(&self) -> bool {
+        matches!(
+            self.0,
+            Variant::MisGreedy
+                | Variant::RulingDet(_)
+                | Variant::MatchingDet
+                | Variant::MatchingGreedy
+                | Variant::OrientationDet(_)
+                | Variant::ColoringLinial
+        )
     }
 
-    fn problem(&self) -> Problem {
-        Problem::RulingSet
+    /// Whether the algorithm's domain is restricted to forests. Sweep and
+    /// fuzz sampling only pair `true` algorithms with generators flagged
+    /// [`localavg_graph::gen::NamedGenerator::is_tree`]; forcing such a
+    /// pairing by hand yields a
+    /// [`localavg_graph::decomp::NotATree`]-carrying panic from
+    /// [`Algorithm::execute_in`].
+    pub fn requires_tree(&self) -> bool {
+        matches!(
+            self.0,
+            Variant::MisTreeRc | Variant::RulingTreeRc | Variant::ColoringTreeRc
+        )
     }
 
-    fn requires_tree(&self) -> bool {
-        true
+    /// The string-keyed parameters this algorithm accepts (empty for
+    /// parameterless algorithms).
+    pub fn param_specs(&self) -> &'static [ParamSpec] {
+        match self.0 {
+            Variant::MisLuby(_) => MIS_LUBY_PARAMS,
+            Variant::MisDegreeGuided(_) => MIS_DEGREE_GUIDED_PARAMS,
+            Variant::RulingDet(_) => RULING_DET_PARAMS,
+            Variant::MatchingLuby(_) => MATCHING_LUBY_PARAMS,
+            Variant::OrientationRand(_) => ORIENTATION_RAND_PARAMS,
+            Variant::OrientationDet(_) => ORIENTATION_DET_PARAMS,
+            Variant::ColoringTrial(_) => COLORING_TRIAL_PARAMS,
+            _ => &[],
+        }
     }
 
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        _params: &(),
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        expect_tree(self.name(), treerc::ruling(g, spec, ws))
-    }
-}
-
-/// Rake-and-compress 3-coloring on forests (`"coloring/tree-rc"`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ColoringTreeRc;
-
-impl Algorithm for ColoringTreeRc {
-    type Params = ();
-
-    fn name(&self) -> &'static str {
-        "coloring/tree-rc"
+    /// An owned copy with the given `(key, value)` assignments applied, in
+    /// order, on top of this instance's parameters.
+    ///
+    /// # Errors
+    ///
+    /// [`ParamError::UnknownKey`] / [`ParamError::NoParams`] for keys not
+    /// in [`Algorithm::param_specs`] (with a closest-match suggestion),
+    /// [`ParamError::InvalidValue`] for values that fail the algorithm's
+    /// validation.
+    pub fn with_params(&self, params: &[(&str, &str)]) -> Result<Algorithm, ParamError> {
+        let mut configured = self.clone();
+        for (key, value) in params {
+            configured.set_param(key, value)?;
+        }
+        Ok(configured)
     }
 
-    fn problem(&self) -> Problem {
-        Problem::Coloring
+    /// Applies one string-keyed parameter assignment, validating key and
+    /// value.
+    fn set_param(&mut self, key: &str, value: &str) -> Result<(), ParamError> {
+        let (name, specs) = (self.name(), self.param_specs());
+        let invalid = |expected| ParamError::invalid(name, key, value, expected);
+        match (&mut self.0, key) {
+            (Variant::MisLuby(p), "mark-factor") => {
+                p.mark_factor =
+                    unit_factor(value, 1.0).ok_or_else(|| invalid("a float in (0, 1]"))?
+            }
+            (Variant::MisDegreeGuided(p), "initial-desire") => {
+                p.initial_desire =
+                    unit_factor(value, 0.5).ok_or_else(|| invalid("a float in (0, 0.5]"))?
+            }
+            (Variant::MisDegreeGuided(p), "mass-threshold") => {
+                p.mass_threshold =
+                    unit_factor(value, f64::INFINITY).ok_or_else(|| invalid("a positive float"))?
+            }
+            // `variant` and `iterations` both choose the whole spec; a
+            // silent overwrite would make repeated --param flags
+            // order-dependent, so contradictory pairs are rejected.
+            (Variant::RulingDet(p), "variant") => {
+                if matches!(p, DetRulingSpec::Fixed(_)) {
+                    return Err(invalid(
+                        "no `variant` on top of an explicit `iterations` \
+                         (the two are mutually exclusive)",
+                    ));
+                }
+                *p = match value {
+                    "log-delta" => DetRulingSpec::LogDelta,
+                    "log-log-n" => DetRulingSpec::LogLogN,
+                    _ => return Err(invalid("`log-delta` or `log-log-n`")),
+                }
+            }
+            (Variant::RulingDet(p), "iterations") => {
+                if matches!(p, DetRulingSpec::LogLogN) {
+                    return Err(invalid(
+                        "no `iterations` on top of an explicit `variant` \
+                         (the two are mutually exclusive)",
+                    ));
+                }
+                let iterations = count(value, 1).ok_or_else(|| invalid("an integer >= 1"))?;
+                *p = DetRulingSpec::Fixed(DetRulingParams { iterations })
+            }
+            (Variant::MatchingLuby(p), "mark-factor") => {
+                p.mark_factor =
+                    unit_factor(value, 1.0).ok_or_else(|| invalid("a float in (0, 1]"))?
+            }
+            (Variant::OrientationRand(p), "contest-iterations") => {
+                p.contest_iterations = count(value, 1).ok_or_else(|| invalid("an integer >= 1"))?
+            }
+            (Variant::OrientationDet(p), "r") => {
+                p.r = count(value, 2).ok_or_else(|| invalid("an integer >= 2"))?
+            }
+            (Variant::OrientationDet(p), "finish-threshold") => {
+                p.finish_threshold = count(value, 4).ok_or_else(|| invalid("an integer >= 4"))?
+            }
+            (Variant::OrientationDet(p), "max-depth") => {
+                p.max_depth = count(value, 1).ok_or_else(|| invalid("an integer >= 1"))?
+            }
+            (Variant::ColoringTrial(p), "extra-colors") => {
+                p.extra_colors = count(value, 0).ok_or_else(|| invalid("a non-negative integer"))?
+            }
+            _ => return Err(ParamError::unknown_key(name, key, specs)),
+        }
+        Ok(())
     }
 
-    fn requires_tree(&self) -> bool {
-        true
+    /// Runs under `spec` with this instance's parameters and fresh arenas.
+    pub fn execute(&self, g: &Graph, spec: &RunSpec) -> AlgoRun {
+        self.execute_in(g, spec, &mut Workspace::new())
     }
 
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        _params: &(),
-        ws: &mut Workspace,
-    ) -> AlgoRun {
-        expect_tree(self.name(), treerc::coloring(g, spec, ws))
+    /// Runs under `spec` with this instance's parameters, reusing the
+    /// arenas in `ws`.
+    ///
+    /// Executors are bit-identical (see `localavg_sim::engine`), so
+    /// `spec.exec` is a pure performance knob; structural algorithms that
+    /// never enter the round engine ignore it (and the workspace).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `*/tree-rc` algorithm (see
+    /// [`Algorithm::requires_tree`]) is handed a graph with a cycle.
+    pub fn execute_in(&self, g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
+        match &self.0 {
+            Variant::MisLuby(p) => mis::luby(g, spec, p, ws),
+            Variant::MisDegreeGuided(p) => mis::degree_guided(g, spec, p, ws),
+            Variant::MisGreedy => mis::greedy_by_id(g, spec, ws),
+            Variant::RulingTwoTwo => ruling::two_two(g, spec, ws),
+            Variant::RulingDet(p) => ruling::deterministic(g, spec, p.resolve(g), ws),
+            Variant::MatchingLuby(p) => matching::luby(g, spec, p, ws),
+            Variant::MatchingDet => matching::deterministic(g, spec, ws),
+            Variant::MatchingGreedy => matching::greedy(g, spec, ws),
+            Variant::OrientationRand(p) => orientation::randomized(g, spec, p, ws),
+            Variant::OrientationDet(p) => orientation::deterministic(g, *p, spec.transcript),
+            Variant::ColoringTrial(p) => coloring::random_trial(g, spec, p, ws),
+            Variant::ColoringLinial => coloring::linial(g, spec, ws),
+            Variant::MisTreeRc => expect_tree(self.name(), treerc::mis(g, spec, ws)),
+            Variant::RulingTreeRc => expect_tree(self.name(), treerc::ruling(g, spec, ws)),
+            Variant::ColoringTreeRc => expect_tree(self.name(), treerc::coloring(g, spec, ws)),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{registry, DynAlgorithm, Solution};
+    use crate::algo::{registry, Solution};
     use localavg_graph::gen;
     use localavg_graph::rng::Rng;
 
@@ -815,11 +450,8 @@ mod tests {
     #[test]
     fn ruling_det_beta_tracks_spec() {
         let g = gen::grid(5, 5);
-        let run = RulingDet.execute_with(
-            &g,
-            &RunSpec::new(0),
-            &DetRulingSpec::Fixed(DetRulingParams { iterations: 3 }),
-        );
+        let fixed = DetRulingSpec::Fixed(DetRulingParams { iterations: 3 });
+        let run = Algorithm(Variant::RulingDet(fixed)).execute(&g, &RunSpec::new(0));
         match run.solution {
             Solution::RulingSet { beta, .. } => assert_eq!(beta, 7),
             ref other => panic!("wrong solution kind: {other:?}"),
@@ -831,7 +463,7 @@ mod tests {
     fn deterministic_flags_match_seed_behavior() {
         let mut rng = Rng::seed_from(4);
         let g = gen::random_regular(40, 4, &mut rng).unwrap();
-        for algo in crate::algo::registry().iter() {
+        for algo in registry().iter() {
             if algo.problem().min_degree() > g.min_degree() || !algo.deterministic() {
                 continue;
             }
@@ -851,10 +483,7 @@ mod tests {
         let mut rng = Rng::seed_from(7);
         let g = gen::random_regular(32, 3, &mut rng).unwrap();
         for name in ["orientation/rand", "orientation/det"] {
-            let run = crate::algo::registry()
-                .get(name)
-                .unwrap()
-                .execute(&g, &RunSpec::new(2));
+            let run = registry().get(name).unwrap().execute(&g, &RunSpec::new(2));
             run.verify(&g).expect("sinkless");
         }
     }
@@ -903,14 +532,6 @@ mod tests {
         }
     }
 
-    /// `expect_err` needs `T: Debug`, which trait-object boxes lack.
-    fn param_err(result: Result<Box<dyn DynAlgorithm>, ParamError>) -> ParamError {
-        match result {
-            Err(e) => e,
-            Ok(_) => panic!("expected a parameter error"),
-        }
-    }
-
     #[test]
     fn invalid_values_are_rejected_with_expectations() {
         let cases: &[(&str, &str, &str)] = &[
@@ -925,7 +546,11 @@ mod tests {
             ("coloring/trial", "extra-colors", "-1"),
         ];
         for (name, key, value) in cases {
-            let err = param_err(registry().get(name).unwrap().with_params(&[(key, value)]));
+            let err = registry()
+                .get(name)
+                .unwrap()
+                .with_params(&[(key, value)])
+                .expect_err("an invalid value");
             assert!(
                 matches!(err, ParamError::InvalidValue { .. }),
                 "{name} {key}={value}: got {err:?}"
@@ -939,10 +564,14 @@ mod tests {
         // `variant` and `iterations` both pick the whole spec: combining
         // them must fail loudly instead of silently keeping the last one.
         let r = registry().get("ruling/det").unwrap();
-        let err = param_err(r.with_params(&[("iterations", "3"), ("variant", "log-delta")]));
+        let err = r
+            .with_params(&[("iterations", "3"), ("variant", "log-delta")])
+            .expect_err("a conflicting pair");
         assert!(matches!(err, ParamError::InvalidValue { .. }));
         assert!(err.to_string().contains("mutually exclusive"));
-        let err = param_err(r.with_params(&[("variant", "log-log-n"), ("iterations", "3")]));
+        let err = r
+            .with_params(&[("variant", "log-log-n"), ("iterations", "3")])
+            .expect_err("a conflicting pair");
         assert!(matches!(err, ParamError::InvalidValue { .. }));
         // Each alone still works.
         assert!(r.with_params(&[("variant", "log-log-n")]).is_ok());
@@ -951,12 +580,11 @@ mod tests {
 
     #[test]
     fn unknown_keys_suggest_close_matches() {
-        let err = param_err(
-            registry()
-                .get("mis/luby")
-                .unwrap()
-                .with_params(&[("mark-facotr", "0.5")]),
-        );
+        let err = registry()
+            .get("mis/luby")
+            .unwrap()
+            .with_params(&[("mark-facotr", "0.5")])
+            .expect_err("an unknown key");
         match err {
             ParamError::UnknownKey { suggestion, .. } => {
                 assert_eq!(suggestion, Some("mark-factor"));
@@ -964,12 +592,11 @@ mod tests {
             other => panic!("expected UnknownKey, got {other:?}"),
         }
         // Parameterless algorithms reject with NoParams.
-        let err = param_err(
-            registry()
-                .get("mis/greedy")
-                .unwrap()
-                .with_params(&[("anything", "1")]),
-        );
+        let err = registry()
+            .get("mis/greedy")
+            .unwrap()
+            .with_params(&[("anything", "1")])
+            .expect_err("a key on a parameterless algorithm");
         assert!(matches!(err, ParamError::NoParams { .. }));
         assert!(err.to_string().contains("takes no parameters"));
     }
@@ -984,12 +611,12 @@ mod tests {
             .unwrap();
         // Re-configuring a configured algorithm overrides on top.
         let refined = base.with_params(&[("iterations", "2")]).unwrap();
-        let beta = |algo: &dyn DynAlgorithm| match algo.execute(&g, &RunSpec::new(0)).solution {
+        let beta = |algo: &Algorithm| match algo.execute(&g, &RunSpec::new(0)).solution {
             Solution::RulingSet { beta, .. } => beta,
             ref other => panic!("wrong solution kind: {other:?}"),
         };
-        assert_eq!(beta(base.as_ref()), 3);
-        assert_eq!(beta(refined.as_ref()), 5);
+        assert_eq!(beta(&base), 3);
+        assert_eq!(beta(&refined), 5);
         assert_eq!(refined.problem(), Problem::RulingSet);
         assert!(refined.deterministic());
         assert_eq!(refined.param_specs().len(), 2);

@@ -1,13 +1,14 @@
-//! Unified algorithm API: one trait, one result type, one registry.
+//! Unified algorithm API: one algorithm type, one result type, one registry.
 //!
 //! The paper measures every algorithm with the same yardstick — the
 //! per-node/per-edge commit times of Definition 1 — yet each family
 //! (MIS, ruling sets, matching, orientation, coloring) naturally produces
 //! a differently-typed output. This module erases that difference:
 //!
-//! * [`Algorithm`] — the one trait every implementation satisfies:
-//!   `name()`, `problem()`, a typed [`Algorithm::Params`] with a sane
-//!   `Default`, and `execute(&Graph, &RunSpec) -> AlgoRun`.
+//! * [`Algorithm`] — one concrete type over a closed set of 15
+//!   algorithms, each carrying its typed parameters: `name()`,
+//!   `problem()`, `param_specs()`, and `execute(&Graph, &RunSpec) ->
+//!   AlgoRun`.
 //! * [`RunSpec`] — everything one run needs besides graph and algorithm
 //!   parameters: seed, executor, round budget, and a
 //!   [`TranscriptPolicy`] that lets the engine skip ledger bookkeeping
@@ -23,8 +24,8 @@
 //! * [`registry`] — the string-keyed catalog (`"mis/luby"`,
 //!   `"ruling/two-two"`, `"matching/det"`, …) for dynamic dispatch:
 //!   sweep drivers iterate it instead of special-casing five families.
-//!   [`DynAlgorithm::with_params`] configures an entry from string
-//!   `key=value` pairs with per-algorithm validation, so CLIs can vary
+//!   [`Algorithm::with_params`] copies an entry with string `key=value`
+//!   pairs applied under per-algorithm validation, so CLIs can vary
 //!   tuning knobs without knowing the typed parameter structs.
 //!
 //! # Quickstart
@@ -78,11 +79,7 @@
 
 mod impls;
 
-pub use impls::{
-    ColoringLinial, ColoringTreeRc, ColoringTrial, DetRulingSpec, MatchingDet, MatchingGreedy,
-    MatchingLuby, MisDegreeGuided, MisGreedy, MisLuby, MisTreeRc, OrientationDet, OrientationRand,
-    RulingDet, RulingTreeRc, RulingTwoTwo,
-};
+pub use impls::Algorithm;
 
 use crate::metrics::{CompletionTimes, ComplexityReport};
 use localavg_graph::analysis::{self, Orientation};
@@ -430,11 +427,11 @@ impl AlgoRun {
 }
 
 /// Declares one string-keyed tuning parameter of an algorithm (the
-/// machine-readable side of [`Algorithm::set_param`]). Listed by
+/// machine-readable side of [`Algorithm::with_params`]). Listed by
 /// `exp --list` and the README parameter table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParamSpec {
-    /// Parameter key as accepted by [`DynAlgorithm::with_params`]
+    /// Parameter key as accepted by [`Algorithm::with_params`]
     /// (kebab-case, e.g. `"mark-factor"`).
     pub key: &'static str,
     /// Human-readable rendering of the default value.
@@ -480,9 +477,13 @@ pub enum ParamError {
 impl ParamError {
     /// The standard rejection for a key that matches no [`ParamSpec`]:
     /// picks [`ParamError::NoParams`] or a [`ParamError::UnknownKey`]
-    /// with a `suggest()`-style closest match. Implementations call this
-    /// from `set_param`'s fall-through arm.
-    pub fn unknown_key(algorithm: &'static str, key: &str, specs: &[ParamSpec]) -> ParamError {
+    /// with a `suggest()`-style closest match, from `set_param`'s
+    /// fall-through arm.
+    pub(crate) fn unknown_key(
+        algorithm: &'static str,
+        key: &str,
+        specs: &[ParamSpec],
+    ) -> ParamError {
         if specs.is_empty() {
             return ParamError::NoParams {
                 algorithm,
@@ -499,7 +500,7 @@ impl ParamError {
     }
 
     /// Builds an [`ParamError::InvalidValue`].
-    pub fn invalid(
+    pub(crate) fn invalid(
         algorithm: &'static str,
         key: &str,
         value: &str,
@@ -547,263 +548,28 @@ impl fmt::Display for ParamError {
 
 impl std::error::Error for ParamError {}
 
-/// The unified algorithm interface with statically-typed parameters.
-///
-/// Implementations are zero-sized unit structs (e.g. [`MisLuby`]); the
-/// registry exposes them through the object-safe [`DynAlgorithm`] facade.
-/// The one required entry point is [`Algorithm::execute_with_in`] —
-/// graph, [`RunSpec`], typed parameters, reusable [`Workspace`]; every
-/// other entry point (`execute`, `execute_with`, `execute_in`) is a
-/// convenience default over it. Call [`Algorithm::execute_with`] directly
-/// when you need non-default typed parameters.
-pub trait Algorithm {
-    /// Tuning parameters. `Default` must be sensible on any input graph
-    /// (graph-dependent defaults are resolved inside `execute_with_in`).
-    type Params: Clone + Default + fmt::Debug;
-
-    /// Stable registry key, e.g. `"mis/luby"`.
-    fn name(&self) -> &'static str;
-
-    /// The problem this algorithm solves.
-    fn problem(&self) -> Problem;
-
-    /// Whether the run is a pure function of the graph (the seed is
-    /// ignored).
-    fn deterministic(&self) -> bool {
-        false
-    }
-
-    /// Whether the algorithm's domain is restricted to forests. Sweep and
-    /// fuzz sampling only pair `true` algorithms with generators flagged
-    /// [`localavg_graph::gen::NamedGenerator::is_tree`]; forcing such a
-    /// pairing by hand yields a
-    /// [`localavg_graph::decomp::NotATree`]-carrying panic from
-    /// [`Algorithm::execute_with_in`].
-    fn requires_tree(&self) -> bool {
-        false
-    }
-
-    /// Runs under `spec` with explicit parameters, reusing the arenas in
-    /// `ws` — the primary entry point every implementation provides.
-    ///
-    /// Executors are bit-identical (see `localavg_sim::engine`), so
-    /// `spec.exec` is a pure performance knob; structural algorithms that
-    /// never enter the round engine ignore it (and the workspace).
-    fn execute_with_in(
-        &self,
-        g: &Graph,
-        spec: &RunSpec,
-        params: &Self::Params,
-        ws: &mut Workspace,
-    ) -> AlgoRun;
-
-    /// Runs under `spec` with explicit parameters and fresh arenas.
-    fn execute_with(&self, g: &Graph, spec: &RunSpec, params: &Self::Params) -> AlgoRun {
-        self.execute_with_in(g, spec, params, &mut Workspace::new())
-    }
-
-    /// Runs under `spec` with default parameters and fresh arenas.
-    fn execute(&self, g: &Graph, spec: &RunSpec) -> AlgoRun {
-        self.execute_with(g, spec, &Self::Params::default())
-    }
-
-    /// Runs under `spec` with default parameters, reusing the arenas in
-    /// `ws`.
-    fn execute_in(&self, g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
-        self.execute_with_in(g, spec, &Self::Params::default(), ws)
-    }
-
-    /// The string-keyed parameters this algorithm accepts (empty for
-    /// parameterless algorithms).
-    fn param_specs(&self) -> &'static [ParamSpec] {
-        &[]
-    }
-
-    /// Applies one string-keyed parameter assignment to `params`,
-    /// validating key and value. The default rejects every key (correct
-    /// for parameterless algorithms); implementations with a non-empty
-    /// [`Algorithm::param_specs`] override it.
-    ///
-    /// # Errors
-    ///
-    /// [`ParamError::UnknownKey`] / [`ParamError::NoParams`] for keys not
-    /// in `param_specs()`, [`ParamError::InvalidValue`] for values that
-    /// fail the algorithm's validation.
-    fn set_param(
-        &self,
-        params: &mut Self::Params,
-        key: &str,
-        value: &str,
-    ) -> Result<(), ParamError> {
-        let _ = (params, value);
-        Err(ParamError::unknown_key(
-            self.name(),
-            key,
-            self.param_specs(),
-        ))
-    }
-}
-
-/// Object-safe facade over [`Algorithm`] for the string-keyed registry
-/// (the typed `Params` associated type keeps `Algorithm` itself out of
-/// trait-object land). Blanket-implemented for every `Algorithm`.
-///
-/// [`DynAlgorithm::with_params`] is the string-keyed counterpart of the
-/// typed `Algorithm::execute_with`: it validates `key=value` pairs
-/// against the algorithm's [`ParamSpec`]s and returns a configured,
-/// boxed algorithm that runs with those parameters — what
-/// `exp sweep --param family/name:key=value` dispatches through.
-pub trait DynAlgorithm: Send + Sync {
-    /// Stable registry key.
-    fn name(&self) -> &'static str;
-    /// The problem solved.
-    fn problem(&self) -> Problem;
-    /// Whether the seed is ignored.
-    fn deterministic(&self) -> bool;
-    /// Whether the algorithm's domain is restricted to forests (see
-    /// [`Algorithm::requires_tree`]).
-    fn requires_tree(&self) -> bool;
-    /// Runs under `spec` with this instance's parameters (defaults for
-    /// registry entries; overridden values for configured instances).
-    fn execute(&self, g: &Graph, spec: &RunSpec) -> AlgoRun;
-    /// Runs under `spec`, reusing the arenas in `ws`.
-    fn execute_in(&self, g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun;
-    /// The string-keyed parameters this algorithm accepts.
-    fn param_specs(&self) -> &'static [ParamSpec];
-    /// Builds a configured instance with the given `(key, value)`
-    /// assignments applied on top of this instance's parameters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the algorithm's [`ParamError`] (unknown key with a
-    /// closest-match suggestion, or invalid value).
-    fn with_params(&self, params: &[(&str, &str)]) -> Result<Box<dyn DynAlgorithm>, ParamError>;
-}
-
-impl<A> DynAlgorithm for A
-where
-    A: Algorithm + Copy + Send + Sync + 'static,
-    A::Params: Send + Sync + 'static,
-{
-    fn name(&self) -> &'static str {
-        Algorithm::name(self)
-    }
-
-    fn problem(&self) -> Problem {
-        Algorithm::problem(self)
-    }
-
-    fn deterministic(&self) -> bool {
-        Algorithm::deterministic(self)
-    }
-
-    fn requires_tree(&self) -> bool {
-        Algorithm::requires_tree(self)
-    }
-
-    fn execute(&self, g: &Graph, spec: &RunSpec) -> AlgoRun {
-        Algorithm::execute(self, g, spec)
-    }
-
-    fn execute_in(&self, g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
-        Algorithm::execute_in(self, g, spec, ws)
-    }
-
-    fn param_specs(&self) -> &'static [ParamSpec] {
-        Algorithm::param_specs(self)
-    }
-
-    fn with_params(&self, params: &[(&str, &str)]) -> Result<Box<dyn DynAlgorithm>, ParamError> {
-        let mut typed = A::Params::default();
-        for (key, value) in params {
-            Algorithm::set_param(self, &mut typed, key, value)?;
-        }
-        Ok(Box::new(Configured {
-            algo: *self,
-            params: typed,
-        }))
-    }
-}
-
-/// An algorithm bound to explicit typed parameters — what
-/// [`DynAlgorithm::with_params`] returns. Runs exactly like the bare
-/// algorithm, substituting the stored parameters for the defaults.
-struct Configured<A: Algorithm> {
-    algo: A,
-    params: A::Params,
-}
-
-impl<A> DynAlgorithm for Configured<A>
-where
-    A: Algorithm + Copy + Send + Sync + 'static,
-    A::Params: Send + Sync + 'static,
-{
-    fn name(&self) -> &'static str {
-        Algorithm::name(&self.algo)
-    }
-
-    fn problem(&self) -> Problem {
-        Algorithm::problem(&self.algo)
-    }
-
-    fn deterministic(&self) -> bool {
-        Algorithm::deterministic(&self.algo)
-    }
-
-    fn requires_tree(&self) -> bool {
-        Algorithm::requires_tree(&self.algo)
-    }
-
-    fn execute(&self, g: &Graph, spec: &RunSpec) -> AlgoRun {
-        self.algo.execute_with(g, spec, &self.params)
-    }
-
-    fn execute_in(&self, g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> AlgoRun {
-        self.algo.execute_with_in(g, spec, &self.params, ws)
-    }
-
-    fn param_specs(&self) -> &'static [ParamSpec] {
-        Algorithm::param_specs(&self.algo)
-    }
-
-    fn with_params(&self, params: &[(&str, &str)]) -> Result<Box<dyn DynAlgorithm>, ParamError> {
-        let mut typed = self.params.clone();
-        for (key, value) in params {
-            self.algo.set_param(&mut typed, key, value)?;
-        }
-        Ok(Box::new(Configured {
-            algo: self.algo,
-            params: typed,
-        }))
-    }
-}
-
 /// The string-keyed catalog of every registered algorithm.
 pub struct Registry {
-    entries: Vec<&'static dyn DynAlgorithm>,
+    entries: Vec<Algorithm>,
 }
 
 impl Registry {
-    /// Looks an algorithm up by its registry key.
-    pub fn get(&self, name: &str) -> Option<&'static dyn DynAlgorithm> {
-        self.entries.iter().copied().find(|a| a.name() == name)
+    /// Looks an algorithm up by its registry key. The entry runs with
+    /// its default parameters; [`Algorithm::with_params`] makes a
+    /// configured copy.
+    pub fn get(&self, name: &str) -> Option<&Algorithm> {
+        self.entries.iter().find(|a| a.name() == name)
     }
 
     /// All registered algorithms, in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &'static dyn DynAlgorithm> + '_ {
-        self.entries.iter().copied()
+    pub fn iter(&self) -> impl Iterator<Item = &Algorithm> + '_ {
+        self.entries.iter()
     }
 
     /// The registered algorithms solving `problem`, in registration
     /// order — the filter behind `exp --problem mis|coloring|…`.
-    pub fn by_problem(
-        &self,
-        problem: Problem,
-    ) -> impl Iterator<Item = &'static dyn DynAlgorithm> + '_ {
-        self.entries
-            .iter()
-            .copied()
-            .filter(move |a| a.problem() == problem)
+    pub fn by_problem(&self, problem: Problem) -> impl Iterator<Item = &Algorithm> + '_ {
+        self.entries.iter().filter(move |a| a.problem() == problem)
     }
 
     /// All registry keys, in registration order.
@@ -855,23 +621,7 @@ impl Registry {
 pub fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| Registry {
-        entries: vec![
-            &MisLuby,
-            &MisDegreeGuided,
-            &MisGreedy,
-            &RulingTwoTwo,
-            &RulingDet,
-            &MatchingLuby,
-            &MatchingDet,
-            &MatchingGreedy,
-            &OrientationRand,
-            &OrientationDet,
-            &ColoringTrial,
-            &ColoringLinial,
-            &MisTreeRc,
-            &RulingTreeRc,
-            &ColoringTreeRc,
-        ],
+        entries: Algorithm::all(),
     })
 }
 
@@ -901,18 +651,19 @@ mod tests {
     }
 
     #[test]
-    fn dyn_execute_matches_typed_execute() {
+    fn a_configured_copy_runs_like_its_registry_entry() {
         let mut rng = Rng::seed_from(2);
         let g = gen::random_regular(48, 4, &mut rng).unwrap();
         let spec = RunSpec::new(5);
-        let dynamic = registry().get("mis/luby").unwrap().execute(&g, &spec);
-        let typed = Algorithm::execute(&MisLuby, &g, &spec);
-        assert_eq!(dynamic.solution, typed.solution);
+        let entry = registry().get("mis/luby").unwrap();
+        let copy = entry.with_params(&[]).unwrap();
+        let (a, b) = (entry.execute(&g, &spec), copy.execute(&g, &spec));
+        assert_eq!(a.solution, b.solution);
         assert_eq!(
-            dynamic.transcript.node_commit_round,
-            typed.transcript.node_commit_round
+            a.transcript.node_commit_round,
+            b.transcript.node_commit_round
         );
-        assert_eq!(dynamic.algorithm, "mis/luby");
+        assert_eq!(b.algorithm, "mis/luby");
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl MessageSize for TrialMsg {
 
 /// Tuning parameters of the random-trial coloring (`"coloring/trial"`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TrialColoringParams {
+pub(crate) struct TrialColoringParams {
     /// Extra palette slots beyond the guaranteed Δ+1: a larger palette
     /// lowers the per-attempt conflict probability at the cost of more
     /// colors. The paper's §1.2 algorithm uses 0.

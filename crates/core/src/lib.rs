@@ -7,7 +7,7 @@
 //!
 //! | Module | Paper result |
 //! |---|---|
-//! | [`algo`] | Unified [`algo::Algorithm`] trait, [`algo::AlgoRun`] result type, and the string-keyed [`algo::registry`] over every implementation |
+//! | [`algo`] | The one [`algo::Algorithm`] type, the [`algo::AlgoRun`] result type, and the string-keyed [`algo::registry`] of every algorithm |
 //! | [`metrics`] | Definition 1 (`AVG_V`, `AVG_E`, footnote-2 convention), Appendix A (weighted, expected, worst case) |
 //! | [`check`] | Independent oracle: naive reference validators, brute-force optima for tiny instances, and a second Definition 1 accounting (what `exp fuzz` cross-checks against) |
 //! | [`mis`] | §3.1: Luby's MIS, degree-guided MIS, deterministic greedy |

@@ -82,7 +82,7 @@ impl MessageSize for LubyMatchMsg {
 
 /// Tuning parameters of Theorem 4's matching (`"matching/luby"`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LubyMatchParams {
+pub(crate) struct LubyMatchParams {
     /// Per-iteration edge-mark probability numerator: edge `{u,v}` is
     /// marked with probability `mark_factor / (d_u + d_v)`. Theorem 4's
     /// choice `1/(4(d_u + d_v))` is `0.25`; must lie in `(0, 1]`.

@@ -75,7 +75,7 @@ impl MessageSize for MisMsg {
 
 /// Tuning parameters of Luby's MIS (`"mis/luby"`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LubyMisParams {
+pub(crate) struct LubyMisParams {
     /// Per-iteration mark probability numerator: an active node marks
     /// itself with probability `mark_factor / deg(v)`. The classic choice
     /// `1/(2 deg(v))` is `0.5`; must lie in `(0, 1]` so the probability
@@ -213,7 +213,7 @@ const DESIRE_SCALE: f64 = (1u64 << 32) as f64;
 
 /// Tuning parameters of the degree-guided MIS (`"mis/degree-guided"`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegreeGuidedParams {
+pub(crate) struct DegreeGuidedParams {
     /// Starting desire level `p_v` (and the cap desire levels double back
     /// up to). Ghaffari's choice is `1/2`; must lie in `(0, 0.5]`.
     pub initial_desire: f64,

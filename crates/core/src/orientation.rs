@@ -350,7 +350,7 @@ impl Process for RandOrient {
 
 /// Tuning parameters of the randomized orientation (`"orientation/rand"`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RandOrientParams {
+pub(crate) struct RandOrientParams {
     /// Proposal-contest iterations before the structural finisher takes
     /// over; more iterations shrink the residue the finisher pays for.
     /// Must be at least 1.
@@ -680,7 +680,7 @@ struct LevelResult {
 
 /// Parameters of the deterministic algorithm.
 #[derive(Debug, Clone, Copy)]
-pub struct DetOrientParams {
+pub(crate) struct DetOrientParams {
     /// The paper's constant `r` (short cycles of `<= 6r + 1` vedges,
     /// cluster radius `2r+1`, stretch `4r+4`). The paper takes `r >= 15`
     /// for its constant bounds; `r = 2` keeps the measured constants small
@@ -807,6 +807,47 @@ fn level0_vgraph(g: &Graph) -> VGraph {
     }
 }
 
+/// Free-port waves: free ports and links to decided vnodes are outs.
+/// Wave `i` runs at `clock + i·stretch`; in it every undecided vnode (in
+/// id order, seeing the vnodes decided earlier in the same wave) with such
+/// a port orients it outward and decides. Returns the clock of the last
+/// wave that decided a vnode, or `clock` if none did.
+fn free_port_waves(
+    vg: &VGraph,
+    decided: &mut [bool],
+    stretch: usize,
+    mut clock: usize,
+    ledger: &mut Ledger,
+    result: &mut LevelResult,
+) -> usize {
+    loop {
+        let wave = clock + stretch;
+        let mut changed = false;
+        for v in 0..decided.len() {
+            if decided[v] {
+                continue;
+            }
+            let out = vg.ports[v].iter().copied().find(|&ve| {
+                result.vedge_dir[ve].is_none()
+                    && match vg.other(ve, v) {
+                        None => true,
+                        Some(u) => decided[u],
+                    }
+            });
+            if let Some(ve) = out {
+                orient_vedge(vg, ve, v, wave, ledger, result);
+                decided[v] = true;
+                result.vnode_clock[v] = wave;
+                changed = true;
+            }
+        }
+        if !changed {
+            return clock;
+        }
+        clock = wave;
+    }
+}
+
 /// One level of Theorem 6's recursion. Fills `result` with the direction
 /// and clock of every vedge and the decision clock of every vnode.
 #[allow(clippy::too_many_arguments)]
@@ -822,35 +863,7 @@ fn solve_level(
     let n = vg.host.len();
     let r = params.r;
     let mut decided = vec![false; n];
-    let mut clock_now = clock;
-
-    // --- Free-port waves: free ports and links to decided vnodes are outs.
-    loop {
-        clock_now += stretch;
-        let mut changed = false;
-        for v in 0..n {
-            if decided[v] {
-                continue;
-            }
-            let out = vg.ports[v].iter().copied().find(|&ve| {
-                result.vedge_dir[ve].is_none()
-                    && match vg.other(ve, v) {
-                        None => true,
-                        Some(u) => decided[u],
-                    }
-            });
-            if let Some(ve) = out {
-                orient_vedge(vg, ve, v, clock_now, ledger, result);
-                decided[v] = true;
-                result.vnode_clock[v] = clock_now;
-                changed = true;
-            }
-        }
-        if !changed {
-            clock_now -= stretch;
-            break;
-        }
-    }
+    let mut clock_now = free_port_waves(vg, &mut decided, stretch, clock, ledger, result);
 
     // --- Short cycles (<= 6r + 1 vedges) among links of undecided vnodes,
     // each vedge oriented by its lexicographically smallest sorted-id key.
@@ -868,34 +881,8 @@ fn solve_level(
                 result.vnode_clock[v] = cycle_clock;
             }
         }
-        clock_now = cycle_clock;
         // New decided vnodes unlock more waves.
-        loop {
-            clock_now += stretch;
-            let mut changed = false;
-            for v in 0..n {
-                if decided[v] {
-                    continue;
-                }
-                let out = vg.ports[v].iter().copied().find(|&ve| {
-                    result.vedge_dir[ve].is_none()
-                        && match vg.other(ve, v) {
-                            None => true,
-                            Some(u) => decided[u],
-                        }
-                });
-                if let Some(ve) = out {
-                    orient_vedge(vg, ve, v, clock_now, ledger, result);
-                    decided[v] = true;
-                    result.vnode_clock[v] = clock_now;
-                    changed = true;
-                }
-            }
-            if !changed {
-                clock_now -= stretch;
-                break;
-            }
-        }
+        clock_now = free_port_waves(vg, &mut decided, stretch, cycle_clock, ledger, result);
     }
 
     let remaining: Vec<usize> = (0..n).filter(|&v| !decided[v]).collect();

@@ -232,7 +232,7 @@ impl MessageSize for DetMsg {
 /// Parameters of the deterministic ruling set: the number of
 /// dominating-set iterations before the MIS finisher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetRulingParams {
+pub(crate) struct DetRulingParams {
     /// Number of halving iterations `T` (the final β is `2T + 1`).
     pub iterations: usize,
 }
@@ -619,7 +619,6 @@ impl Process for DetRuling {
 ///
 /// ```
 /// use localavg_core::algo::{registry, RunSpec, Solution};
-/// use localavg_core::ruling::DetRulingParams;
 /// use localavg_graph::{analysis, gen};
 ///
 /// let g = gen::grid(8, 8);
@@ -628,7 +627,8 @@ impl Process for DetRuling {
 /// let Solution::RulingSet { in_set, beta } = &run.solution else {
 ///     panic!("ruling/det returns a ruling set");
 /// };
-/// assert_eq!(*beta, 2 * DetRulingParams::for_log_delta(&g).iterations + 1);
+/// // The default `log-delta` variant: T = 3⌈log₂ Δ⌉ + 1 = 7 at Δ = 4.
+/// assert_eq!(*beta, 2 * 7 + 1);
 /// assert!(analysis::is_ruling_set(&g, in_set, 2, *beta));
 /// ```
 pub(crate) fn deterministic(

@@ -36,9 +36,9 @@
 //! directly from the decomposition rather than by driving the round engine,
 //! and is therefore independent of executor, chunk geometry, and transcript
 //! policy. Non-forest inputs are rejected with the typed
-//! [`NotATree`] error — the `Algorithm` wrappers in [`crate::algo`] turn
-//! that into a panic only when the registry's tree-domain filters have been
-//! bypassed.
+//! [`NotATree`] error — the `*/tree-rc` variants of
+//! [`crate::algo::Algorithm`] turn that into a panic only when the
+//! registry's tree-domain filters have been bypassed.
 //!
 //! # Example
 //!

@@ -75,7 +75,7 @@ use std::collections::BTreeMap;
 /// parameters: seed, executor, round budget, and transcript policy.
 ///
 /// This is the argument of the `execute(&Graph, &RunSpec)` entry points
-/// (`localavg-core`'s `Algorithm`/`DynAlgorithm`) and of
+/// (`localavg-core`'s `Algorithm`) and of
 /// [`RunSpec::run_in`], the engine's only driver. Built with chainable
 /// `with_*` setters:
 ///

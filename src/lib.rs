@@ -16,9 +16,8 @@
 //!   deterministic (Theorem 5) maximal matching, deterministic
 //!   (Theorem 6) and randomized sinkless orientation, coloring
 //!   subroutines, plus the averaged-complexity metrics of Definition 1 and
-//!   Appendix A — all reachable through the unified
-//!   [`core::algo::Algorithm`] trait and the string-keyed
-//!   [`core::algo::registry`].
+//!   Appendix A — all reachable through the string-keyed
+//!   [`core::algo::registry`] of [`core::algo::Algorithm`] values.
 //! * [`lowerbound`] ([`localavg_lowerbound`]) — the KMW-style lower-bound
 //!   machinery of §4: cluster-tree skeletons, base graphs, random lifts,
 //!   the view-isomorphism Algorithm 1, and the doubled matching
@@ -50,3 +49,8 @@ pub use localavg_core as core;
 pub use localavg_graph as graph;
 pub use localavg_lowerbound as lowerbound;
 pub use localavg_sim as sim;
+
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -3,9 +3,7 @@
 //! and `localavg-lowerbound`, with metrics cross-checked on the shared
 //! `AlgoRun` result type.
 
-use localavg::core::algo::{
-    registry, AlgoRun, Algorithm, DetRulingSpec, RulingDet, RunSpec, Solution,
-};
+use localavg::core::algo::{registry, AlgoRun, RunSpec, Solution};
 use localavg::core::metrics::{CompletionTimes, RunAggregate};
 use localavg::graph::{gen, rng::Rng};
 use localavg::lowerbound::base_graph::{BaseGraph, LiftedGk};
@@ -123,8 +121,12 @@ fn orientation_on_lower_bound_graph() {
 fn ruling_det_specs_resolve_per_graph() {
     let mut rng = Rng::seed_from(19);
     let g = gen::random_regular(128, 4, &mut rng).unwrap();
-    for spec in [DetRulingSpec::LogDelta, DetRulingSpec::LogLogN] {
-        let r = RulingDet.execute_with(&g, &RunSpec::new(0), &spec);
+    let det = registry().get("ruling/det").expect("registered");
+    for variant in ["log-delta", "log-log-n"] {
+        let r = det
+            .with_params(&[("variant", variant)])
+            .expect("a registered variant")
+            .execute(&g, &RunSpec::new(0));
         r.verify(&g).expect("valid ruling set");
         match r.solution {
             Solution::RulingSet { beta, .. } => assert!(beta >= 3),

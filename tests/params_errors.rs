@@ -2,9 +2,11 @@
 //! [`ParamSpec`] in the registry gets an unknown-key case (asserting the
 //! `suggest()`-style closest match) and an invalid-value case, so a new
 //! parameter cannot land without validation. Parameterless algorithms
-//! are pinned to the `NoParams` rejection.
+//! are pinned to the `NoParams` rejection, and every documented default
+//! must run exactly like the bare registry entry.
 
-use localavg::core::algo::{registry, ParamError};
+use localavg::core::algo::{registry, ParamError, RunSpec};
+use localavg::graph::{gen, rng::Rng};
 
 #[test]
 fn every_param_spec_rejects_an_invalid_value() {
@@ -14,10 +16,9 @@ fn every_param_spec_rejects_an_invalid_value() {
     // the expected range from the spec.
     for algo in registry().iter() {
         for spec in algo.param_specs() {
-            let err = match algo.with_params(&[(spec.key, "not-a-value")]) {
-                Err(e) => e,
-                Ok(_) => panic!("{}:{} accepted garbage", algo.name(), spec.key),
-            };
+            let err = algo
+                .with_params(&[(spec.key, "not-a-value")])
+                .expect_err("garbage must be rejected");
             match err {
                 ParamError::InvalidValue {
                     algorithm,
@@ -58,10 +59,9 @@ fn every_param_spec_suggests_itself_for_a_typo() {
     for algo in registry().iter() {
         for spec in algo.param_specs() {
             let typo = format!("{}z", spec.key);
-            let err = match algo.with_params(&[(typo.as_str(), "1")]) {
-                Err(e) => e,
-                Ok(_) => panic!("{} accepted typo key `{typo}`", algo.name()),
-            };
+            let err = algo
+                .with_params(&[(typo.as_str(), "1")])
+                .expect_err("a typo key must be rejected");
             match err {
                 ParamError::UnknownKey {
                     algorithm,
@@ -104,12 +104,14 @@ fn garbage_keys_get_no_misleading_suggestion() {
         if algo.param_specs().is_empty() {
             continue;
         }
-        match algo.with_params(&[("zzzzzzzzzz", "1")]) {
-            Err(ParamError::UnknownKey { suggestion, .. }) => {
+        match algo
+            .with_params(&[("zzzzzzzzzz", "1")])
+            .expect_err("a garbage key")
+        {
+            ParamError::UnknownKey { suggestion, .. } => {
                 assert_eq!(suggestion, None, "{}", algo.name());
             }
-            Err(other) => panic!("{}: expected UnknownKey, got {other:?}", algo.name()),
-            Ok(_) => panic!("{}: garbage key accepted", algo.name()),
+            other => panic!("{}: expected UnknownKey, got {other:?}", algo.name()),
         }
     }
 }
@@ -122,15 +124,17 @@ fn parameterless_algorithms_reject_every_key_as_no_params() {
             continue;
         }
         covered += 1;
-        match algo.with_params(&[("anything", "1")]) {
-            Err(ParamError::NoParams { algorithm, key }) => {
+        match algo
+            .with_params(&[("anything", "1")])
+            .expect_err("an unknown key")
+        {
+            ParamError::NoParams { algorithm, key } => {
                 assert_eq!(algorithm, algo.name());
                 assert_eq!(key, "anything");
                 let msg = ParamError::NoParams { algorithm, key }.to_string();
                 assert!(msg.contains("takes no parameters"), "{msg}");
             }
-            Err(other) => panic!("{}: expected NoParams, got {other:?}", algo.name()),
-            Ok(_) => panic!("{}: unknown key accepted", algo.name()),
+            other => panic!("{}: expected NoParams, got {other:?}", algo.name()),
         }
     }
     // The registry currently has 5 parameterless algorithms; at least
@@ -145,10 +149,7 @@ fn ruling_det_mutually_exclusive_pairs_are_rejected_in_both_orders() {
         [("iterations", "2"), ("variant", "log-delta")],
         [("variant", "log-log-n"), ("iterations", "3")],
     ] {
-        let err = match det.with_params(&pair) {
-            Err(e) => e,
-            Ok(_) => panic!("exclusive pair accepted"),
-        };
+        let err = det.with_params(&pair).expect_err("an exclusive pair");
         assert!(
             matches!(err, ParamError::InvalidValue { .. }),
             "expected InvalidValue, got {err:?}"
@@ -182,4 +183,41 @@ fn valid_overrides_round_trip_through_with_params() {
             .with_params(&[(key, value)])
             .unwrap_or_else(|e| panic!("{algo}:{key}={value} rejected: {e}"));
     }
+}
+
+#[test]
+fn documented_defaults_are_the_defaults() {
+    // Every `ParamSpec::default` that is a literal value, assigned
+    // explicitly, must reproduce the bare registry entry's run exactly:
+    // the strings `exp --list` and the README print are the values the
+    // algorithm really starts from. `ruling/det`'s `iterations` default
+    // is "(variant)", a description rather than a value.
+    let mut rng = Rng::seed_from(23);
+    let g = gen::random_regular(48, 4, &mut rng).expect("graph");
+    let spec = RunSpec::new(6);
+    let mut checked = 0;
+    // The `*/tree-rc` entries take no parameters, so a cyclic instance
+    // serves every entry that has some.
+    for algo in registry().iter().filter(|a| !a.param_specs().is_empty()) {
+        let bare = algo.execute(&g, &spec);
+        for p in algo.param_specs() {
+            if p.default.starts_with('(') {
+                continue;
+            }
+            let run = algo
+                .with_params(&[(p.key, p.default)])
+                .unwrap_or_else(|e| panic!("{}:{}={}: {e}", algo.name(), p.key, p.default))
+                .execute(&g, &spec);
+            let what = format!("{}:{}={}", algo.name(), p.key, p.default);
+            assert_eq!(run.solution, bare.solution, "{what}");
+            assert_eq!(
+                run.completion_times(&g),
+                bare.completion_times(&g),
+                "{what}"
+            );
+            assert_eq!(run.transcript.rounds, bare.transcript.rounds, "{what}");
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 10, "literal defaults across the registry");
 }
