@@ -1886,6 +1886,90 @@ mod tests {
     }
 
     #[test]
+    fn finisher_charges_cycle_then_distance_on_a_level0_vgraph() {
+        // Every vnode undecided and no waves: the finisher does the whole
+        // job. Per component, the vnodes with the smallest clock are its
+        // cycle, charged clock + (cycle length + 1)·stretch; every other
+        // vnode pays its link distance to the cycle on top, ·stretch.
+        let (clock, stretch) = (7, 3);
+        for g in [gen::petersen(), regular3(40, 4), regular3(96, 5)] {
+            let vg = level0_vgraph(&g);
+            let n = vg.host.len();
+            assert!(vg.vedges.iter().all(|ve| ve.b.is_some()), "all links");
+            let mut ledger = Ledger::new(&g);
+            let mut result = LevelResult {
+                vedge_dir: vec![None; vg.vedges.len()],
+                vnode_clock: vec![0; n],
+            };
+            ball_finisher(
+                &vg,
+                &vec![false; n],
+                stretch,
+                clock,
+                &mut ledger,
+                &mut result,
+            );
+            assert!((0..n).all(|v| has_outward(&vg, v, &result)), "a sink");
+            let c = &result.vnode_clock;
+            let out = |v: usize| {
+                vg.ports[v]
+                    .iter()
+                    .find_map(|&ve| {
+                        let (from_a, _) = result.vedge_dir[ve]?;
+                        let e = &vg.vedges[ve];
+                        (if from_a { e.a == v } else { e.b == Some(v) })
+                            .then(|| vg.other(ve, v).expect("link"))
+                    })
+                    .expect("an out-link")
+            };
+            // Components of the link graph, each with its cycle.
+            let mut comp = vec![usize::MAX; n];
+            for s in 0..n {
+                if comp[s] != usize::MAX {
+                    continue;
+                }
+                let mut members = vec![s];
+                comp[s] = s;
+                let mut i = 0;
+                while i < members.len() {
+                    for &ve in &vg.ports[members[i]] {
+                        let u = vg.other(ve, members[i]).expect("link");
+                        if comp[u] == usize::MAX {
+                            comp[u] = s;
+                            members.push(u);
+                        }
+                    }
+                    i += 1;
+                }
+                let low = members.iter().map(|&v| c[v]).min().expect("nonempty");
+                let cycle: Vec<usize> = members.iter().copied().filter(|&v| c[v] == low).collect();
+                assert_eq!(low, clock + (cycle.len() + 1) * stretch);
+                // The cycle vnodes' out-links walk one simple cycle.
+                let mut v = cycle[0];
+                for step in 1..=cycle.len() {
+                    v = out(v);
+                    assert_eq!(c[v], low);
+                    assert_eq!(v == cycle[0], step == cycle.len());
+                }
+                // Tree vnodes: BFS distance to the cycle, ·stretch.
+                let mut dist = vec![usize::MAX; n];
+                let mut queue: VecDeque<usize> = cycle.iter().copied().collect();
+                cycle.iter().for_each(|&v| dist[v] = 0);
+                while let Some(v) = queue.pop_front() {
+                    assert_eq!(c[v], low + dist[v] * stretch, "vnode {v}");
+                    for &ve in &vg.ports[v] {
+                        let u = vg.other(ve, v).expect("link");
+                        if dist[u] == usize::MAX {
+                            dist[u] = dist[v] + 1;
+                            queue.push_back(u);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn randomized_on_petersen() {
         let run = randomized(&gen::petersen(), 3);
         assert!(analysis::is_sinkless_orientation(

@@ -4,10 +4,15 @@
 //! orientation, the Definition 1 node and edge completion times, and the
 //! worst case, on the families whose short cycles the algorithm orients
 //! first (`regular/3`, `regular/4`, `hypercube`, `lb/lift/1`).
+//!
+//! The same fingerprint pins `orientation/rand` on two instances whose
+//! unsatisfied residue is the whole graph, so its structural finisher
+//! orients every edge: a circular ladder and `regular/3` at n = 4096.
 
 use localavg::core::algo::{registry, RunSpec, Solution};
 use localavg::graph::analysis::Orientation;
-use localavg_bench::{cell, generators};
+use localavg::graph::{io, Graph};
+use localavg_bench::cell;
 
 /// FNV-1a over a stream of `u64` words (little-endian bytes).
 struct Fnv(u64);
@@ -34,24 +39,17 @@ impl Fnv {
     }
 }
 
-/// The fingerprint of one `orientation/det` run on `family` at size `n`
-/// with graph seed `cell::graph_seed(master, family, n)`.
-fn fingerprint(family: &str, n: usize, master: u64) -> u64 {
-    let g = generators::registry()
-        .get(family)
-        .unwrap_or_else(|| panic!("{family} not registered"))
-        .build(n, cell::graph_seed(master, family, n))
-        .unwrap_or_else(|e| panic!("{family} n={n}: {e:?}"));
+/// The fingerprint of one run of `algo` on `g` from run seed `seed`.
+fn fingerprint(algo: &str, g: &Graph, seed: u64) -> u64 {
     let run = registry()
-        .get("orientation/det")
-        .expect("orientation/det registered")
-        .execute(&g, &RunSpec::new(0));
-    run.verify(&g)
-        .unwrap_or_else(|e| panic!("{family} n={n} master={master}: {e}"));
+        .get(algo)
+        .unwrap_or_else(|| panic!("{algo} not registered"))
+        .execute(g, &RunSpec::new(seed));
+    run.verify(g).unwrap_or_else(|e| panic!("{algo}: {e}"));
     let Solution::Orientation { orientation } = &run.solution else {
-        panic!("orientation/det returned a non-orientation solution");
+        panic!("{algo} returned a non-orientation solution");
     };
-    let times = run.completion_times(&g);
+    let times = run.completion_times(g);
     let mut h = Fnv::new();
     h.words(
         orientation
@@ -69,7 +67,9 @@ fn fingerprint(family: &str, n: usize, master: u64) -> u64 {
 fn check(family: &str, n: usize, pinned: &[(u64, u64)]) {
     let mut wrong = Vec::new();
     for &(master, want) in pinned {
-        let got = fingerprint(family, n, master);
+        let g = cell::build_instance(family, n, master)
+            .unwrap_or_else(|e| panic!("{family} n={n} master={master}: {e}"));
+        let got = fingerprint("orientation/det", &g, 0);
         if got != want {
             wrong.push(format!(
                 "{family} n={n} master={master}: got {got:#018x}, pinned {want:#018x}"
@@ -118,4 +118,42 @@ fn lb_lift1_is_pinned() {
         1152,
         &[(1, 0xe1e4_44fa_9a50_12b6), (2, 0xd26e_35af_39e1_3e97)],
     );
+}
+
+/// The circular ladder C_{n/2} × K₂: rungs `(i, i + n/2)` and two rails.
+fn circular_ladder(n: usize) -> Graph {
+    let half = n / 2;
+    let mut edges = Vec::new();
+    for i in 0..half {
+        let j = (i + 1) % half;
+        edges.extend([(i, half + i), (i, j), (half + i, half + j)]);
+    }
+    Graph::from_edges(n, &edges).expect("a simple 3-regular graph")
+}
+
+/// Asserts the pinned `orientation/rand` fingerprint on `g`, run from the
+/// seed of sweep cell `(master 0, family, n, orientation/rand, 0)`.
+fn check_rand(family: &str, g: &Graph, want: u64) {
+    let seed = cell::algo_seed(0, family, g.n(), "orientation/rand", 0);
+    let got = fingerprint("orientation/rand", g, seed);
+    assert_eq!(
+        got,
+        want,
+        "orientation/rand bytes moved on {family} n={}: got {got:#018x}, pinned {want:#018x}",
+        g.n()
+    );
+}
+
+#[test]
+fn rand_circular_ladder_is_pinned() {
+    // Imported from an edge list, the ladder is a `file/<hash>` family.
+    let g = circular_ladder(1024);
+    let family = cell::file_family(io::content_hash(&g));
+    check_rand(&family, &g, 0xdbb5_046e_6956_1860);
+}
+
+#[test]
+fn rand_regular3_is_pinned() {
+    let g = cell::build_instance("regular/3", 4096, 0).expect("regular/3 builds");
+    check_rand("regular/3", &g, 0xcd90_3e5c_3209_8f3b);
 }
