@@ -12,11 +12,11 @@
 //! * `"orientation/rand"` — proposal contests in the spirit of \[GS17a\]: every
 //!   unsatisfied node claims a random unoriented edge each iteration, with
 //!   a *grant rule* that keeps every unsatisfied node at least two
-//!   unoriented edges (so nobody can be starved into a sink). After O(1)
-//!   iterations the unsatisfied residue is tiny; it is finished by the
-//!   structural cycle-orientation rule below, whose cost is charged per
-//!   node as the ball radius actually needed (the LOCAL-model equivalence
-//!   of §2: a T-round algorithm ≡ a function of the radius-T view).
+//!   unoriented edges (so nobody can be starved into a sink). On a
+//!   3-regular input no proposing node has grant budget (3 − 2 − 1 = 0),
+//!   so the contest orients nothing and the structural finisher below
+//!   does the whole job: at n = 65 536, d = 3 a run reads 25.00 awake
+//!   node-rounds per node, node-avg 45.55 and peak message bits 0.
 //! * `"orientation/det"` — Theorem 6's algorithm with its contraction-level
 //!   cost accounting implemented exactly as the paper's proof charges it:
 //!   each node picks 3 edges (unreciprocated picks act as the paper's
@@ -27,7 +27,25 @@
 //!   is clustered around a (2r+1)-independent set, cluster interiors
 //!   orient toward the kept exit paths, and the cluster graph recurses as
 //!   a virtual graph where one virtual round costs `4r+4` real rounds.
-//!   The few final virtual nodes are finished by the ball-growing rule.
+//!   The few final virtual nodes go to the structural finisher below.
+//!   Clustering and that finisher run only on a residue component of the
+//!   level-0 mutual-pick graph that is 3-regular with no cycle of at most
+//!   6r + 1 vedges; at r = 2 the Moore bound puts such a component at 254
+//!   or more vnodes. No registry family, test or benchmark builds one:
+//!   there the waves and the short cycles decide every vnode at level 0.
+//!
+//! Both finish with one structural rule on a virtual graph;
+//! `orientation/rand` builds a stretch-1 one with a link per unoriented
+//! edge of an unsatisfied node:
+//!
+//! * `waves`: undecided vnodes take a free port or a link to a decided
+//!   vnode as their out-edge, one wave per `stretch` rounds;
+//! * `cycle_finisher`: each leftover component orients toward the cycle
+//!   that a BFS from its minimum-id vnode closes, every vnode charged the
+//!   radius it read (the LOCAL-model equivalence of §2: a T-round
+//!   algorithm ≡ a function of the radius-T view);
+//! * `default_orient`: every edge still unset orients away from its
+//!   higher-id endpoint.
 //!
 //! See DESIGN.md ("Theorem 6 contraction levels") for the accounting and
 //! substitution notes: the clustering MIS uses a measured greedy sweep
@@ -366,9 +384,9 @@ impl Default for RandOrientParams {
 }
 
 /// Runs the randomized sinkless orientation (`"orientation/rand"`):
-/// contest phase plus the structural ball-growing finisher (see module
-/// docs). The workspace serves the contest phase; the finisher allocates
-/// its own ledger.
+/// contest phase plus the structural finisher (see module docs). The
+/// workspace serves the contest phase; the finisher allocates its own
+/// ledger.
 ///
 /// # Panics
 ///
@@ -400,7 +418,9 @@ pub(crate) fn randomized(
     );
     let t = spec.run_in::<RandOrient>(g, &params.contest_iterations, ws);
 
-    // Transfer the phase-1 commits into the ledger, then finish structurally.
+    // Transfer the phase-1 commits into the ledger, then finish structurally
+    // on a stretch-1 vgraph: one vnode per node, ports in `g.neighbors`
+    // order.
     let mut ledger = Ledger::new(g);
     for e in 0..g.m() {
         if let Some(o) = t.edge_output[e] {
@@ -408,183 +428,49 @@ pub(crate) fn randomized(
         }
     }
     let base = t.rounds;
-    finish_structurally(g, &mut ledger, base);
+    // A node is satisfied (decided at `base`) once it has an out-edge.
+    let mut decided: Vec<bool> = g
+        .nodes()
+        .map(|v| {
+            g.degree(v) == 0
+                || g.neighbors(v)
+                    .any(|(_, e)| ledger.orient[e].is_some_and(|o| o.tail(g, e) == v))
+        })
+        .collect();
+    // An unsatisfied node picks its unoriented edges: a link to another
+    // unsatisfied node, a free port toward a satisfied one.
+    let picks: Vec<Vec<EdgeId>> = g
+        .nodes()
+        .map(|v| {
+            g.neighbors(v)
+                .map(|(_, e)| e)
+                .filter(|&e| !decided[v] && !ledger.is_set(e))
+                .collect()
+        })
+        .collect();
+    let vg = picked_vgraph(g, &picks);
+    let mut result = LevelResult {
+        vedge_dir: vec![None; vg.vedges.len()],
+        vnode_clock: decided.iter().map(|&d| if d { base } else { 0 }).collect(),
+    };
+    // The finisher starts one tick after the last productive wave.
+    let clock = waves(&vg, &mut decided, 1, base, &mut ledger, &mut result) + 1;
+    cycle_finisher(&vg, &decided, 1, clock, &mut ledger, &mut result);
+    default_orient(g, &result.vnode_clock, &mut ledger, clock);
     finalize("orientation/rand", g, ledger, spec.transcript)
 }
 
-/// Completes any partial orientation: satisfied-neighbor waves, then the
-/// cycle rule on the min-degree-2 unsatisfied residue.
-fn finish_structurally(g: &Graph, ledger: &mut Ledger, base: usize) {
-    let out_deg = |g: &Graph, ledger: &Ledger, v: NodeId| {
-        g.neighbors(v)
-            .filter(|&(_, e)| ledger.orient[e].map(|o| o.tail(g, e) == v) == Some(true))
-            .count()
-    };
-    let mut satisfied: Vec<bool> = g
-        .nodes()
-        .map(|v| g.degree(v) == 0 || out_deg(g, ledger, v) >= 1)
-        .collect();
-    for v in g.nodes() {
-        if satisfied[v] && ledger.node_clock[v] == 0 {
-            ledger.decide_node(v, base);
-        }
+/// Decides every node at its level-0 vnode clock, then orients every edge
+/// still unset away from its higher-id endpoint, one tick after the later
+/// of `floor` and its endpoints' decision clocks.
+fn default_orient(g: &Graph, vnode_clock: &[usize], ledger: &mut Ledger, floor: usize) {
+    for (v, &c) in vnode_clock.iter().enumerate() {
+        ledger.decide_node(v, c);
     }
-
-    // Wave phase: unoriented edges with a satisfied endpoint orient away
-    // from the unsatisfied one (or by id when both are satisfied later).
-    let mut clock = base;
-    loop {
-        clock += 1;
-        let mut changed = false;
-        for v in g.nodes() {
-            if satisfied[v] {
-                continue;
-            }
-            let free = g
-                .neighbors(v)
-                .find(|&(u, e)| !ledger.is_set(e) && satisfied[u]);
-            if let Some((_, e)) = free {
-                ledger.set(e, Orientation::away_from(g, e, v), clock);
-                satisfied[v] = true;
-                ledger.decide_node(v, clock);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Residue: unsatisfied nodes whose unoriented edges all lead to
-    // unsatisfied nodes. The residue has minimum degree >= 2, so every
-    // component contains a cycle: orient trees toward a cycle and the
-    // cycle around itself.
-    let residue: Vec<NodeId> = g.nodes().filter(|&v| !satisfied[v]).collect();
-    if !residue.is_empty() {
-        let keep: Vec<bool> = g.nodes().map(|v| !satisfied[v]).collect();
-        orient_toward_cycles(g, &keep, ledger, clock);
-    }
-
-    // Defaults: everything else orients higher id -> lower id once both
-    // endpoints are decided.
     for (e, u, v) in g.edges() {
         if !ledger.is_set(e) {
-            let c = ledger.node_clock[u].max(ledger.node_clock[v]).max(clock) + 1;
+            let c = ledger.node_clock[u].max(ledger.node_clock[v]).max(floor) + 1;
             ledger.set(e, Orientation::away_from(g, e, u.max(v)), c);
-        }
-    }
-}
-
-/// Orients the subgraph induced by `keep` (every kept node must have >= 2
-/// kept unoriented neighbors) so that every kept node gets an out-edge:
-/// per component, find a cycle via BFS, orient it consistently, and point
-/// BFS trees toward it. Charges each node `dist + cycle length` clock
-/// ticks — the radius a LOCAL algorithm would need (§2's equivalence).
-fn orient_toward_cycles(g: &Graph, keep: &[bool], ledger: &mut Ledger, base: usize) {
-    let mut visited = vec![false; g.n()];
-    for start in g.nodes().filter(|&v| keep[v]) {
-        if visited[start] {
-            continue;
-        }
-        // Collect the component over kept nodes and unoriented edges.
-        let mut comp = Vec::new();
-        let mut queue = VecDeque::from([start]);
-        visited[start] = true;
-        while let Some(v) = queue.pop_front() {
-            comp.push(v);
-            for (u, e) in g.neighbors(v) {
-                if keep[u] && !ledger.is_set(e) && !visited[u] {
-                    visited[u] = true;
-                    queue.push_back(u);
-                }
-            }
-        }
-        // BFS from the minimum-id node until a non-tree edge closes a cycle.
-        let root = *comp.iter().min().expect("nonempty component");
-        let mut parent: HashMap<NodeId, (NodeId, EdgeId)> = HashMap::new();
-        let mut depth: HashMap<NodeId, usize> = HashMap::new();
-        depth.insert(root, 0);
-        let mut q = VecDeque::from([root]);
-        let mut cycle_edge: Option<(NodeId, NodeId, EdgeId)> = None;
-        'bfs: while let Some(v) = q.pop_front() {
-            for (u, e) in g.neighbors(v) {
-                if !keep[u] || ledger.is_set(e) {
-                    continue;
-                }
-                if let Some(&(_, pe)) = parent.get(&v) {
-                    if pe == e {
-                        continue;
-                    }
-                }
-                if depth.contains_key(&u) {
-                    cycle_edge = Some((v, u, e));
-                    break 'bfs;
-                }
-                depth.insert(u, depth[&v] + 1);
-                parent.insert(u, (v, e));
-                q.push_back(u);
-            }
-        }
-        let (x, y, closing) = cycle_edge.expect("min-degree-2 residue component has a cycle");
-        // Reconstruct the cycle: paths from x and y to their meeting point.
-        let path_to_root = |mut v: NodeId| {
-            let mut path = vec![v];
-            while let Some(&(p, _)) = parent.get(&v) {
-                v = p;
-                path.push(v);
-            }
-            path
-        };
-        let px = path_to_root(x);
-        let py = path_to_root(y);
-        let sx: HashSet<NodeId> = px.iter().copied().collect();
-        let meet = *py.iter().find(|v| sx.contains(v)).expect("common ancestor");
-        let mut cycle: Vec<NodeId> = px.iter().take_while(|&&v| v != meet).copied().collect();
-        cycle.push(meet);
-        let mut back: Vec<NodeId> = py.iter().take_while(|&&v| v != meet).copied().collect();
-        back.reverse();
-        cycle.extend(back);
-        let clen = cycle.len();
-        // Orient the cycle around: cycle[i] -> cycle[i+1], closing via `closing`.
-        let cycle_clock = base + clen + 1;
-        for i in 0..clen {
-            let a = cycle[i];
-            let b = cycle[(i + 1) % clen];
-            let e = if i + 1 == clen {
-                closing
-            } else {
-                // consecutive on tree paths: the parent edge between them
-                parent
-                    .get(&cycle[i])
-                    .filter(|&&(p, _)| p == b)
-                    .map(|&(_, e)| e)
-                    .or_else(|| {
-                        parent
-                            .get(&cycle[(i + 1) % clen])
-                            .filter(|&&(p, _)| p == a)
-                            .map(|&(_, e)| e)
-                    })
-                    .unwrap_or_else(|| g.find_edge(a, b).expect("cycle edge exists"))
-            };
-            if !ledger.is_set(e) {
-                ledger.set(e, Orientation::away_from(g, e, a), cycle_clock);
-            }
-            ledger.decide_node(a, cycle_clock);
-        }
-        // Multi-source BFS from the cycle; tree edges orient child -> parent.
-        let mut dist: HashMap<NodeId, usize> = cycle.iter().map(|&v| (v, 0)).collect();
-        let mut q2: VecDeque<NodeId> = cycle.iter().copied().collect();
-        while let Some(v) = q2.pop_front() {
-            for (u, e) in g.neighbors(v) {
-                if !keep[u] || ledger.is_set(e) || dist.contains_key(&u) {
-                    continue;
-                }
-                dist.insert(u, dist[&v] + 1);
-                let c = base + clen + 1 + dist[&u];
-                ledger.set(e, Orientation::away_from(g, e, u), c);
-                ledger.decide_node(u, c);
-                q2.push_back(u);
-            }
         }
     }
 }
@@ -653,9 +539,12 @@ impl VEdge {
 
 #[derive(Debug, Clone)]
 struct VGraph {
-    /// host original node per vnode.
+    /// host original node per vnode, ascending in the vnode index at every
+    /// level (level 0 is the identity; a deeper level keeps its centers in
+    /// index order).
     host: Vec<NodeId>,
-    /// ports\[v\] = indices into `vedges` (1..=3 per vnode).
+    /// ports\[v\] = indices into `vedges` (1..=3 per vnode in Theorem 6;
+    /// one per residue edge in `orientation/rand`).
     ports: Vec<Vec<usize>>,
     vedges: Vec<VEdge>,
 }
@@ -688,7 +577,7 @@ pub(crate) struct DetOrientParams {
     /// needs `r >= 2`).
     pub r: usize,
     /// Recursion cutoff: virtual graphs at most this large go straight to
-    /// the ball-growing finisher.
+    /// the cycle finisher.
     pub finish_threshold: usize,
     /// Hard cap on recursion depth.
     pub max_depth: usize,
@@ -748,24 +637,13 @@ pub(crate) fn deterministic(
     };
     solve_level(&vg, &params, 1, 0, 0, &mut ledger, &mut result);
 
-    // Decide node clocks from vnode clocks.
-    for (v, &c) in result.vnode_clock.iter().enumerate() {
-        ledger.decide_node(vg.host[v], c);
-    }
     // Default-orient the never-picked original edges.
-    for (e, u, v) in g.edges() {
-        if !ledger.is_set(e) {
-            let c = ledger.node_clock[u].max(ledger.node_clock[v]).max(1) + 1;
-            ledger.set(e, Orientation::away_from(g, e, u.max(v)), c);
-        }
-    }
+    default_orient(g, &result.vnode_clock, &mut ledger, 1);
     finalize("orientation/det", g, ledger, policy)
 }
 
 /// Level 0 of Theorem 6: every node picks its 3 smallest incident edges
-/// (the paper's degree-3 truncation). Mutual picks are links; one-sided
-/// picks act as the paper's self-loops (free ports); unpicked edges
-/// default later.
+/// (the paper's degree-3 truncation); unpicked edges default later.
 fn level0_vgraph(g: &Graph) -> VGraph {
     let picks: Vec<Vec<EdgeId>> = g
         .nodes()
@@ -776,6 +654,15 @@ fn level0_vgraph(g: &Graph) -> VGraph {
             es
         })
         .collect();
+    picked_vgraph(g, &picks)
+}
+
+/// The vgraph of per-node edge picks: one vnode per node with one port
+/// per pick, in pick order. Mutual picks are links; one-sided picks act
+/// as the paper's self-loops (free ports).
+fn picked_vgraph(g: &Graph, picks: &[Vec<EdgeId>]) -> VGraph {
+    let mut pickers = vec![0u8; g.m()];
+    picks.iter().flatten().for_each(|&e| pickers[e] += 1);
     let mut vedges = Vec::new();
     let mut ports: Vec<Vec<usize>> = vec![Vec::new(); g.n()];
     // The vedge of each picked edge, made by its first picking endpoint.
@@ -792,7 +679,7 @@ fn level0_vgraph(g: &Graph) -> VGraph {
             let idx = vedges.len();
             vedges.push(VEdge {
                 a: v,
-                b: picks[other].contains(&e).then_some(other),
+                b: (pickers[e] == 2).then_some(other),
                 path: vec![(e, x == v)],
                 inner: Vec::new(),
             });
@@ -807,12 +694,13 @@ fn level0_vgraph(g: &Graph) -> VGraph {
     }
 }
 
-/// Free-port waves: free ports and links to decided vnodes are outs.
-/// Wave `i` runs at `clock + i·stretch`; in it every undecided vnode (in
-/// id order, seeing the vnodes decided earlier in the same wave) with such
-/// a port orients it outward and decides. Returns the clock of the last
-/// wave that decided a vnode, or `clock` if none did.
-fn free_port_waves(
+/// The wave rule of both algorithms: free ports and links to decided
+/// vnodes are outs. Wave `i` runs at `clock + i·stretch`; in it every
+/// undecided vnode (in id order, seeing the vnodes decided earlier in the
+/// same wave) with such a port orients its first one outward and decides.
+/// Returns the clock of the last wave that decided a vnode, or `clock` if
+/// none did.
+fn waves(
     vg: &VGraph,
     decided: &mut [bool],
     stretch: usize,
@@ -863,7 +751,7 @@ fn solve_level(
     let n = vg.host.len();
     let r = params.r;
     let mut decided = vec![false; n];
-    let mut clock_now = free_port_waves(vg, &mut decided, stretch, clock, ledger, result);
+    let mut clock_now = waves(vg, &mut decided, stretch, clock, ledger, result);
 
     // --- Short cycles (<= 6r + 1 vedges) among links of undecided vnodes,
     // each vedge oriented by its lexicographically smallest sorted-id key.
@@ -882,7 +770,7 @@ fn solve_level(
             }
         }
         // New decided vnodes unlock more waves.
-        clock_now = free_port_waves(vg, &mut decided, stretch, cycle_clock, ledger, result);
+        clock_now = waves(vg, &mut decided, stretch, cycle_clock, ledger, result);
     }
 
     let remaining: Vec<usize> = (0..n).filter(|&v| !decided[v]).collect();
@@ -894,7 +782,7 @@ fn solve_level(
     // A vnode on the undecided residue has all 3 ports as links to other
     // undecided vnodes (anything else was a wave-out).
     if remaining.len() <= params.finish_threshold || depth >= params.max_depth {
-        ball_finisher(vg, &decided, stretch, clock_now, ledger, result);
+        cycle_finisher(vg, &decided, stretch, clock_now, ledger, result);
         default_orient_level(vg, result_max_clock(result) + stretch, ledger, result);
         return;
     }
@@ -930,7 +818,7 @@ fn solve_level(
         .iter()
         .all(|c| neighbors_of.get(c).map_or(0, Vec::len) >= 3);
     if !all_have_three {
-        ball_finisher(vg, &decided, stretch, mis_clock, ledger, result);
+        cycle_finisher(vg, &decided, stretch, mis_clock, ledger, result);
         default_orient_level(vg, result_max_clock(result) + stretch, ledger, result);
         return;
     }
@@ -1501,10 +1389,16 @@ fn reaches(interiors: &Interiors, mut v: usize, center: usize) -> bool {
     }
 }
 
-/// Ball-growing finisher on the undecided link graph (3-regular, so every
-/// component has a cycle): orient a cycle per component and BFS trees
-/// toward it; charge `dist + cycle length` virtual rounds per vnode.
-fn ball_finisher(
+/// The cycle-rooted residue finisher of both algorithms. Every undecided
+/// vnode keeps at least 2 unoriented links to undecided vnodes, so each
+/// component of that residue has a cycle. A BFS from the component's
+/// first vnode (the smallest host: hosts ascend with the vnode index at
+/// every level) stops at the first link that closes a cycle; the cycle
+/// orients around itself, and BFS trees from the cycle orient toward it.
+/// A cycle vnode is charged `clock + (cycle length + 1)·stretch`, a tree
+/// vnode that plus its distance to the cycle times `stretch`: the radius
+/// it reads (§2's equivalence).
+fn cycle_finisher(
     vg: &VGraph,
     decided: &[bool],
     stretch: usize,
@@ -1512,142 +1406,94 @@ fn ball_finisher(
     ledger: &mut Ledger,
     result: &mut LevelResult,
 ) {
+    // The undecided far end of `v`'s unoriented link `ve`.
+    let residue_link = |result: &LevelResult, ve: usize, v: usize| {
+        (result.vedge_dir[ve].is_none())
+            .then(|| vg.other(ve, v))
+            .flatten()
+            .filter(|&u| !decided[u])
+    };
     let n = vg.host.len();
-    let mut visited = vec![false; n];
-    for s in 0..n {
-        if decided[s] || visited[s] {
+    let mut seen = vec![false; n];
+    let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
+    let mut dist = vec![usize::MAX; n];
+    let mut queue = VecDeque::new();
+    for root in 0..n {
+        if decided[root] || dist[root] != usize::MAX {
             continue;
         }
-        // Component over undecided link vedges.
-        let mut comp = Vec::new();
-        let mut q = VecDeque::from([s]);
-        visited[s] = true;
-        while let Some(v) = q.pop_front() {
-            comp.push(v);
+        // BFS from the root until a non-tree link closes a cycle.
+        queue.clear();
+        queue.push_back(root);
+        seen[root] = true;
+        let (x, y, closing) = 'bfs: loop {
+            let v = queue.pop_front().expect("a residue component has a cycle");
             for &ve in &vg.ports[v] {
-                if result.vedge_dir[ve].is_some() || vg.vedges[ve].b.is_none() {
+                let Some(u) = residue_link(result, ve, v) else {
+                    continue;
+                };
+                if parent[v].is_some_and(|(_, pe)| pe == ve) {
                     continue;
                 }
-                let u = vg.other(ve, v).expect("link");
-                if !decided[u] && !visited[u] {
-                    visited[u] = true;
-                    q.push_back(u);
+                if seen[u] {
+                    break 'bfs (v, u, ve);
                 }
+                seen[u] = true;
+                parent[u] = Some((v, ve));
+                queue.push_back(u);
             }
+        };
+        // Both tree paths end at the root; drop their common part above
+        // the meeting vnode.
+        let up = |mut v: usize| {
+            let mut path = vec![v];
+            while let Some((p, _)) = parent[v] {
+                v = p;
+                path.push(v);
+            }
+            path
+        };
+        let (mut px, mut py) = (up(x), up(y));
+        while px.len() > 1 && py.len() > 1 && px[px.len() - 2] == py[py.len() - 2] {
+            px.pop();
+            py.pop();
         }
-        // BFS for a cycle from the min-host vnode.
-        let root = *comp
+        // The cycle as (vnode, out-link): up from `x` to the meeting
+        // vnode, down to `y`, and back to `x` over the closing link.
+        let mut cycle: Vec<(usize, usize)> = px[..px.len() - 1]
             .iter()
-            .min_by_key(|&&v| vg.host[v])
-            .expect("nonempty component");
-        let mut parent: HashMap<usize, (usize, usize)> = HashMap::new();
-        let mut depth: HashMap<usize, usize> = HashMap::new();
-        depth.insert(root, 0);
-        let mut bq = VecDeque::from([root]);
-        let mut closing: Option<(usize, usize, usize)> = None;
-        'bfs: while let Some(v) = bq.pop_front() {
-            for &ve in &vg.ports[v] {
-                if result.vedge_dir[ve].is_some() || vg.vedges[ve].b.is_none() {
-                    continue;
-                }
-                let u = vg.other(ve, v).expect("link");
-                if decided[u] {
-                    continue;
-                }
-                if parent.get(&v).map(|&(_, pe)| pe) == Some(ve) {
-                    continue;
-                }
-                if depth.contains_key(&u) {
-                    closing = Some((v, u, ve));
-                    break 'bfs;
-                }
-                depth.insert(u, depth[&v] + 1);
-                parent.insert(u, (v, ve));
-                bq.push_back(u);
-            }
-        }
-        let Some((x, y, closing_ve)) = closing else {
-            // Degenerate: tree component (possible only for tiny graphs fed
-            // directly to the finisher). Orient toward the root; the root
-            // must have some decided neighbor or free port handled earlier.
-            for &v in &comp {
-                if let Some(&(_, ve)) = parent.get(&v) {
-                    if result.vedge_dir[ve].is_none() {
-                        orient_vedge(vg, ve, v, clock + stretch, ledger, result);
-                    }
-                    result.vnode_clock[v] = clock + stretch;
-                }
-            }
-            // Root: any unoriented port outward.
-            let out = vg.ports[root]
-                .iter()
-                .copied()
-                .find(|&ve| result.vedge_dir[ve].is_none());
-            if let Some(ve) = out {
-                orient_vedge(vg, ve, root, clock + stretch, ledger, result);
-            }
-            result.vnode_clock[root] = clock + stretch;
-            continue;
-        };
-        // Reconstruct cycle node sequence.
-        let path_up = |mut v: usize| {
-            let mut p = vec![v];
-            while let Some(&(pp, _)) = parent.get(&v) {
-                v = pp;
-                p.push(v);
-            }
-            p
-        };
-        let px = path_up(x);
-        let py = path_up(y);
-        let sx: HashSet<usize> = px.iter().copied().collect();
-        let meet = *py.iter().find(|v| sx.contains(v)).expect("meet");
-        let mut cycle: Vec<usize> = px.iter().take_while(|&&v| v != meet).copied().collect();
-        cycle.push(meet);
-        let mut tail: Vec<usize> = py.iter().take_while(|&&v| v != meet).copied().collect();
-        tail.reverse();
-        cycle.extend(tail);
-        let clen = cycle.len();
-        let cyc_clock = clock + (clen + 1) * stretch;
-        for i in 0..clen {
-            let a = cycle[i];
-            let b = cycle[(i + 1) % clen];
-            let ve = if i + 1 == clen {
-                closing_ve
+            .map(|&v| (v, parent[v].expect("below the meeting vnode").1))
+            .collect();
+        for k in (0..py.len()).rev() {
+            let out = if k == 0 {
+                closing
             } else {
-                parent
-                    .get(&a)
-                    .filter(|&&(p, _)| p == b)
-                    .map(|&(_, ve)| ve)
-                    .or_else(|| parent.get(&b).filter(|&&(p, _)| p == a).map(|&(_, ve)| ve))
-                    .expect("cycle vedge")
+                parent[py[k - 1]].expect("below the meeting vnode").1
             };
-            if result.vedge_dir[ve].is_none() {
-                orient_vedge(vg, ve, a, cyc_clock, ledger, result);
-            }
-            if result.vnode_clock[a] == 0 {
-                result.vnode_clock[a] = cyc_clock;
-            }
+            cycle.push((py[k], out));
         }
-        // Trees toward the cycle.
-        let mut dist: HashMap<usize, usize> = cycle.iter().map(|&v| (v, 0)).collect();
-        let mut q2: VecDeque<usize> = cycle.iter().copied().collect();
-        while let Some(v) = q2.pop_front() {
+        let cycle_clock = clock + (cycle.len() + 1) * stretch;
+        for &(v, ve) in &cycle {
+            orient_vedge(vg, ve, v, cycle_clock, ledger, result);
+            result.vnode_clock[v] = cycle_clock;
+            dist[v] = 0;
+        }
+        // Multi-source BFS from the cycle; tree links orient child -> parent.
+        queue.clear();
+        queue.extend(cycle.iter().map(|&(v, _)| v));
+        while let Some(v) = queue.pop_front() {
             for &ve in &vg.ports[v] {
-                if result.vedge_dir[ve].is_some() || vg.vedges[ve].b.is_none() {
+                let Some(u) = residue_link(result, ve, v) else {
+                    continue;
+                };
+                if dist[u] != usize::MAX {
                     continue;
                 }
-                let u = vg.other(ve, v).expect("link");
-                if decided[u] || dist.contains_key(&u) {
-                    continue;
-                }
-                dist.insert(u, dist[&v] + 1);
-                let c = cyc_clock + dist[&u] * stretch;
+                dist[u] = dist[v] + 1;
+                let c = cycle_clock + dist[u] * stretch;
                 orient_vedge(vg, ve, u, c, ledger, result);
-                if result.vnode_clock[u] == 0 {
-                    result.vnode_clock[u] = c;
-                }
-                q2.push_back(u);
+                result.vnode_clock[u] = c;
+                queue.push_back(u);
             }
         }
     }
@@ -1901,7 +1747,7 @@ mod tests {
                 vedge_dir: vec![None; vg.vedges.len()],
                 vnode_clock: vec![0; n],
             };
-            ball_finisher(
+            cycle_finisher(
                 &vg,
                 &vec![false; n],
                 stretch,
