@@ -238,6 +238,29 @@ fn handle_submit(writer: &mut TcpStream, shared: &Shared, cells: Vec<CellKey>) -
     send_line(writer, &done_line(total, errors)).is_ok()
 }
 
+/// The submit request lines of a batch, each with the batch index of its
+/// first cell: as many cells per line as fit in [`MAX_REQUEST_BYTES`]
+/// (at least one). A batch that fits is the one line
+/// [`submit_request_json`] renders.
+fn submit_request_lines(cells: &[CellKey]) -> Vec<(usize, String)> {
+    // `{"op": "submit", "cells": []}`, plus `, ` before all but a line's
+    // first cell.
+    let empty = submit_request_json(&[]).len();
+    let mut lines = Vec::new();
+    let (mut start, mut len) = (0, empty);
+    for (i, cell) in cells.iter().enumerate() {
+        let cost = protocol::cell_request_json(cell).len() + if i > start { 2 } else { 0 };
+        if i > start && len + cost > MAX_REQUEST_BYTES {
+            lines.push((start, submit_request_json(&cells[start..i])));
+            (start, len) = (i, empty + cost - 2);
+        } else {
+            len += cost;
+        }
+    }
+    lines.push((start, submit_request_json(&cells[start..])));
+    lines
+}
+
 /// Outcome of one [`Client::submit`] batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmitOutcome {
@@ -291,41 +314,58 @@ impl Client {
         self.read_line()
     }
 
-    /// Submits a batch and collects the streamed results.
+    /// Submits a batch and collects the streamed results. A batch whose
+    /// request line would exceed [`MAX_REQUEST_BYTES`] goes as several
+    /// lines, each sent once the previous one's `done` arrived; the
+    /// outcome reads as one unbounded line would (error lines carry
+    /// batch-global indices, `cells` and `errors` are summed).
     ///
     /// # Errors
     ///
     /// Fails on I/O errors or a malformed/foreign terminating line
     /// (e.g. the server rejecting the whole request).
     pub fn submit(&mut self, cells: &[CellKey]) -> std::io::Result<SubmitOutcome> {
-        send_line(&mut self.writer, &submit_request_json(cells))?;
-        let mut lines = Vec::new();
-        loop {
-            let line = self.read_line()?;
-            let parsed = Json::parse(&line).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("unparseable response line `{line}`: {e}"),
-                )
-            })?;
-            if parsed.get("done").and_then(Json::as_bool) == Some(true) {
-                let cells = parsed
-                    .get("cells")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(lines.len() as u64) as usize;
-                let errors = parsed.get("errors").and_then(Json::as_u64).unwrap_or(0) as usize;
-                return Ok(SubmitOutcome {
-                    lines,
-                    cells,
-                    errors,
-                });
+        let mut outcome = SubmitOutcome {
+            lines: Vec::with_capacity(cells.len()),
+            cells: 0,
+            errors: 0,
+        };
+        for (offset, request) in submit_request_lines(cells) {
+            send_line(&mut self.writer, &request)?;
+            let first = outcome.lines.len();
+            loop {
+                let line = self.read_line()?;
+                let parsed = Json::parse(&line).map_err(|e| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("unparseable response line `{line}`: {e}"),
+                    )
+                })?;
+                if parsed.get("done").and_then(Json::as_bool) == Some(true) {
+                    outcome.cells += parsed
+                        .get("cells")
+                        .and_then(Json::as_u64)
+                        .map_or(outcome.lines.len() - first, |c| c as usize);
+                    outcome.errors +=
+                        parsed.get("errors").and_then(Json::as_u64).unwrap_or(0) as usize;
+                    break;
+                }
+                let message = parsed.get("error").and_then(Json::as_str);
+                let index = parsed.get("index").and_then(Json::as_u64);
+                let line = match (message, index) {
+                    // Whole-request rejection (malformed batch): surface it.
+                    (Some(_), None) => {
+                        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, line))
+                    }
+                    (Some(message), Some(i)) if offset > 0 => {
+                        error_line(Some(offset + i as usize), message)
+                    }
+                    _ => line,
+                };
+                outcome.lines.push(line);
             }
-            if parsed.get("error").is_some() && parsed.get("index").is_none() {
-                // Whole-request rejection (malformed batch): surface it.
-                return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, line));
-            }
-            lines.push(line);
         }
+        Ok(outcome)
     }
 
     /// Fetches the service counters.
@@ -381,5 +421,29 @@ mod tests {
         let client = Client::connect(listener.local_addr().expect("addr")).expect("connect");
         assert_eq!(client.writer.nodelay().ok(), Some(true));
         assert_eq!(client.reader.get_ref().nodelay().ok(), Some(true));
+    }
+
+    #[test]
+    fn request_lines_split_a_batch_only_at_the_cap() {
+        let cell = CellKey::new("regular/3", 24, 0, "mis/greedy");
+        let small = vec![cell.clone(); 100];
+        assert_eq!(
+            submit_request_lines(&small),
+            vec![(0, submit_request_json(&small))]
+        );
+        assert_eq!(
+            submit_request_lines(&[]),
+            vec![(0, submit_request_json(&[]))]
+        );
+        // 12 000 cells need two lines, each at most the cap and the first
+        // too full to take one more cell.
+        let big = vec![cell; 12_000];
+        let lines = submit_request_lines(&big);
+        assert_eq!(lines.len(), 2);
+        let split = lines[1].0;
+        assert!(lines[0].1.len() <= MAX_REQUEST_BYTES);
+        assert!(submit_request_json(&big[..split + 1]).len() > MAX_REQUEST_BYTES);
+        assert_eq!(lines[0], (0, submit_request_json(&big[..split])));
+        assert_eq!(lines[1], (split, submit_request_json(&big[split..])));
     }
 }

@@ -18,7 +18,9 @@
 //!   that aborts the daemon;
 //! * a request line over `MAX_REQUEST_BYTES` is an error line that
 //!   closes only its own connection, and a line that is not UTF-8 is an
-//!   error line on a connection that stays open.
+//!   error line on a connection that stays open;
+//! * the client splits a batch whose request would pass that cap into
+//!   several lines and returns what one unbounded line would.
 
 use localavg_bench::cell::CellKey;
 use localavg_bench::serve::{self, Client, ServeConfig};
@@ -223,6 +225,30 @@ fn protocol_errors_are_reported_per_cell_and_do_not_poison_the_batch() {
     assert!(outcome.lines[1].contains("\"index\": 1"));
     assert!(outcome.lines[0].starts_with("{\"algorithm\""));
     assert!(outcome.lines[2].starts_with("{\"algorithm\""));
+    shutdown(handle, addr);
+}
+
+#[test]
+fn a_batch_over_the_line_cap_is_split_and_answered_whole() {
+    // 12 000 copies of one cheap cell render a request of more than
+    // `MAX_REQUEST_BYTES`: one execution, the rest cache hits.
+    let (handle, addr) = start_server(2022);
+    let mut cells = vec![CellKey::new("regular/3", 24, 0, "mis/greedy"); 12_000];
+    let mut client = Client::connect(addr).expect("connect");
+    let outcome = client.submit(&cells).expect("submit");
+    assert_eq!(outcome.lines.len(), 12_000);
+    assert_eq!((outcome.cells, outcome.errors), (12_000, 0));
+    assert!(outcome.lines.iter().all(|l| *l == outcome.lines[0]));
+    // An error in the last request line keeps its batch-global index.
+    cells[11_999] = CellKey::new("tree/random", 24, 0, "orientation/rand");
+    let outcome = client.submit(&cells).expect("submit");
+    assert_eq!((outcome.cells, outcome.errors), (12_000, 1));
+    assert!(
+        outcome.lines[11_999].starts_with("{\"error\"")
+            && outcome.lines[11_999].ends_with("\"index\": 11999}"),
+        "got: {}",
+        outcome.lines[11_999]
+    );
     shutdown(handle, addr);
 }
 
