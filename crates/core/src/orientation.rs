@@ -32,7 +32,8 @@
 //!   level-0 mutual-pick graph that is 3-regular with no cycle of at most
 //!   6r + 1 vedges; at r = 2 the Moore bound puts such a component at 254
 //!   or more vnodes. No registry family, test or benchmark builds one:
-//!   there the waves and the short cycles decide every vnode at level 0.
+//!   on each of them the waves and the short cycles decide every vnode at
+//!   level 0.
 //!
 //! Both finish with one structural rule on a virtual graph;
 //! `orientation/rand` builds a stretch-1 one with a link per unoriented
@@ -432,9 +433,8 @@ pub(crate) fn randomized(
     let mut decided: Vec<bool> = g
         .nodes()
         .map(|v| {
-            g.degree(v) == 0
-                || g.neighbors(v)
-                    .any(|(_, e)| ledger.orient[e].is_some_and(|o| o.tail(g, e) == v))
+            g.neighbors(v)
+                .any(|(_, e)| ledger.orient[e].is_some_and(|o| o.tail(g, e) == v))
         })
         .collect();
     // An unsatisfied node picks its unoriented edges: a link to another
