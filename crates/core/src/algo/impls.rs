@@ -153,7 +153,7 @@ const ORIENTATION_DET_PARAMS: &[ParamSpec] = &[
     ParamSpec {
         key: "finish-threshold",
         default: "48",
-        doc: "virtual graphs at most this large go straight to the ball-growing finisher; an integer >= 4",
+        doc: "virtual graphs at most this large go straight to the cycle finisher; an integer >= 4",
     },
     ParamSpec {
         key: "max-depth",
