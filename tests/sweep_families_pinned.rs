@@ -1,9 +1,11 @@
-//! Pins the bytes of `matching/det`, `ruling/det` and `orientation/rand`
-//! on the five families of the `sweep-mixed` benchmark at n = 4096. The
-//! sweep golden has no `matching/det` or `ruling/det` cell and runs
-//! `orientation/rand` only at n ≤ 48, so this file is what fixes their
-//! transcripts at a size where the schedules run many iterations: an
-//! FNV-1a fingerprint of the solution, the Definition 1 node and edge
+//! Pins the bytes of eleven broadcasting algorithms on the five families
+//! of the `sweep-mixed` benchmark at n = 4096: `matching/det`,
+//! `ruling/det` and `orientation/rand` (which sleep), and `mis/luby`,
+//! `mis/degree-guided`, `mis/greedy`, `matching/luby`, `matching/greedy`,
+//! `ruling/two-two`, `coloring/trial` and `coloring/linial`. The sweep
+//! golden runs only four of them, at n ≤ 48, so this file is what fixes
+//! their transcripts at a size where the schedules run many iterations:
+//! an FNV-1a fingerprint of the solution, the Definition 1 node and edge
 //! commit rounds, the halt rounds, the per-node sent and received
 //! volume, `messages_sent` and the round count.
 
@@ -68,12 +70,13 @@ fn fingerprint(algo: &str, family: &str, master: u64) -> Option<u64> {
             h.words(in_set.iter().map(|&b| u64::from(b)));
             h.word(*beta as u64);
         }
+        Solution::Mis { in_set } => h.words(in_set.iter().map(|&b| u64::from(b))),
+        Solution::Coloring { colors } => h.words(colors.iter().map(|&c| c as u64)),
         Solution::Orientation { orientation } => h.words(
             orientation
                 .iter()
                 .map(|&o| u64::from(o == Orientation::Backward)),
         ),
-        other => panic!("{algo} returned {:?}", other.problem()),
     }
     let t = &run.transcript;
     h.words(t.node_commit_round.iter().map(|&r| r as u64));
@@ -149,6 +152,118 @@ fn orientation_rand_is_pinned() {
             None,
             None,
             Some(0xe581_d86d_7544_6f4b),
+        ],
+    );
+}
+
+#[test]
+fn mis_luby_is_pinned() {
+    check(
+        "mis/luby",
+        [
+            Some(0x58af_49f5_4bf7_089c),
+            Some(0x498d_2110_7f67_d74a),
+            Some(0x5677_2484_7b72_1510),
+            Some(0xfe92_20fa_f81b_55d8),
+            Some(0xddfd_732b_ae66_f2a6),
+        ],
+    );
+}
+
+#[test]
+fn mis_degree_guided_is_pinned() {
+    check(
+        "mis/degree-guided",
+        [
+            Some(0x26ca_2fc7_5e4f_5d77),
+            Some(0xeeaf_c224_44ef_9890),
+            Some(0x3f76_f687_b386_57a2),
+            Some(0xb3bd_a409_aa8c_3598),
+            Some(0xdb02_9331_879b_b96e),
+        ],
+    );
+}
+
+#[test]
+fn mis_greedy_is_pinned() {
+    check(
+        "mis/greedy",
+        [
+            Some(0x6ee7_3d1c_b87c_d024),
+            Some(0xf7c2_db61_a6bb_2e22),
+            Some(0xdc44_87dc_fadf_1249),
+            Some(0xae80_2ed2_4caf_9aca),
+            Some(0x78ff_414b_a0c8_f68c),
+        ],
+    );
+}
+
+#[test]
+fn matching_luby_is_pinned() {
+    check(
+        "matching/luby",
+        [
+            Some(0x8c4f_205a_c911_2a9e),
+            Some(0x5bf8_c736_1e1a_0d77),
+            Some(0xecfa_2ceb_c3a6_9758),
+            Some(0x1e0e_22e5_97dc_0ad2),
+            Some(0x44fe_8b3a_9fc3_306b),
+        ],
+    );
+}
+
+#[test]
+fn matching_greedy_is_pinned() {
+    check(
+        "matching/greedy",
+        [
+            Some(0x070d_f312_c909_0ef9),
+            Some(0xaa38_7ce9_defe_1e4a),
+            Some(0x1b7d_943f_7546_d077),
+            Some(0xe16e_4b25_dfb0_8631),
+            Some(0xb0db_45ec_557e_511d),
+        ],
+    );
+}
+
+#[test]
+fn ruling_two_two_is_pinned() {
+    check(
+        "ruling/two-two",
+        [
+            Some(0xef73_556a_8cad_e6be),
+            Some(0xd8db_edc0_341d_bd40),
+            Some(0x5c68_deca_594a_1ef8),
+            Some(0x2699_0ce3_60e3_6531),
+            Some(0xf544_794b_854b_de12),
+        ],
+    );
+}
+
+#[test]
+fn coloring_trial_is_pinned() {
+    check(
+        "coloring/trial",
+        [
+            Some(0x82da_72d3_a13f_e9bc),
+            Some(0x3036_9637_8dba_43b3),
+            Some(0x2f02_4186_4eb7_4de8),
+            Some(0x618b_edb8_d12f_6895),
+            Some(0x8b31_e31a_a908_fb25),
+        ],
+    );
+}
+
+#[test]
+fn coloring_linial_is_pinned() {
+    check(
+        "coloring/linial",
+        [
+            Some(0xcc86_5a77_5d2b_b0be),
+            Some(0xdbc6_6100_aaaa_a192),
+            Some(0xd18a_c554_8320_479b),
+            Some(0xc0e4_f045_9a3f_c061),
+            Some(0xbf1d_bb47_5fd4_70c4),
         ],
     );
 }
