@@ -15,40 +15,50 @@
 //! Definition 1 is exactly the observation that most nodes halt long
 //! before the worst-case round; sleeping nodes are live but skipped).
 //! The outbox is double-buffered: round `r` sends into buffer `r & 1`
-//! while reading the other. Activating an awake node `v` in round `r`
-//! means
+//! while reading the other. A buffer holds one **broadcast record** per
+//! node — the round it was written, whether the node also sent port by
+//! port, and at most one broadcast message — and one message slot per
+//! directed arc. Activating an awake node `v` in round `r` means
 //!
 //! 1. **pull** — `v` takes its inbox out of the previous round's buffer
 //!    into the chunk's scratch vector: it walks its ports in ascending
-//!    neighbor id order ([`Graph::sorted_port_order`]) and `take()`s each
-//!    sender's slot, one load away at [`Graph::rev_arc`] of `v`'s own
-//!    arc. On rounds after a spill it also clones that sender's spills on
-//!    the arc; otherwise — almost always — the spill vectors are not
-//!    probed at all;
-//! 2. **clear** — `v` empties its own arc range of the current buffer
-//!    (what is left there was addressed to halted receivers);
-//! 3. **step** — `init` at round 0, `round` after; sends land in that
-//!    range, commits in per-chunk event buffers, halts and sleep requests
-//!    ([`Ctx::sleep_until`]) in per-chunk buffers;
-//! 4. **audit** — `v` counts its own sends for the CONGEST audit, and
-//!    (only while some node sleeps) pushes each sleeping receiver of its
-//!    sends onto the chunk's wake list.
+//!    neighbor id order ([`Graph::sorted_port_order`]) and reads each
+//!    sender's record. A record of another round is stale and skipped; a
+//!    record of round `r - 1` delivers its broadcast, and only if it says
+//!    the sender sent port by port does `v` `take()` the sender's slot,
+//!    one load away at [`Graph::rev_arc`] of `v`'s own arc. On rounds
+//!    after a spill it also clones that sender's spills on the arc;
+//!    otherwise — almost always — the spill vectors are not probed;
+//! 2. **step** — `init` at round 0, `round` after. A [`Ctx::broadcast`]
+//!    that is the activation's first send writes only `v`'s record; any
+//!    other send goes into `v`'s arc range of the current buffer, which
+//!    its first such send clears (what is left there was sent two rounds
+//!    ago to receivers that halted). Commits land in per-chunk event
+//!    buffers, halts and sleep requests ([`Ctx::sleep_until`]) in
+//!    per-chunk buffers;
+//! 3. **audit** — `v` counts its own sends for the CONGEST audit (a
+//!    recorded broadcast counts one message per neighbor, halted ones
+//!    included), and (only while some node sleeps) pushes each sleeping
+//!    receiver of its sends onto the chunk's wake list; a broadcast
+//!    reaches every neighbor.
 //!
 //! Between rounds the driver applies commit events, records halts, and
 //! clears the spill vectors its receivers just pulled. Delta routing falls
 //! out for free: a halted region of the graph is skipped by the bitset
-//! sweep, and arcs whose sender went quiet hold `None` and cost one
-//! branch. Messages to halted receivers are never pulled; a live sender
-//! clears them two rounds later, and the next run's reset drops the rest.
+//! sweep, and a sender that went quiet leaves a stale record that costs
+//! one branch per neighbor. A broadcast-only process never touches the
+//! per-arc slots. Messages to halted receivers are never pulled; the
+//! round tags retire them, so neither a sender nor the next run's reset
+//! has to clear the slots.
 //!
 //! The driving thread then settles the sleep tables: it wakes the
 //! receivers on the wake lists, grants each sleep request whose node was
-//! sent no message this round (a sender saw that node awake and pushed
-//! no wake-up, so the message must be pulled next round), and fires the
-//! round-bucketed timers of the next round. A sleeper therefore never
-//! holds undelivered mail, and a process that keeps
-//! [`Ctx::sleep_until`]'s promise produces the transcript of its twin
-//! that never sleeps. Activations are counted: [`Workspace::stats`]
+//! sent no message this round (read from the neighbors' records and
+//! slots: a sender saw that node awake and pushed no wake-up, so the
+//! message must be pulled next round), and fires the round-bucketed
+//! timers of the next round. A sleeper therefore never holds undelivered
+//! mail, and a process that keeps [`Ctx::sleep_until`]'s promise produces
+//! the transcript of its twin that never sleeps. Activations are counted: [`Workspace::stats`]
 //! reports the awake node-rounds next to Σ live.
 //!
 //! The pass is the *same code* on both executors — the sequential loop
@@ -62,7 +72,7 @@
 use crate::bitset::Bitset;
 use crate::message::{Envelope, MessageSize};
 use crate::pool::WorkerPool;
-use crate::process::{Ctx, Event, EventBuf, Process};
+use crate::process::{Ctx, Event, EventBuf, Process, Record};
 use crate::shadow::Table;
 use crate::transcript::{Round, Transcript, TranscriptPolicy, UNCOMMITTED};
 pub use crate::workspace::Workspace;
@@ -240,12 +250,15 @@ pub enum Exec {
 /// from the graph's CSR layout — no per-node heap vectors, no per-round
 /// allocation in the steady state:
 ///
-/// * `out_slots` — a **double-buffered** outbox: two message slots per
-///   directed arc, buffer `b`'s slot of arc `csr_offset(v) + port` at
-///   index `b · Σdeg + arc`. Round `r` sends into buffer `r & 1`, and the
-///   receivers of round `r + 1` pull from it while sending into the other
-///   one. `out_spill` (index `b · n + v`) doubles the same way, for the
-///   rare second message on one port in a round;
+/// * `records` / `out_slots` — a **double-buffered** outbox. Round `r`
+///   sends into buffer `r & 1`, and the receivers of round `r + 1` pull
+///   from it while sending into the other one. Each buffer holds one
+///   broadcast [`Record`] per node (index `b · n + v`) and one message
+///   slot per directed arc (arc `csr_offset(v) + port` at index
+///   `b · Σdeg + arc`); a record tagged with an older round is stale, and
+///   a node's slots are read only when its record of the round says it
+///   sent port by port. `out_spill` (index `b · n + v`) doubles the same
+///   way, for the rare second message on one port in a round;
 /// * there is no inbox arena: each activation assembles its inbox in the
 ///   chunk's `scratch` vector and hands it straight to the process;
 /// * `halted_bits` / `sleeping` / `committed` — columnar bitsets, letting
@@ -278,6 +291,9 @@ struct RunState<P: Process> {
     spare_buckets: Vec<Vec<NodeId>>,
     /// Activations of this run: awake node-rounds.
     awake: u64,
+    /// Double-buffered broadcast records: buffer `b`'s record of node `v`
+    /// is at `b · n + v`.
+    records: Vec<Record<P::Message>>,
     /// Double-buffered outbox: buffer `b`'s slot of arc `a` is at
     /// `b · Σdeg + a`.
     out_slots: Vec<Option<P::Message>>,
@@ -340,6 +356,7 @@ impl<P: Process> RunState<P> {
             timers: BTreeMap::new(),
             spare_buckets: Vec::new(),
             awake: 0,
+            records: Vec::new(),
             out_slots: Vec::new(),
             out_spill: Vec::new(),
             events: Vec::new(),
@@ -386,16 +403,19 @@ impl<P: Process> RunState<P> {
             self.spare_buckets.push(bucket);
         }
         self.awake = 0;
-        // Both outbox buffers are refilled unconditionally. A completed
-        // run leaves behind the messages addressed to halted receivers
-        // (nobody pulls them), and a run aborted by a caught panic (e.g.
-        // a max_rounds probe) can leave anything in either buffer; a
-        // sender that halts early in the next run never clears its range
-        // again, so a stale slot would be delivered. This is an O(Σdeg)
-        // overwrite of warm memory, the same order as the rest of the
-        // reset.
-        self.out_slots.clear();
-        self.out_slots.resize_with(2 * g.degree_sum(), || None);
+        // Every record goes stale, in both buffers. That alone retires
+        // whatever a previous run left in the arc slots — the messages
+        // addressed to halted receivers, or anything at all after a run
+        // aborted by a caught panic (e.g. a max_rounds probe): a slot is
+        // read only under a record of the round before, and a node's
+        // first port-by-port send of an activation clears its range. So
+        // the O(Σdeg) slot arena is filled once, when it is sized.
+        self.records.clear();
+        self.records.resize_with(2 * n, Record::stale);
+        if self.out_slots.len() != 2 * g.degree_sum() {
+            self.out_slots.clear();
+            self.out_slots.resize_with(2 * g.degree_sum(), || None);
+        }
         for spill in &mut self.out_spill {
             spill.clear();
         }
@@ -517,7 +537,9 @@ impl<P: Process> RunState<P> {
     ///
     /// 1. wakes every sleeper a node sent to this round (the wake lists);
     /// 2. grants each sleep request unless a message of this round is
-    ///    addressed to the node: its sender saw the node awake and pushed
+    ///    addressed to the node — a neighbor's record of this round holds
+    ///    a broadcast, or says it sent port by port and the slot toward
+    ///    the node is occupied: its sender saw the node awake and pushed
     ///    no wake-up, so the node must stay awake to pull it;
     /// 3. fires the timers of round `round + 1`.
     fn settle_sleep(&mut self, g: &Graph, round: Round, max_rounds: usize) {
@@ -529,11 +551,12 @@ impl<P: Process> RunState<P> {
                 }
             }
         }
-        let sent = &self.out_slots[(round & 1) * g.degree_sum()..][..g.degree_sum()];
+        let (records, slots) = outbox(&self.records, &self.out_slots, g, round);
         for list in &mut self.sleep_requests {
             for (v, until) in list.drain(..) {
-                let varc = g.csr_offset(v);
-                if (varc..varc + g.degree(v)).any(|a| sent[g.rev_arc(a)].is_some()) {
+                if g.arc_range(v)
+                    .any(|a| records[g.arc(a).0].mail(round, &slots[g.rev_arc(a)]))
+                {
                     continue;
                 }
                 debug_assert!(!self.sleeping.get(v), "awake node {v} already sleeps");
@@ -563,14 +586,15 @@ impl<P: Process> RunState<P> {
         }
         #[cfg(debug_assertions)]
         {
-            let arcs = g.degree_sum();
-            let slots = &self.out_slots;
+            let (records, slots) = outbox(&self.records, &self.out_slots, g, round);
             crate::shadow::check_sleepers(
                 g,
                 &self.sleeping,
                 self.sleepers,
                 &self.halted_bits,
-                |arc| slots[arc].is_some() || slots[arcs + arc].is_some(),
+                round,
+                records,
+                slots,
             );
         }
     }
@@ -609,6 +633,7 @@ impl<P: Process> RunState<P> {
             rngs: self.rngs.as_mut_ptr(),
             halted_bits: &self.halted_bits,
             sleeping: &self.sleeping,
+            records: self.records.as_mut_ptr(),
             out_slots: self.out_slots.as_mut_ptr(),
             out_spill: self.out_spill.as_mut_ptr(),
             events: self.events.as_mut_ptr(),
@@ -628,6 +653,18 @@ impl<P: Process> RunState<P> {
     }
 }
 
+/// The outbox buffer that round `round` sent into: its `n` records and
+/// its Σdeg arc slots.
+fn outbox<'s, M>(
+    records: &'s [Record<M>],
+    slots: &'s [Option<M>],
+    g: &Graph,
+    round: Round,
+) -> (&'s [Record<M>], &'s [Option<M>]) {
+    let (n, arcs, b) = (g.n(), g.degree_sum(), round & 1);
+    (&records[b * n..][..n], &slots[b * arcs..][..arcs])
+}
+
 /// One round's view of the run state, shared across chunk workers by raw
 /// pointer.
 ///
@@ -637,27 +674,29 @@ impl<P: Process> RunState<P> {
 /// pass (the driver blocks in [`dispatch`] until every chunk finished).
 /// Data races are excluded structurally, chunk by chunk:
 ///
-/// * per-**node** columns (`processes`, `rngs`, this round's `out_spill`
-///   buffer, the volume columns) and per-**chunk** buffers (`events`,
-///   `fresh_halts`, `spill_nodes`, `scratch`, `tallies`,
-///   `sleep_requests`, `wakes`) are written only for indices owned by the
-///   running chunk — a sender records a sleeping receiver in its *own*
-///   chunk's wake list, never in the receiver's state;
+/// * per-**node** columns (`processes`, `rngs`, this round's `records`
+///   and `out_spill` buffers, the volume columns) and per-**chunk**
+///   buffers (`events`, `fresh_halts`, `spill_nodes`, `scratch`,
+///   `tallies`, `sleep_requests`, `wakes`) are written only for indices
+///   owned by the running chunk — a sender records a sleeping receiver in
+///   its *own* chunk's wake list, never in the receiver's state;
 /// * in this round's `out_slots` buffer, a node writes only its own arc
-///   range (cleared, then filled by its sends); in the previous round's
-///   buffer, receiver `v` takes only the slot `rev_arc(v's arc)` of each
-///   arc `u → v` — an index unique to `v` — and no sender writes that
-///   buffer this round;
-/// * the previous round's `out_spill` buffer is only read (cloned from)
-///   during the pass; the driver clears it afterwards;
+///   range (cleared at its first port-by-port send, then filled by its
+///   sends); in the previous round's buffer, receiver `v` takes only the
+///   slot `rev_arc(v's arc)` of each arc `u → v` — an index unique to
+///   `v` — and no sender writes that buffer this round;
+/// * the previous round's `records` and `out_spill` buffers are only read
+///   (cloned from) during the pass — every neighbor of a broadcaster
+///   reads the same record; the driver clears the spills afterwards;
 /// * `halted_bits` and `sleeping` are read-only during the pass (halts
 ///   and the sleep tables are settled by the driving thread between
 ///   rounds).
 ///
 /// Debug builds check the first two points mechanically: every node
 /// claims each `out_slots` index (`buffer · Σdeg + arc`) and per-node
-/// index it writes through [`RoundShared::claim`], and the shadow checker
-/// panics on an index claimed by two chunks in one round. Between rounds
+/// index (its record included) it writes through [`RoundShared::claim`],
+/// and the shadow checker panics on an index claimed by two chunks in
+/// one round. Between rounds
 /// they also check the sleep tables: no sleeper holds undelivered mail,
 /// no halted node sleeps, and the sleeper count matches the bitset.
 struct RoundShared<'a, P: Process> {
@@ -687,6 +726,7 @@ struct RoundShared<'a, P: Process> {
     rngs: *mut Rng,
     halted_bits: *const Bitset,
     sleeping: *const Bitset,
+    records: *mut Record<P::Message>,
     out_slots: *mut Option<P::Message>,
     out_spill: *mut Vec<(u32, P::Message)>,
     events: *mut EventBuf<P>,
@@ -745,12 +785,14 @@ impl<P: Process> RoundShared<'_, P> {
     }
 
     /// Pulls node `v`'s inbox — the previous round's messages on its arcs
-    /// — into `inbox`, in ascending sender id order: each sender's slot,
-    /// then (after a round with spills) its spills on the same arc in
-    /// send order, the ordering the `Process` contract promises. Taking
-    /// the slot empties it, so a sender that halts and never clears its
-    /// range again cannot deliver one message twice. Accumulates the
-    /// receive volume.
+    /// — into `inbox`, in ascending sender id order: each sender's
+    /// broadcast record, then, if the record says it also sent port by
+    /// port, its slot and (after a round with spills) its spills on the
+    /// same arc — send order, the ordering the `Process` contract
+    /// promises. A record of another round is stale and skipped, so a
+    /// sender that halts (and never writes its record again) cannot
+    /// deliver one message twice; taking the slot empties it. Accumulates
+    /// the receive volume.
     ///
     /// # Safety
     ///
@@ -759,26 +801,36 @@ impl<P: Process> RoundShared<'_, P> {
     #[allow(unsafe_code)]
     unsafe fn pull(&self, v: NodeId, ci: usize, inbox: &mut Vec<Envelope<P::Message>>) {
         let prev = self.cur ^ 1;
+        let sent = self.round - 1;
         let varc = self.g.csr_offset(v);
         for i in 0..self.g.degree(v) {
             let p = match self.order {
                 Some(order) => order[varc + i] as usize,
                 None => i,
             };
+            let (u, _) = self.g.arc(varc + p);
+            // SAFETY: the previous buffer's records are read-only here.
+            let record = unsafe { &*self.records.add(prev * self.n + u) };
+            if record.round != sent {
+                continue;
+            }
+            if let Some(msg) = &record.broadcast {
+                inbox.push(Envelope {
+                    src: u,
+                    port: p,
+                    msg: msg.clone(),
+                });
+            }
+            if !record.unicast {
+                continue;
+            }
             // The sender-side slot of the shared edge, one load away.
             let uarc = self.g.rev_arc(varc + p);
             let at = self.slot(prev, uarc);
             self.claim(Table::OutSlot, at..at + 1, ci);
             // SAFETY: slot `at` is addressed to `v` alone (contract,
             // second point).
-            let slot = unsafe { (*self.out_slots.add(at)).take() };
-            if slot.is_none() && !self.spilled {
-                continue;
-            }
-            // The sender's id is read only for an arc that can carry a
-            // message: a silent arc costs two loads, not three.
-            let (u, _) = self.g.arc(varc + p);
-            if let Some(msg) = slot {
+            if let Some(msg) = unsafe { (*self.out_slots.add(at)).take() } {
                 inbox.push(Envelope {
                     src: u,
                     port: p,
@@ -817,17 +869,18 @@ impl<P: Process> RoundShared<'_, P> {
 }
 
 /// **The round pass**: activates every awake node of chunk `ci` (`init`
-/// at round 0) — pull, clear, step, audit, as the module docs lay out.
-/// Clearing before the step is what lets `Ctx::send` read an occupied
-/// slot as a second message on its port, never as a stale one. See
-/// [`RoundShared`] for the aliasing contract.
+/// at round 0) — pull, step, audit, as the module docs lay out. A node's
+/// arc slots are cleared by its own first port-by-port send of the
+/// activation ([`Ctx::send`]), which is what lets a later send read an
+/// occupied slot as a second message on its port, never as a stale one.
+/// See [`RoundShared`] for the aliasing contract.
 #[allow(unsafe_code)]
 fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
     let (lo, hi) = sh.range(ci);
-    // SAFETY: chunk `ci` owns nodes `lo..hi` — their per-node entries
-    // and their arc ranges of this round's buffer — and per-chunk buffer
-    // `ci`; `pull` touches the previous buffer only as the contract
-    // allows.
+    // SAFETY: chunk `ci` owns nodes `lo..hi` — their per-node entries,
+    // their records and arc ranges of this round's buffer — and per-chunk
+    // buffer `ci`; `pull` touches the previous buffer only as the
+    // contract allows.
     unsafe {
         let events = &mut *sh.events.add(ci);
         let fresh = &mut *sh.fresh_halts.add(ci);
@@ -848,15 +901,12 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
                 sh.pull(v, ci, inbox);
             }
             let deg = sh.g.degree(v);
-            let at = sh.slot(sh.cur, sh.g.csr_offset(v));
-            sh.claim(Table::OutSlot, at..at + deg, ci);
+            let varc = sh.g.csr_offset(v);
+            let at = sh.slot(sh.cur, varc);
             let out = std::slice::from_raw_parts_mut(sh.out_slots.add(at), deg);
-            for slot in out.iter_mut() {
-                *slot = None;
-            }
             let spill = &mut *sh.out_spill.add(sh.cur * sh.n + v);
             debug_assert!(spill.is_empty(), "spill of node {v} not drained");
-            let mut sent = 0;
+            let record = &mut *sh.records.add(sh.cur * sh.n + v);
             let mut halted = false;
             let mut sleep: Round = 0;
             let mut ctx = Ctx {
@@ -865,9 +915,9 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
                 graph: sh.g,
                 max_degree: sh.max_degree,
                 rng: &mut *sh.rngs.add(v),
-                out_slots: out,
-                out_spill: spill,
-                sent: &mut sent,
+                out_slots: &mut *out,
+                out_spill: &mut *spill,
+                record: &mut *record,
                 events,
                 halted: &mut halted,
                 sleep: &mut sleep,
@@ -881,28 +931,41 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
                     .expect("process exists after init")
                     .round(&mut ctx, inbox);
             }
-            if *ctx.sent > 0 {
-                let (out, spill) = (&*ctx.out_slots, &*ctx.out_spill);
-                if !spill.is_empty() {
-                    spills.push(v);
+            if record.round == sh.round {
+                if record.unicast {
+                    sh.claim(Table::OutSlot, at..at + deg, ci);
+                    if !spill.is_empty() {
+                        spills.push(v);
+                    }
                 }
                 if sh.audit {
                     // Every send counts, including those toward receivers
-                    // that have halted and will never pull them.
-                    for msg in out.iter().flatten().chain(spill.iter().map(|(_, m)| m)) {
+                    // that have halted and will never pull them: a
+                    // recorded broadcast is one message per neighbor.
+                    if let Some(msg) = &record.broadcast {
                         let bits = msg.size_bits();
                         part.max_bits = part.max_bits.max(bits);
-                        part.messages += 1;
-                        *sh.vol_msgs_sent.add(v) += 1;
-                        *sh.vol_bits_sent.add(v) += bits as u64;
+                        part.messages += deg;
+                        *sh.vol_msgs_sent.add(v) += deg as u64;
+                        *sh.vol_bits_sent.add(v) += (deg * bits) as u64;
+                    }
+                    if record.unicast {
+                        for msg in out.iter().flatten().chain(spill.iter().map(|(_, m)| m)) {
+                            let bits = msg.size_bits();
+                            part.max_bits = part.max_bits.max(bits);
+                            part.messages += 1;
+                            *sh.vol_msgs_sent.add(v) += 1;
+                            *sh.vol_bits_sent.add(v) += bits as u64;
+                        }
                     }
                 }
                 if sh.any_asleep {
-                    // A sleeper must wake to pull this. Spills ride on
-                    // ports whose slot is occupied, so the slots suffice.
-                    let varc = sh.g.csr_offset(v);
+                    // A sleeper must wake to pull this. A broadcast
+                    // reaches every port; spills ride on ports whose slot
+                    // is occupied, so the slots cover the rest.
+                    let all = record.broadcast.is_some();
                     for (p, slot) in out.iter().enumerate() {
-                        if slot.is_some() {
+                        if all || record.unicast && slot.is_some() {
                             let (u, _) = sh.g.arc(varc + p);
                             if sleeping.get(u) {
                                 wakes.push(u);
@@ -911,10 +974,10 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
                     }
                 }
             }
-            if *ctx.halted {
+            if halted {
                 fresh.push(v);
-            } else if *ctx.sleep > sh.round + 1 {
-                sleeps.push((v, *ctx.sleep));
+            } else if sleep > sh.round + 1 {
+                sleeps.push((v, sleep));
             }
         });
         part.activations = activations;
@@ -1437,15 +1500,27 @@ mod tests {
         // the same process type, hence the same arena slot — must behave
         // exactly like a fresh run: stale sends must not be delivered. In
         // the clean runs every third node halts in round 0, so it never
-        // clears its range of buffer 1 again; only the reset can.
+        // writes buffer 1 again; only the reset, which makes every
+        // broadcast record stale, keeps the aborted run's leftovers there
+        // from being delivered. Odd nodes send port by port and even
+        // ones broadcast, so the leftovers sit in records and arc slots.
         use std::sync::atomic::{AtomicUsize, Ordering};
         /// The round in which node 5 panics; 0 runs clean.
         static POISON: AtomicUsize = AtomicUsize::new(0);
 
-        /// Broadcasts its round number plus one in rounds 0 to 2 and
-        /// commits the sum of everything it received in round 3.
+        /// Sends its round number plus one to every neighbor in rounds 0
+        /// to 2 and commits the sum of everything it received in round 3.
         struct MidRoundPanic {
             sum: u64,
+        }
+        fn send_all(ctx: &mut Ctx<'_, MidRoundPanic>, msg: u64) {
+            if ctx.id() % 2 == 1 {
+                for port in ctx.ports() {
+                    ctx.send(port, msg);
+                }
+            } else {
+                ctx.broadcast(msg);
+            }
         }
         impl Process for MidRoundPanic {
             type Message = u64;
@@ -1454,7 +1529,7 @@ mod tests {
             type Params = ();
             const OUTPUT_KIND: OutputKind = OutputKind::NodeLabels;
             fn init(_: &(), ctx: &mut Ctx<'_, Self>) -> Self {
-                ctx.broadcast(1);
+                send_all(ctx, 1);
                 if POISON.load(Ordering::Relaxed) == 0 && ctx.id().is_multiple_of(3) {
                     ctx.commit_node(0);
                     ctx.halt();
@@ -1465,7 +1540,7 @@ mod tests {
                 self.sum += inbox.iter().map(|e| e.msg).sum::<u64>();
                 let r = ctx.round();
                 if r < 3 {
-                    ctx.broadcast(r as u64 + 1);
+                    send_all(ctx, r as u64 + 1);
                     assert!(
                         !(POISON.load(Ordering::Relaxed) == r && ctx.id() == 5),
                         "poisoned node"
@@ -2006,6 +2081,215 @@ mod tests {
                 }
             }
             assert!(awake_rounds < live);
+        }
+    }
+
+    /// Halt round of node `v` in the mixed-send test: a quarter of the
+    /// nodes halts in round 3 while its neighbors broadcast until round 8.
+    fn mix_halt(v: NodeId) -> Round {
+        [3, 6, 7, 8][v % 4]
+    }
+
+    /// Whether `v` sends in round `r` of the mixed-send test: in round 0,
+    /// in one round of three after that, and in its halt round. It
+    /// sleeps through the other rounds.
+    fn mix_busy(v: NodeId, r: Round) -> bool {
+        r == 0 || r == mix_halt(v) || (v + r).is_multiple_of(3)
+    }
+
+    /// Broadcasts `v` makes in round `r` of the mixed-send test.
+    fn mix_broadcasts(v: NodeId, r: Round) -> usize {
+        match (r > mix_halt(v) || !mix_busy(v, r), mix_case(v, r)) {
+            (true, _) => 0,
+            (false, 3) => 2,
+            (false, _) => 1,
+        }
+    }
+
+    /// The sends of a busy round before the halt: 0 broadcast only, 1 a
+    /// unicast then a broadcast, 2 a broadcast then a unicast, 3 two
+    /// broadcasts. In its halt round a node broadcasts a farewell only.
+    fn mix_case(v: NodeId, r: Round) -> usize {
+        if r == mix_halt(v) {
+            0
+        } else {
+            (v + 2 * r) % 4
+        }
+    }
+
+    /// Whether `v`'s unicast in round `r` goes out on `port`.
+    fn mix_unicast_port(v: NodeId, r: Round, port: usize) -> bool {
+        (v + port + r).is_multiple_of(2)
+    }
+
+    /// A payload whose audited size varies with its value.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Sized(u64);
+
+    impl MessageSize for Sized {
+        fn size_bits(&self) -> usize {
+            1 + (self.0 % 61) as usize
+        }
+    }
+
+    /// Sends on the mixed-send plan and folds every inbox into an order-
+    /// and port-sensitive checksum, sleeping between busy rounds. With
+    /// `Params = true` each broadcast goes out port by port: the twin
+    /// whose transcript the broadcast records must reproduce. Outputs
+    /// (checksum, messages received).
+    struct Mixed {
+        by_port: bool,
+        sum: u64,
+        received: u64,
+    }
+
+    impl Mixed {
+        fn broadcast(&self, ctx: &mut Ctx<'_, Self>, seq: u64) {
+            let msg = Sized(chatter_msg(ctx.id(), ctx.round(), seq as usize));
+            if self.by_port {
+                for port in ctx.ports() {
+                    ctx.send(port, msg.clone());
+                }
+            } else {
+                ctx.broadcast(msg);
+            }
+        }
+
+        fn unicast(ctx: &mut Ctx<'_, Self>, seq: u64) {
+            let (v, r) = (ctx.id(), ctx.round());
+            for port in ctx.ports() {
+                if mix_unicast_port(v, r, port) {
+                    ctx.send(port, Sized(chatter_msg(v, r, seq as usize) ^ port as u64));
+                }
+            }
+        }
+
+        fn act(&mut self, ctx: &mut Ctx<'_, Self>) {
+            let (v, r) = (ctx.id(), ctx.round());
+            if mix_busy(v, r) {
+                match mix_case(v, r) {
+                    0 => self.broadcast(ctx, 0),
+                    1 => {
+                        Self::unicast(ctx, 0);
+                        self.broadcast(ctx, 1);
+                    }
+                    2 => {
+                        self.broadcast(ctx, 0);
+                        Self::unicast(ctx, 1);
+                    }
+                    _ => {
+                        self.broadcast(ctx, 0);
+                        self.broadcast(ctx, 1);
+                    }
+                }
+            }
+            if r == mix_halt(v) {
+                ctx.commit_node((self.sum, self.received));
+                ctx.halt();
+            } else {
+                let next = (r + 1..).find(|&s| mix_busy(v, s)).expect("busy halt");
+                ctx.sleep_until(next);
+            }
+        }
+    }
+
+    impl Process for Mixed {
+        type Message = Sized;
+        type NodeOutput = (u64, u64);
+        type EdgeOutput = ();
+        type Params = bool;
+        const OUTPUT_KIND: OutputKind = OutputKind::NodeLabels;
+
+        fn init(by_port: &bool, ctx: &mut Ctx<'_, Self>) -> Self {
+            let mut node = Mixed {
+                by_port: *by_port,
+                sum: 0,
+                received: 0,
+            };
+            node.act(ctx);
+            node
+        }
+
+        fn round(&mut self, ctx: &mut Ctx<'_, Self>, inbox: &[Envelope<Sized>]) {
+            let r = ctx.round() as u64;
+            for env in inbox {
+                self.sum = self.sum.rotate_left(7) ^ env.msg.0 ^ r << 56 ^ (env.port as u64) << 48;
+                self.received += 1;
+            }
+            self.act(ctx);
+        }
+    }
+
+    #[test]
+    fn broadcast_records_match_the_port_by_port_twin() {
+        let mut rng = Rng::seed_from(7);
+        let regular = gen::random_regular(30, 4, &mut rng).expect("4-regular graph");
+        assert!(regular.sorted_port_order().is_some(), "unsorted adjacency");
+        for g in [gen::grid(5, 6), regular] {
+            // The plan covers every case, and broadcasts toward halted
+            // and toward sleeping neighbors.
+            let sends = |v: NodeId, r: Round| r <= mix_halt(v) && mix_busy(v, r);
+            let got = |v: NodeId, r: Round| r > 0 && g.neighbor_ids(v).any(|u| sends(u, r - 1));
+            let asleep = |v: NodeId, r: Round| r <= mix_halt(v) && !mix_busy(v, r) && !got(v, r);
+            let toward = |pred: &dyn Fn(NodeId, Round) -> bool| {
+                g.nodes().any(|u| {
+                    g.neighbor_ids(u)
+                        .any(|v| (0..=mix_halt(u)).any(|r| sends(u, r) && pred(v, r)))
+                })
+            };
+            assert!(
+                toward(&|v, r| r > mix_halt(v)),
+                "no broadcast to a halted node"
+            );
+            assert!(toward(&asleep), "no broadcast to a sleeper");
+            for case in 0..4 {
+                assert!(
+                    g.nodes()
+                        .any(|v| (0..mix_halt(v)).any(|r| mix_busy(v, r) && mix_case(v, r) == case)),
+                    "case {case} never runs"
+                );
+            }
+            let planned: usize = g
+                .nodes()
+                .flat_map(|v| (0..=mix_halt(v)).map(move |r| (v, r)))
+                .filter(|&(v, r)| sends(v, r))
+                .map(|(v, r)| {
+                    let unicasts = match mix_case(v, r) {
+                        1 | 2 => (0..g.degree(v))
+                            .filter(|&p| mix_unicast_port(v, r, p))
+                            .count(),
+                        _ => 0,
+                    };
+                    mix_broadcasts(v, r) * g.degree(v) + unicasts
+                })
+                .sum();
+
+            let mut ws = Workspace::new();
+            let twin = RunSpec::new(1).run_in::<Mixed>(&g, &true, &mut ws);
+            let twin_awake = ws.stats().awake_node_rounds;
+            assert_eq!(twin.messages_sent, planned);
+            assert!(twin.node_messages_recv.iter().all(|&k| k > 0));
+            for chunk in [1, 3, g.n()] {
+                for threads in [1, 2] {
+                    let spec = RunSpec::new(1)
+                        .with_exec(Exec::Parallel { threads })
+                        .with_chunk_nodes(Some(chunk));
+                    for by_port in [false, true] {
+                        let before = ws.stats().awake_node_rounds;
+                        let t = spec.run_in::<Mixed>(&g, &by_port, &mut ws);
+                        assert_eq!(
+                            t, twin,
+                            "transcript drift at chunk={chunk} threads={threads} \
+                             by_port={by_port}"
+                        );
+                        assert_eq!(
+                            ws.stats().awake_node_rounds - before,
+                            twin_awake,
+                            "awake node-rounds at chunk={chunk} threads={threads}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -57,23 +57,27 @@ pub(crate) type EventBuf<P> = Vec<(
 /// reading local knowledge — goes through this type.
 ///
 /// Sends land in the current round's half of the engine's double-buffered
-/// outbox: the node owns one message slot per port (its slice of the CSR
-/// arc array, addressed by `csr_offset(v) + port`), emptied just before
-/// the activation, plus a rarely-used spill vector for the occasional
-/// second message on the same port in one round. Receivers pull them
-/// next round.
+/// outbox, which holds two things per node: a **broadcast record** and
+/// one message slot per port (its slice of the CSR arc array, addressed
+/// by `csr_offset(v) + port`), plus a rarely-used spill vector for the
+/// occasional second message on the same port in one round. A
+/// [`Ctx::broadcast`] that is the activation's first send is stored once,
+/// in the record; every other send goes into the slots, which the
+/// activation's first such send empties. Receivers pull both next round.
 pub struct Ctx<'a, P: Process> {
     pub(crate) id: NodeId,
     pub(crate) round: Round,
     pub(crate) graph: &'a Graph,
     pub(crate) max_degree: usize,
     pub(crate) rng: &'a mut Rng,
-    /// This node's arc slots of the current outbox buffer (length = degree).
+    /// This node's arc slots of the current outbox buffer (length =
+    /// degree). They hold stale messages until the activation's first
+    /// send that is not a recorded broadcast empties them.
     pub(crate) out_slots: &'a mut [Option<P::Message>],
     /// Overflow for a repeated send on an already-occupied port.
     pub(crate) out_spill: &'a mut Vec<(u32, P::Message)>,
-    /// Messages written this activation (lets the audit skip silent nodes).
-    pub(crate) sent: &'a mut u32,
+    /// This node's broadcast record in the current outbox buffer.
+    pub(crate) record: &'a mut Record<P::Message>,
     pub(crate) events: &'a mut EventBuf<P>,
     /// Set by [`Ctx::halt`]; the engine records the halt after the
     /// activation.
@@ -141,7 +145,20 @@ impl<'a, P: Process> Ctx<'a, P> {
     ///
     /// Panics if `port >= degree`.
     pub fn send(&mut self, port: usize, msg: P::Message) {
-        *self.sent += 1;
+        let record = &mut *self.record;
+        if record.round != self.round {
+            *record = Record {
+                round: self.round,
+                unicast: false,
+                broadcast: None,
+            };
+        }
+        if !record.unicast {
+            // First port-by-port send of the activation: the slots still
+            // hold what this node sent two rounds ago.
+            record.unicast = true;
+            self.out_slots.fill(None);
+        }
         let slot = &mut self.out_slots[port];
         if slot.is_none() {
             *slot = Some(msg);
@@ -154,7 +171,21 @@ impl<'a, P: Process> Ctx<'a, P> {
     }
 
     /// Sends `msg` to every neighbor.
+    ///
+    /// As the activation's first send, the message is stored once in this
+    /// node's broadcast record, which every neighbor reads next round.
+    /// After another send it goes out port by port like [`Ctx::send`], so
+    /// each neighbor still receives this node's messages in send order.
+    /// Either way the audit counts one message per neighbor.
     pub fn broadcast(&mut self, msg: P::Message) {
+        if self.record.round != self.round && self.degree() > 0 {
+            *self.record = Record {
+                round: self.round,
+                unicast: false,
+                broadcast: Some(msg),
+            };
+            return;
+        }
         for port in self.ports() {
             self.send(port, msg.clone());
         }
@@ -189,9 +220,9 @@ impl<'a, P: Process> Ctx<'a, P> {
 
     /// Asks the engine not to activate this node again before round
     /// `round`, unless a neighbor sends it a message first. A sleeping
-    /// node is skipped by the round pass: no pull, no clear, no `round`
-    /// call. It wakes when `round` comes, or in the round after a
-    /// neighbor sends to it, and then receives that inbox as usual.
+    /// node is skipped by the round pass: no pull, no `round` call. It
+    /// wakes when `round` comes, or in the round after a neighbor sends
+    /// to it, and then receives that inbox as usual.
     /// `Round::MAX` (or any round past the run's `max_rounds`) sleeps
     /// until a message arrives.
     ///
@@ -219,5 +250,38 @@ impl<'a, P: Process> Ctx<'a, P> {
     /// calls in one activation replace earlier ones.
     pub fn sleep_until(&mut self, round: Round) {
         *self.sleep = round;
+    }
+}
+
+/// What one node sent in the activation that last wrote one outbox
+/// buffer: the round of that activation, whether it also sent port by
+/// port, and at most one broadcast. One record per (buffer, node); a
+/// record whose round is not the one a reader asks about is stale and
+/// says nothing, so the records need no clearing between rounds.
+pub(crate) struct Record<M> {
+    /// The round of the activation that wrote the record.
+    pub(crate) round: Round,
+    /// Whether that activation sent port by port: only then do the
+    /// node's arc slots (and spills) of the buffer hold its messages.
+    pub(crate) unicast: bool,
+    /// The activation's broadcast, when its first send was one; delivered
+    /// to every neighbor before the node's slot and spills on that arc.
+    pub(crate) broadcast: Option<M>,
+}
+
+impl<M> Record<M> {
+    /// A record of no round.
+    pub(crate) fn stale() -> Self {
+        Record {
+            round: Round::MAX,
+            unicast: false,
+            broadcast: None,
+        }
+    }
+
+    /// Whether the node sent a message in round `round` on the arc whose
+    /// slot, in the same buffer as this record, is `slot`.
+    pub(crate) fn mail(&self, round: Round, slot: &Option<M>) -> bool {
+        self.round == round && (self.broadcast.is_some() || self.unicast && slot.is_some())
     }
 }

@@ -16,7 +16,7 @@
 //! receiver in their own chunk's wake list, and only the driving thread
 //! writes the bitset, between rounds. What can go wrong there is a lost
 //! wake-up, so [`check_sleepers`] checks the tables' contract after
-//! every round instead: no sleeper holds a message it has not pulled.
+//! every round instead: no sleeper is sent a message it would not pull.
 
 /// Which engine arena an index belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,8 +25,8 @@ pub(crate) enum Table {
     /// `buffer · Σdeg + arc`: an inbox pull claims the previous buffer's
     /// slot it takes, a sender claims its own range of the current one.
     OutSlot,
-    /// Every per-node column (process state, rng, spill vectors, volume
-    /// columns).
+    /// Every per-node column (process state, rng, broadcast records,
+    /// spill vectors, volume columns).
     Node,
 }
 
@@ -37,26 +37,33 @@ pub(crate) use checker::{check_sleepers, Shadow};
 mod checker {
     use super::Table;
     use crate::bitset::Bitset;
+    use crate::process::Record;
+    use crate::transcript::Round;
     use localavg_graph::Graph;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// Checks the sleep tables between two rounds: `sleepers` counts the
-    /// set bits of `sleeping`, no halted node sleeps, and no message
-    /// addressed to a sleeper waits in the outbox — `mail(arc)` tells
-    /// whether sender-side arc `arc` holds a message in either buffer.
+    /// Checks the sleep tables after round `round` is settled: `sleepers`
+    /// counts the set bits of `sleeping`, no halted node sleeps, and no
+    /// sleeper was sent a message in round `round`. `records` and `slots`
+    /// are the outbox buffer that round sent into; a neighbor `u` sent to
+    /// sleeper `v` when its record of `round` holds a broadcast, or says
+    /// it sent port by port and its slot on the arc `u → v` is occupied.
     /// Such a message would be pulled late or never: a sender that found
     /// its receiver asleep pushed no wake-up, or a sleep request was
-    /// granted despite a message sent in the same round.
+    /// granted despite a message sent in the same round. (A message of an
+    /// earlier round was the check of that round.)
     ///
     /// # Panics
     ///
     /// Panics with `sleep violation` on the first breach.
-    pub(crate) fn check_sleepers(
+    pub(crate) fn check_sleepers<M>(
         g: &Graph,
         sleeping: &Bitset,
         sleepers: usize,
         halted: &Bitset,
-        mail: impl Fn(usize) -> bool,
+        round: Round,
+        records: &[Record<M>],
+        slots: &[Option<M>],
     ) {
         assert_eq!(
             sleeping.count_ones(),
@@ -72,11 +79,10 @@ mod checker {
             while bits != 0 {
                 let v = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let varc = g.csr_offset(v);
-                for a in varc..varc + g.degree(v) {
+                for a in g.arc_range(v) {
                     let (u, _) = g.arc(a);
                     assert!(
-                        !mail(g.rev_arc(a)),
+                        !records[u].mail(round, &slots[g.rev_arc(a)]),
                         "sleep violation: node {v} sleeps on a message from node {u}"
                     );
                 }
@@ -185,21 +191,79 @@ mod checker {
             (g, sleeping, Bitset::new(3))
         }
 
-        #[test]
-        fn a_sleeper_without_mail_passes() {
-            let (g, sleeping, halted) = sleeping_middle();
-            // Node 1's own sends (its arcs) may hold mail; only arcs
-            // toward node 1 matter.
-            let toward_1: Vec<usize> = (0..g.degree_sum()).filter(|&a| g.arc(a).0 == 1).collect();
-            assert_eq!(toward_1.len(), 2);
-            check_sleepers(&g, &sleeping, 1, &halted, |a| !toward_1.contains(&a));
+        /// The round the tests check, after it was settled.
+        const NOW: Round = 5;
+
+        fn record(round: Round, unicast: bool, broadcast: bool) -> Record<()> {
+            Record {
+                round,
+                unicast,
+                broadcast: broadcast.then_some(()),
+            }
+        }
+
+        /// Sender-side arc `u → v` of the path.
+        fn arc(g: &Graph, u: usize, v: usize) -> usize {
+            g.arc_range(u)
+                .find(|&a| g.arc(a).0 == v)
+                .expect("an edge of the path")
         }
 
         #[test]
-        #[should_panic(expected = "sleep violation: node 1 sleeps on a message from node")]
+        fn a_sleeper_without_mail_passes() {
+            let (g, sleeping, halted) = sleeping_middle();
+            let mut slots = vec![None; g.degree_sum()];
+            // Node 1's own sends do not matter: it broadcast and sent
+            // port by port this round.
+            let own = [arc(&g, 1, 0), arc(&g, 1, 2)];
+            for a in own {
+                slots[a] = Some(());
+            }
+            // Node 0's record is stale: its broadcast, and the slot it
+            // filled toward node 1, are from an earlier round.
+            slots[arc(&g, 0, 1)] = Some(());
+            // Node 2 sent port by port this round, but not to node 1.
+            let records = [
+                record(NOW - 2, true, true),
+                record(NOW, true, true),
+                record(NOW, true, false),
+            ];
+            check_sleepers(&g, &sleeping, 1, &halted, NOW, &records, &slots);
+        }
+
+        #[test]
+        #[should_panic(expected = "sleep violation: node 1 sleeps on a message from node 0")]
+        fn a_neighbours_broadcast_of_this_round_panics() {
+            let (g, sleeping, halted) = sleeping_middle();
+            let slots = vec![None; g.degree_sum()];
+            let records = [
+                record(NOW, false, true),
+                record(NOW - 1, false, false),
+                record(NOW - 2, false, true),
+            ];
+            check_sleepers(&g, &sleeping, 1, &halted, NOW, &records, &slots);
+        }
+
+        #[test]
+        #[should_panic(expected = "sleep violation: node 1 sleeps on a message from node 2")]
         fn a_sleeper_with_mail_panics() {
             let (g, sleeping, halted) = sleeping_middle();
-            check_sleepers(&g, &sleeping, 1, &halted, |_| true);
+            let mut slots = vec![None; g.degree_sum()];
+            slots[arc(&g, 2, 1)] = Some(());
+            let records = [
+                record(NOW - 1, false, false),
+                record(NOW - 1, false, false),
+                record(NOW, true, false),
+            ];
+            check_sleepers(&g, &sleeping, 1, &halted, NOW, &records, &slots);
+        }
+
+        /// Records and slots of a round in which nobody sent.
+        fn quiet(g: &Graph) -> (Vec<Record<()>>, Vec<Option<()>>) {
+            (
+                (0..g.n()).map(|_| Record::stale()).collect(),
+                vec![None; g.degree_sum()],
+            )
         }
 
         #[test]
@@ -207,14 +271,16 @@ mod checker {
         fn a_halted_sleeper_panics() {
             let (g, sleeping, mut halted) = sleeping_middle();
             halted.set(1);
-            check_sleepers(&g, &sleeping, 1, &halted, |_| false);
+            let (records, slots) = quiet(&g);
+            check_sleepers(&g, &sleeping, 1, &halted, NOW, &records, &slots);
         }
 
         #[test]
         #[should_panic(expected = "sleeper count disagrees")]
         fn a_wrong_sleeper_count_panics() {
             let (g, sleeping, halted) = sleeping_middle();
-            check_sleepers(&g, &sleeping, 2, &halted, |_| false);
+            let (records, slots) = quiet(&g);
+            check_sleepers(&g, &sleeping, 2, &halted, NOW, &records, &slots);
         }
 
         #[test]
