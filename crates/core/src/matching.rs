@@ -99,6 +99,8 @@ impl Default for LubyMatchParams {
 /// (degree, mark, count, decide).
 struct LubyMatching {
     nbr_active: Vec<bool>,
+    /// Set entries of `nbr_active`: the residual degree.
+    active_degree: u64,
     nbr_degree: Vec<u64>,
     edge_marked: Vec<bool>,
     my_marked_count: u64,
@@ -107,21 +109,19 @@ struct LubyMatching {
 }
 
 impl LubyMatching {
-    fn active_degree(&self) -> u64 {
-        self.nbr_active.iter().filter(|&&a| a).count() as u64
-    }
-
     fn degree_phase(&mut self, ctx: &mut Ctx<'_, Self>, inbox: &[Envelope<LubyMatchMsg>]) {
         for env in inbox {
-            if matches!(env.msg, LubyMatchMsg::Matched) {
-                self.nbr_active[env.port] = false;
+            if matches!(env.msg, LubyMatchMsg::Matched)
+                && std::mem::replace(&mut self.nbr_active[env.port], false)
+            {
+                self.active_degree -= 1;
             }
         }
-        if self.active_degree() == 0 {
+        if self.active_degree == 0 {
             ctx.halt(); // all incident edges already committed by neighbors
             return;
         }
-        ctx.broadcast(LubyMatchMsg::Degree(self.active_degree()));
+        ctx.broadcast(LubyMatchMsg::Degree(self.active_degree));
     }
 
     fn mark_phase(&mut self, ctx: &mut Ctx<'_, Self>, inbox: &[Envelope<LubyMatchMsg>]) {
@@ -132,7 +132,7 @@ impl LubyMatching {
         }
         self.edge_marked.iter_mut().for_each(|m| *m = false);
         self.my_marked_count = 0;
-        let my_degree = self.active_degree();
+        let my_degree = self.active_degree;
         for port in ctx.ports() {
             if !self.nbr_active[port] || ctx.neighbor_id(port) < ctx.id() {
                 continue; // the lower-id endpoint draws the mark
@@ -196,6 +196,7 @@ impl Process for LubyMatching {
         let degree = ctx.degree();
         let mut state = LubyMatching {
             nbr_active: vec![true; degree],
+            active_degree: degree as u64,
             nbr_degree: vec![0; degree],
             edge_marked: vec![false; degree],
             my_marked_count: 0,
@@ -443,6 +444,8 @@ enum EdgeValue {
 struct DetMatching {
     sched: DetMatchSchedule,
     nbr_active: Vec<bool>,
+    /// Set entries of `nbr_active`: the residual degree.
+    active_degree: u64,
     nbr_degree: Vec<u64>,
     value: Vec<EdgeValue>,
     /// partner\[p\] = the port paired with `p` at this node (same class).
@@ -474,10 +477,6 @@ struct DetMatching {
 }
 
 impl DetMatching {
-    fn active_degree(&self) -> u64 {
-        self.nbr_active.iter().filter(|&&a| a).count() as u64
-    }
-
     fn owner(&self, ctx: &Ctx<'_, Self>, port: usize) -> bool {
         ctx.id() < ctx.neighbor_id(port)
     }
@@ -500,7 +499,9 @@ impl DetMatching {
         for env in inbox {
             match env.msg {
                 DetMatchMsg::Matched => {
-                    self.nbr_active[env.port] = false;
+                    if std::mem::replace(&mut self.nbr_active[env.port], false) {
+                        self.active_degree -= 1;
+                    }
                     self.value[env.port] = EdgeValue::Inactive;
                 }
                 // Zero notifications can cross a phase boundary (they are
@@ -520,11 +521,11 @@ impl DetMatching {
     fn degree_round(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.matched = false;
         self.fallback_port = None;
-        if self.active_degree() == 0 {
+        if self.active_degree == 0 {
             ctx.halt();
             return;
         }
-        ctx.broadcast(DetMatchMsg::Degree(self.active_degree()));
+        ctx.broadcast(DetMatchMsg::Degree(self.active_degree));
     }
 
     /// First round of a class phase: set initial values (class `k_max`
@@ -538,7 +539,7 @@ impl DetMatching {
                     self.nbr_degree[env.port] = d;
                 }
             }
-            let my = self.active_degree();
+            let my = self.active_degree;
             for p in ctx.ports() {
                 if self.nbr_active[p] {
                     let ke = ceil_log2(my + self.nbr_degree[p]) as usize;
@@ -1035,6 +1036,7 @@ impl Process for DetMatching {
         let mut state = DetMatching {
             sched,
             nbr_active: vec![true; degree],
+            active_degree: degree as u64,
             nbr_degree: vec![0; degree],
             value: vec![EdgeValue::Inactive; degree],
             partner: vec![None; degree],
