@@ -646,6 +646,7 @@ pub fn ok_line() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use localavg_graph::rng::Rng;
 
     #[test]
     fn json_parses_scalars_and_nesting() {
@@ -850,6 +851,101 @@ mod tests {
         };
         assert_eq!(parse_stats(&stats_line(&s)), Some(s));
         assert_eq!(parse_stats("{\"pong\": true}"), None);
+    }
+
+    /// Parses `bytes` as the server would see them (invalid UTF-8
+    /// replaced, so every input reaches the parser) and checks that
+    /// `parse_request` returns without panicking, that an error renders
+    /// through [`error_line`] as strict JSON carrying the message
+    /// verbatim, and that an accepted batch survives a round trip
+    /// through [`submit_request_json`].
+    fn parse_hostile(bytes: &[u8]) {
+        let text = String::from_utf8_lossy(bytes);
+        let parsed = std::panic::catch_unwind(|| parse_request(&text))
+            .unwrap_or_else(|_| panic!("parse_request panicked on {bytes:?}"));
+        match parsed {
+            Err(message) => {
+                let line = error_line(None, &message);
+                let v = Json::parse(&line)
+                    .unwrap_or_else(|e| panic!("error line {line:?} is not JSON: {e}"));
+                assert_eq!(
+                    v.get("error").and_then(Json::as_str),
+                    Some(message.as_str())
+                );
+            }
+            Ok(Request::Submit(cells)) => {
+                let again = parse_request(&submit_request_json(&cells));
+                assert_eq!(again, Ok(Request::Submit(cells)), "from {text:?}");
+            }
+            Ok(_) => {}
+        }
+    }
+
+    #[test]
+    fn hostile_request_bytes_never_panic_and_errors_render_as_json() {
+        let mut rng = Rng::seed_from(10);
+        // Random byte strings: raw bytes, and strings over JSON's own
+        // tokens so the parser gets past the first byte.
+        const TOKENS: [&str; 24] = [
+            "{",
+            "}",
+            "[",
+            "]",
+            ":",
+            ",",
+            "\"",
+            "\\",
+            "\\u",
+            "d83d",
+            "0",
+            "-1",
+            "1e9",
+            ".5",
+            "true",
+            "null",
+            " ",
+            "\"op\"",
+            "\"submit\"",
+            "\"cells\"",
+            "\"n\"",
+            "é",
+            "\u{0}",
+            "\"params\"",
+        ];
+        for _ in 0..2000 {
+            let len = rng.index(48);
+            let raw: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            parse_hostile(&raw);
+            let tokens: String = (0..len).map(|_| *rng.choose(&TOKENS)).collect();
+            parse_hostile(tokens.as_bytes());
+        }
+        // Every truncation and every single-byte mutation of a valid
+        // submit line.
+        let cells = [
+            CellKey::new("regular/3", 64, 2, "mis/luby"),
+            CellKey::new("gnp/deg8", 4096, 0, "coloring/trial")
+                .with_params(vec![("coloring/trial:extra-colors".into(), "4".into())])
+                .with_policy(TranscriptPolicy::None),
+            CellKey::new("tree/\"q\"\\é", 0, u64::MAX, "x"),
+        ];
+        let line = submit_request_json(&cells);
+        assert_eq!(parse_request(&line), Ok(Request::Submit(cells.to_vec())));
+        let bytes = line.as_bytes();
+        for cut in 0..=bytes.len() {
+            parse_hostile(&bytes[..cut]);
+        }
+        let mut mutant = bytes.to_vec();
+        for at in 0..bytes.len() {
+            for b in [
+                0x00, b'"', b'\\', b'{', b']', b',', b'9', b'-', 0x7f, 0x80, 0xff,
+            ] {
+                mutant[at] = b;
+                parse_hostile(&mutant);
+            }
+            mutant[at] = rng.next_u64() as u8;
+            parse_hostile(&mutant);
+            mutant[at] = bytes[at];
+        }
     }
 
     #[test]
